@@ -1,18 +1,22 @@
 """Execution-time evaluation f(program, unroll factor).
 
-Two interchangeable backends:
+Two interchangeable backends, each with `measure(sp, u, runs)` for one
+factor and `sweep(sp, factors, runs)` for a set of factors:
 
 * `CostModelBackend` — a deterministic synthetic model (the default for
   tests/CI): per-trip body cost, loop-control overhead shrinking with the
   unroll factor, and an instruction-cache penalty once the replicated body
   outgrows the modeled capacity.
-* `NativeBackend` — emits a self-contained C kernel for the scheduled nest,
-  compiles it with the configured toolchain and parses the timing output.
+* `NativeBackend` — emits C for the scheduled nest, compiles it with the
+  configured toolchain and parses the timing output.  A sweep emits one
+  function per distinct effective factor into a single translation unit,
+  so a sample costs one compile and one process.
 
-The emitted binary prints exactly one line `mean_ms=<float>` on stdout
-(plus `checksum=<hex>` in debug builds) and one `run_ms=<float>` line per
-timed repetition on stderr, so per-run samples can be recorded without
-touching the stdout contract.
+A single-kernel binary (`emit_kernel_source`) prints exactly one line
+`mean_ms=<float>` on stdout (plus `checksum=<hex>` in debug builds) and one
+`run_ms=<float>` line per timed repetition on stderr.  A sweep binary
+(`emit_sweep_source`) prints `checksum_<u>=<hex>` on stdout for every
+variant u and one `run_ms_<u>=<float>` line per variant and round on stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import shutil
 import statistics
 import subprocess
 import tempfile
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,8 +34,10 @@ from .errors import (
     CompileError,
     DepthExceedsMax,
     InvalidFactor,
+    KernelMismatch,
     RunTimeout,
     ToolchainMissing,
+    UnrollTunerError,
 )
 from .interp import (
     FILL_MODULUS,
@@ -53,15 +58,13 @@ DEFAULT_TOOLCHAIN = "cc"
 DEFAULT_FLAGS = ("-O1", "-fno-unroll-loops")
 TOOLCHAIN_ENV_VAR = "UNROLL_TUNER_TOOLCHAIN"
 
-_EXEC_LOCK = threading.Lock()   # timed kernel executions are serialized process-wide
-
 
 @dataclass(frozen=True)
 class ExecResult:
     mean_ms: float
     runs: int
     per_run_ms: tuple[float, ...]
-    checksum: int | None = None   # only present for debug-mode kernels
+    checksum: int | None = None   # output checksum: sweeps and debug-mode kernels
 
     def __post_init__(self):
         if self.runs < 1 or len(self.per_run_ms) != self.runs:
@@ -160,18 +163,18 @@ def _expr_text(sp: ScheduledProgram, node, strides) -> str:
     return f"({_expr_text(sp, node.left, strides)} {op} {_expr_text(sp, node.right, strides)})"
 
 
-def emit_kernel_source(sp: ScheduledProgram, runs: int = DEFAULT_RUNS,
-                       debug: bool = False) -> str:
-    """Self-contained C source for the scheduled nest plus a timing harness.
+def _unit_lines(kernels: dict[str, ScheduledProgram], runs: int) -> list[str]:
+    """C source up to `main`: the shared preamble, one `static void <name>(void)`
+    per entry of `kernels` (all schedules of one base program), and
+    `out_checksum`.
 
-    The harness does one untimed warm-up and RUNS timed repetitions (RUNS is a
-    macro so `native_measure` can override it at compile time).  Padded split
-    iterations are masked by guards; the unrolled body is literally replicated
-    with an epilogue loop for the remainder.
+    Padded split iterations are masked by guards; the unrolled body is
+    literally replicated with an epilogue loop for the remainder.
     """
-    if sp.depth > 7:
-        raise DepthExceedsMax(f"nest depth {sp.depth} exceeds 7")
-    p = sp.base
+    for sp in kernels.values():
+        if sp.depth > 7:
+            raise DepthExceedsMax(f"nest depth {sp.depth} exceeds 7")
+    p = next(iter(kernels.values())).base
     shapes = buffer_shapes(p)
     strides = {name: row_major_strides(shape) for name, shape in shapes.items()}
     sizes = {name: math.prod(shape) for name, shape in shapes.items()}
@@ -227,7 +230,27 @@ def emit_kernel_source(sp: ScheduledProgram, runs: int = DEFAULT_RUNS,
     emit(f"    for (int64_t q = 0; q < {sizes[out]}; ++q) buf_{out}[q] = (elem_t)0;")
     emit("}")
     emit("")
+    for fn_name, sp in kernels.items():
+        _emit_kernel(sp, fn_name, strides, emit)
+        emit("")
+    emit("static uint64_t out_checksum(void) {")
+    emit("    uint64_t h = 0xCBF29CE484222325ULL;")
+    emit(f"    for (int64_t q = 0; q < {sizes[out]}; ++q) {{")
+    emit("        unsigned char bytes[sizeof(elem_t)];")
+    emit(f"        memcpy(bytes, &buf_{out}[q], sizeof(elem_t));")
+    emit("        for (size_t b = 0; b < sizeof(elem_t); ++b) {")
+    emit("            h ^= (uint64_t)bytes[b];")
+    emit("            h *= 0x100000001B3ULL;")
+    emit("        }")
+    emit("    }")
+    emit("    return h;")
+    emit("}")
+    emit("")
+    return lines
 
+
+def _emit_kernel(sp: ScheduledProgram, fn_name: str, strides, emit) -> None:
+    p = sp.base
     guard_terms = []
     for g in sp.guards:
         text = " + ".join(f"{coef}*{name}" if coef != 1 else name
@@ -238,7 +261,7 @@ def emit_kernel_source(sp: ScheduledProgram, runs: int = DEFAULT_RUNS,
     store = f"{_access_text(sp, p.output, strides)} = {_expr_text(sp, p.body, strides)};"
     body_stmt = f"if ({' && '.join(guard_terms)}) {store}" if guard_terms else store
 
-    emit("static void kernel(void) {")
+    emit(f"static void {fn_name}(void) {{")
     emit("    reset_output();")
     indent = "    "
     inner = sp.loops[-1]
@@ -266,20 +289,17 @@ def emit_kernel_source(sp: ScheduledProgram, runs: int = DEFAULT_RUNS,
         indent = indent[:-4]
         emit(f"{indent}}}")
     emit("}")
-    emit("")
-    emit("static uint64_t out_checksum(void) {")
-    emit("    uint64_t h = 0xCBF29CE484222325ULL;")
-    emit(f"    for (int64_t q = 0; q < {sizes[out]}; ++q) {{")
-    emit("        unsigned char bytes[sizeof(elem_t)];")
-    emit(f"        memcpy(bytes, &buf_{out}[q], sizeof(elem_t));")
-    emit("        for (size_t b = 0; b < sizeof(elem_t); ++b) {")
-    emit("            h ^= (uint64_t)bytes[b];")
-    emit("            h *= 0x100000001B3ULL;")
-    emit("        }")
-    emit("    }")
-    emit("    return h;")
-    emit("}")
-    emit("")
+
+
+def emit_kernel_source(sp: ScheduledProgram, runs: int = DEFAULT_RUNS,
+                       debug: bool = False) -> str:
+    """Self-contained C source for the scheduled nest plus a timing harness.
+
+    The harness does one untimed warm-up and RUNS timed repetitions (RUNS is a
+    macro so `native_measure` can override it at compile time).
+    """
+    lines = _unit_lines({"kernel": sp}, runs)
+    emit = lines.append
     emit("int main(void) {")
     emit("    alloc_and_fill();")
     emit("    kernel();  /* warm-up, excluded from the mean */")
@@ -302,20 +322,47 @@ def emit_kernel_source(sp: ScheduledProgram, runs: int = DEFAULT_RUNS,
     return "\n".join(lines) + "\n"
 
 
+def emit_sweep_source(variants: dict[int, ScheduledProgram],
+                      runs: int = DEFAULT_RUNS) -> str:
+    """One translation unit timing several unrolled variants of one schedule.
+
+    `variants` maps each effective unroll factor u to its schedule, emitted
+    as `kernel_<u>`.  Each variant runs once untimed and prints
+    `checksum_<u>=<hex>` on stdout; then RUNS rounds time every variant once
+    per round, printing `run_ms_<u>=<float>` on stderr.  Interleaving the
+    rounds spreads machine noise over all variants alike.
+    """
+    lines = _unit_lines({f"kernel_{u}": sp for u, sp in variants.items()}, runs)
+    emit = lines.append
+    emit("int main(void) {")
+    emit("    alloc_and_fill();")
+    for u in variants:
+        emit(f"    kernel_{u}();  /* warm-up, excluded from the timings */")
+        emit(f"    printf(\"checksum_{u}=%016llx\\n\", (unsigned long long)out_checksum());")
+    emit("    for (int r = 0; r < RUNS; ++r) {")
+    emit("        double t0, t1;")
+    for u in variants:
+        emit(f"        t0 = now_ms(); kernel_{u}(); t1 = now_ms();")
+        emit(f"        fprintf(stderr, \"run_ms_{u}=%.9f\\n\", t1 - t0);")
+    emit("    }")
+    emit("    return 0;")
+    emit("}")
+    return "\n".join(lines) + "\n"
+
+
 def _resolve_toolchain(toolchain: str | None) -> str:
     # the environment variable outranks configured commands
     return os.environ.get(TOOLCHAIN_ENV_VAR) or toolchain or DEFAULT_TOOLCHAIN
 
 
-def native_measure(source: str, runs: int = DEFAULT_RUNS, *,
-                   toolchain: str | None = None,
-                   flags: tuple[str, ...] | None = None,
-                   timeout: float = DEFAULT_TIMEOUT_S) -> ExecResult:
-    """Compile and time an emitted kernel; returns the parsed measurements.
+def _compile_and_run(source: str, runs: int, toolchain: str | None,
+                     flags: tuple[str, ...] | None,
+                     timeout: float) -> subprocess.CompletedProcess:
+    """Compile `source` with -DRUNS=`runs`, run the binary once, return its output.
 
     Compilation failures are retried once (dropping -fopenmp on the retry if
     it was present, so parallel kernels degrade to serial rather than fail on
-    toolchains without OpenMP).  Executions are serialized process-wide.
+    toolchains without OpenMP).
     """
     cmd = _resolve_toolchain(toolchain)
     if shutil.which(cmd) is None:
@@ -343,15 +390,22 @@ def native_measure(source: str, runs: int = DEFAULT_RUNS, *,
             if retry.returncode != 0:
                 raise CompileError(proc.stderr + "\n--- retry ---\n" + retry.stderr)
 
-        with _EXEC_LOCK:
-            try:
-                run = subprocess.run([bin_path], capture_output=True, text=True,
-                                     timeout=timeout)
-            except subprocess.TimeoutExpired as exc:
-                raise RunTimeout(f"kernel exceeded {timeout} s") from exc
-        if run.returncode != 0:
-            raise CompileError(f"kernel exited with {run.returncode}: {run.stderr}")
+        try:
+            run = subprocess.run([bin_path], capture_output=True, text=True,
+                                 timeout=timeout)
+        except subprocess.TimeoutExpired as exc:
+            raise RunTimeout(f"kernel exceeded {timeout} s") from exc
+    if run.returncode != 0:
+        raise CompileError(f"kernel exited with {run.returncode}: {run.stderr}")
+    return run
 
+
+def native_measure(source: str, runs: int = DEFAULT_RUNS, *,
+                   toolchain: str | None = None,
+                   flags: tuple[str, ...] | None = None,
+                   timeout: float = DEFAULT_TIMEOUT_S) -> ExecResult:
+    """Compile and time a kernel from `emit_kernel_source`; returns the parsed measurements."""
+    run = _compile_and_run(source, runs, toolchain, flags, timeout)
     mean = None
     checksum = None
     for line in run.stdout.splitlines():
@@ -367,7 +421,59 @@ def native_measure(source: str, runs: int = DEFAULT_RUNS, *,
                       per_run_ms=tuple(per_run), checksum=checksum)
 
 
+def _tagged_values(text: str, prefix: str) -> dict[int, list[str]]:
+    """Values of the `<prefix><u>=<value>` lines of `text`, grouped by u."""
+    out: dict[int, list[str]] = {}
+    for line in text.splitlines():
+        key, sep, value = line.partition("=")
+        if sep and key.startswith(prefix) and key[len(prefix):].isdigit():
+            out.setdefault(int(key[len(prefix):]), []).append(value)
+    return out
+
+
+def native_sweep(source: str, factors: tuple[int, ...], runs: int = DEFAULT_RUNS, *,
+                 toolchain: str | None = None,
+                 flags: tuple[str, ...] | None = None,
+                 timeout: float = DEFAULT_TIMEOUT_S) -> dict[int, ExecResult]:
+    """Compile and run a unit from `emit_sweep_source` once; one result per factor.
+
+    The variants' output checksums must agree bit for bit, because unrolling
+    replicates the body in order; otherwise `KernelMismatch` is raised.
+    """
+    run = _compile_and_run(source, runs, toolchain, flags, timeout)
+    checksums = _tagged_values(run.stdout, "checksum_")
+    per_run = _tagged_values(run.stderr, "run_ms_")
+    if set(checksums) != set(factors) or set(per_run) != set(factors) \
+            or any(len(checksums[u]) != 1 or len(per_run[u]) != runs for u in factors):
+        raise CompileError(f"unexpected kernel output:\n{run.stdout}\n{run.stderr}")
+    sums = {u: int(checksums[u][0], 16) for u in factors}
+    if len(set(sums.values())) > 1:
+        raise KernelMismatch("unrolled variants disagree on the output checksum: "
+                             + ", ".join(f"u={u}: {c:016x}" for u, c in sums.items()))
+    results = {}
+    for u in factors:
+        times = tuple(max(float(v), 1e-9) for v in per_run[u])
+        results[u] = ExecResult(mean_ms=statistics.fmean(times), runs=runs,
+                                per_run_ms=times, checksum=sums[u])
+    return results
+
+
 # --- backend objects ----------------------------------------------------------
+
+def measure_each(backend, sp: ScheduledProgram, factors: tuple[int, ...],
+                 runs: int) -> dict[int, ExecResult]:
+    """A sweep made of one `backend.measure` call per factor.
+
+    Errors are re-raised with the offending factor attached.
+    """
+    results = {}
+    for u in factors:
+        try:
+            results[u] = backend.measure(sp, u, runs)
+        except UnrollTunerError as exc:
+            raise type(exc)(f"factor {u}: {exc}") from exc
+    return results
+
 
 class CostModelBackend:
     """Deterministic backend; safe for concurrent use."""
@@ -379,6 +485,10 @@ class CostModelBackend:
 
     def measure(self, sp: ScheduledProgram, u: int, runs: int = 1) -> ExecResult:
         return cost_model_evaluate(sp, u, self.params)
+
+    def sweep(self, sp: ScheduledProgram, factors: tuple[int, ...],
+              runs: int = 1) -> dict[int, ExecResult]:
+        return measure_each(self, sp, factors, runs)
 
 
 @dataclass
@@ -395,9 +505,25 @@ class NativeBackend:
     name: str = field(default="native", init=False)
 
     def measure(self, sp: ScheduledProgram, u: int, runs: int = DEFAULT_RUNS) -> ExecResult:
+        return self.sweep(sp, (u,), runs)[u]
+
+    def sweep(self, sp: ScheduledProgram, factors: tuple[int, ...],
+              runs: int = DEFAULT_RUNS) -> dict[int, ExecResult]:
+        """Time every factor from one compiled binary.
+
+        Factors that clamp to the same effective factor share one kernel, so
+        they get the same result.  Raises `KernelMismatch` when the variants'
+        output checksums differ.
+        """
+        effective: dict[int, int] = {}
+        variants: dict[int, ScheduledProgram] = {}
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")   # clamp warnings during sweeps
-            unrolled = apply_unroll(sp, u)
-        source = emit_kernel_source(unrolled, runs=runs)
-        return native_measure(source, runs=runs, toolchain=self.toolchain,
-                              flags=self.flags, timeout=self.timeout)
+            warnings.simplefilter("ignore")   # clamping is routine in a sweep
+            for u in factors:
+                unrolled = apply_unroll(sp, u)
+                effective[u] = unrolled.unroll
+                variants.setdefault(unrolled.unroll, unrolled)
+        results = native_sweep(emit_sweep_source(variants, runs=runs), tuple(variants), runs,
+                               toolchain=self.toolchain, flags=self.flags,
+                               timeout=self.timeout)
+        return {u: results[effective[u]] for u in factors}

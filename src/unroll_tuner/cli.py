@@ -126,18 +126,34 @@ def cmd_gen(args, config: dict[str, str]) -> int:
     return 0
 
 
+def _make_backend(name: str, config: dict[str, str]):
+    if name == "cost":
+        return CostModelBackend()
+    if name == "native":
+        return NativeBackend(
+            toolchain=config.get("toolchain.cmd"),
+            flags=tuple(config["toolchain.flags"].split()) if "toolchain.flags" in config else None,
+        )
+    raise UnrollTunerError(f"unknown backend {name!r} (use cost|native)")
+
+
+def _runs(args, config: dict[str, str], backend) -> int:
+    default = DEFAULT_RUNS if isinstance(backend, NativeBackend) else 1
+    return _pick(args.runs, config, "runs", default, int)
+
+
 def _label_worker(payload):
-    text, runs, factors = payload
+    text, backend, runs, factors = payload
     program, transforms = parse_program_text(text)
     sp = schedule_program(program, transforms)
     report = validate_schedule(sp)
     if not report.ok:
         raise UnrollTunerError(f"invalid schedule for {program.name}: {report.violations}")
-    return label_sample(sp, CostModelBackend(), runs=runs, factors=factors)
+    return label_sample(sp, backend, runs=runs, factors=factors)
 
 
 def cmd_label(args, config: dict[str, str]) -> int:
-    backend_name = _pick(args.backend, config, "backend", "cost")
+    backend = _make_backend(_pick(args.backend, config, "backend", "cost"), config)
     factors = _parse_classes(_pick(args.classes, config, "classes",
                                    ",".join(str(u) for u in UNROLL_FACTORS)))
     in_dir = args.programs
@@ -149,28 +165,14 @@ def cmd_label(args, config: dict[str, str]) -> int:
         with open(os.path.join(in_dir, name)) as fh:
             texts.append(fh.read())
 
-    if backend_name == "cost":
-        runs = _pick(args.runs, config, "runs", 1, int)
-        jobs = max(1, _pick(args.jobs, config, "jobs", 1, int))
-        payloads = [(text, runs, factors) for text in texts]
-        if jobs > 1:
-            with multiprocessing.Pool(jobs) as pool:
-                rows = pool.map(_label_worker, payloads)
-        else:
-            rows = [_label_worker(pl) for pl in payloads]
-    elif backend_name == "native":
-        runs = _pick(args.runs, config, "runs", DEFAULT_RUNS, int)
-        backend = NativeBackend(
-            toolchain=config.get("toolchain.cmd"),
-            flags=tuple(config["toolchain.flags"].split()) if "toolchain.flags" in config else None,
-        )
-        rows = []   # timed executions must not overlap: jobs forced to 1
-        for text in texts:
-            program, transforms = parse_program_text(text)
-            sp = schedule_program(program, transforms)
-            rows.append(label_sample(sp, backend, runs=runs, factors=factors))
+    runs = _runs(args, config, backend)
+    payloads = [(text, backend, runs, factors) for text in texts]
+    jobs = max(1, _pick(args.jobs, config, "jobs", 1, int))
+    if jobs > 1 and not isinstance(backend, NativeBackend):   # timed executions must not overlap
+        with multiprocessing.Pool(jobs) as pool:
+            rows = pool.map(_label_worker, payloads)
     else:
-        raise UnrollTunerError(f"unknown backend {backend_name!r} (use cost|native)")
+        rows = [_label_worker(pl) for pl in payloads]
 
     out_path = _pick(args.out, config, "out", "corpus.csv")
     save_csv(rows, out_path)
@@ -269,18 +271,8 @@ def _parse_sizes(text: str) -> dict[str, int]:
 
 def cmd_bench(args, config: dict[str, str]) -> int:
     model = load_model(args.model)
-    backend_name = _pick(args.backend, config, "backend", "cost")
-    if backend_name == "cost":
-        backend = CostModelBackend()
-        runs = _pick(args.runs, config, "runs", 1, int)
-    elif backend_name == "native":
-        backend = NativeBackend(
-            toolchain=config.get("toolchain.cmd"),
-            flags=tuple(config["toolchain.flags"].split()) if "toolchain.flags" in config else None,
-        )
-        runs = _pick(args.runs, config, "runs", DEFAULT_RUNS, int)
-    else:
-        raise UnrollTunerError(f"unknown backend {backend_name!r} (use cost|native)")
+    backend = _make_backend(_pick(args.backend, config, "backend", "cost"), config)
+    runs = _runs(args, config, backend)
     sizes = _parse_sizes(args.sizes) if args.sizes else None
     reports = run_benchmarks(model, backend, benchmark_suite(sizes), runs=runs)
     out_path = _pick(args.out, config, "out", None)

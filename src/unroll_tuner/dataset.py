@@ -45,21 +45,21 @@ class SplitDataset:
         return len(self.train) + len(self.valid) + len(self.test)
 
 
+def sweep_argmin(sp: ScheduledProgram, backend, runs: int = 1,
+                 factors: tuple[int, ...] = UNROLL_FACTORS) -> tuple[dict[int, float], int]:
+    """Mean time per factor from one `backend.sweep`, and the fastest factor.
+
+    Ties go to the smallest factor, i.e. the least code growth.
+    """
+    results = backend.sweep(sp, factors, runs)
+    timing = {u: results[u].mean_ms for u in factors}
+    return timing, min(factors, key=lambda u: (timing[u], u))
+
+
 def label_sample(sp: ScheduledProgram, backend, runs: int = 1,
                  factors: tuple[int, ...] = UNROLL_FACTORS) -> LabeledSample:
-    """Time every factor in U and label with the argmin.
-
-    Backend errors are re-raised with the offending factor attached.
-    """
-    timing: dict[int, float] = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")      # factor clamping is routine here
-        for u in factors:
-            try:
-                timing[u] = backend.measure(sp, u, runs).mean_ms
-            except UnrollTunerError as exc:
-                raise type(exc)(f"factor {u}: {exc}") from exc
-    best = min(factors, key=lambda u: (timing[u], u))
+    """Time every factor in U and label with the argmin."""
+    timing, best = sweep_argmin(sp, backend, runs, factors)
     return LabeledSample(features=extract_features(sp), label=best, timing=timing)
 
 

@@ -73,6 +73,10 @@ class RunTimeout(UnrollTunerError):
     pass
 
 
+class KernelMismatch(UnrollTunerError):
+    """Unrolled variants of one schedule computed different outputs."""
+
+
 # --- mlp / eval ------------------------------------------------------------
 
 class DimensionMismatch(UnrollTunerError):

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dataset import sweep_argmin
 from .errors import EmptyTestSet, NonPositiveTime
 from .featurize import extract_features
 from .mlp import predict_class
-from .schedule import UNROLL_FACTORS, schedule_program
+from .schedule import schedule_program
 from .textfmt import format_transform
 
 
@@ -65,8 +66,7 @@ def run_benchmarks(model, backend, cases, runs: int = 1) -> list[EvalReport]:
     reports = []
     for case in cases:
         sp = schedule_program(case.program, case.transforms)
-        timing = {u: backend.measure(sp, u, runs).mean_ms for u in UNROLL_FACTORS}
-        optimal = min(UNROLL_FACTORS, key=lambda u: (timing[u], u))
+        timing, optimal = sweep_argmin(sp, backend, runs)
         predicted = predict(extract_features(sp))
         pc, speedup = compute_metrics(timing[predicted], timing[optimal], timing[0])
         reports.append(EvalReport(

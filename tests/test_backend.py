@@ -6,7 +6,9 @@ import shutil
 import pytest
 
 from conftest import F64, chain_body, load, make_program
+from unroll_tuner import backend as backend_mod
 from unroll_tuner.backend import (
+    CostModelBackend,
     CostModelParams,
     ExecResult,
     NativeBackend,
@@ -14,7 +16,8 @@ from unroll_tuner.backend import (
     emit_kernel_source,
     native_measure,
 )
-from unroll_tuner.errors import CompileError, InvalidFactor
+from unroll_tuner.dataset import label_sample
+from unroll_tuner.errors import CompileError, InvalidFactor, KernelMismatch
 from unroll_tuner.interp import interpret, output_checksum
 from unroll_tuner.ir import BinOp, BinOpKind, Constant, DataType
 from unroll_tuner.schedule import (
@@ -95,6 +98,15 @@ def test_cost_parallel_divisor(vecadd):
     assert par == pytest.approx(plain / CostModelParams().parallel_divisor)
 
 
+def test_cost_sweep_matches_evaluate(matmul4, vecadd):
+    backend = CostModelBackend()
+    for sp in (new_schedule(matmul4), schedule_program(vecadd, [Parallelize(0)])):
+        swept = backend.sweep(sp, UNROLL_FACTORS)
+        assert list(swept) == list(UNROLL_FACTORS)
+        assert all(swept[u] == cost_model_evaluate(sp, u, backend.params)
+                   for u in UNROLL_FACTORS)
+
+
 def test_cost_invalid_factor(vecadd):
     with pytest.raises(InvalidFactor):
         cost_model_evaluate(new_schedule(vecadd), 3)
@@ -171,6 +183,70 @@ class TestNative:
         backend = NativeBackend()
         res = backend.measure(new_schedule(matmul4), 4, runs=2)
         assert res.runs == 2
+
+
+def checksum_program(dtype: DataType):
+    return make_program(
+        "chk",
+        [("i0", 6), ("i1", 5)],
+        BinOp(BinOpKind.Sub,
+              BinOp(BinOpKind.Mul, load("a", "i0", "i1", dtype=dtype),
+                    load("b", ("i1", 1), dtype=dtype)),
+              Constant(3.0 if dtype.is_float else 3, dtype)),
+        ("i0", "i1"),
+        [("a", 2), ("b", 1)],
+        dtype=dtype,
+    )
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain on PATH")
+class TestNativeSweep:
+    def test_clamped_factors_compiled_once(self, monkeypatch):
+        p = make_program("narrow", [("i0", 8), ("i1", 2)],
+                         BinOp(BinOpKind.Add, load("a", "i0", "i1"), Constant(1.0, F64)),
+                         ("i0", "i1"), [("a", 2)])
+        sp = new_schedule(p)
+        sources = []
+        real_sweep = backend_mod.native_sweep
+
+        def spy(source, *args, **kwargs):
+            sources.append(source)
+            return real_sweep(source, *args, **kwargs)
+
+        monkeypatch.setattr(backend_mod, "native_sweep", spy)
+        results = NativeBackend().sweep(sp, UNROLL_FACTORS, runs=2)
+        assert len(sources) == 1
+        # innermost extent 2: factors 4..64 clamp to 2, so two kernels in all
+        assert re.findall(r"static void (kernel_\d+)\(void\)", sources[0]) == \
+            ["kernel_0", "kernel_2"]
+        assert list(results) == list(UNROLL_FACTORS)
+        assert all(results[u] == results[2] for u in (4, 8, 16, 32, 64))
+        assert results[0].runs == results[2].runs == 2
+
+        row = label_sample(sp, NativeBackend(), runs=2)
+        assert row.label in (0, 2)
+        assert all(row.timing[u] == row.timing[2] for u in (4, 8, 16, 32, 64))
+
+    def test_sweep_checksum_matches_interpreter(self):
+        for dtype in (DataType.Int32, DataType.Float64):
+            for transforms in ([], [Tile2(0, 1, 2, 2)]):
+                sp = schedule_program(checksum_program(dtype), transforms)
+                expected = output_checksum(interpret(sp).output, dtype)
+                results = NativeBackend().sweep(sp, UNROLL_FACTORS, runs=1)
+                assert {r.checksum for r in results.values()} == {expected}
+
+    def test_differing_variant_raises_mismatch(self, monkeypatch, matmul4):
+        real_emit = backend_mod.emit_sweep_source
+
+        def corrupt(variants, runs):
+            source = real_emit(variants, runs)
+            start = source.index("static void kernel_4(void)")
+            end = source.index("\n}\n", start)
+            return source[:end] + "\n    buf_out[0] += (elem_t)1;" + source[end:]
+
+        monkeypatch.setattr(backend_mod, "emit_sweep_source", corrupt)
+        with pytest.raises(KernelMismatch, match="u=4"):
+            NativeBackend().sweep(new_schedule(matmul4), UNROLL_FACTORS, runs=1)
 
 
 def test_toolchain_env_var_overrides(monkeypatch, vecadd):

@@ -36,6 +36,31 @@ def test_unknown_backend_exits_2(tmp_path, capsys):
                    "--out", str(tmp_path / "c.csv")) == 2
 
 
+def test_unknown_backend_in_config_exits_2(pipeline, tmp_path, capsys):
+    _, progs, _, model = pipeline
+    config = tmp_path / "run.cfg"
+    config.write_text("backend = gpu\n")
+    assert run_cli("label", "--programs", str(progs), "--config", str(config),
+                   "--out", str(tmp_path / "c.csv")) == 2
+    assert "unknown backend 'gpu'" in capsys.readouterr().err
+    assert run_cli("bench", "--model", str(model), "--config", str(config)) == 2
+    assert "unknown backend 'gpu'" in capsys.readouterr().err
+
+
+def test_native_label_validates_schedule(tmp_path, monkeypatch, capsys):
+    from unroll_tuner import cli
+    from unroll_tuner.ir import ValidationReport
+
+    progs = tmp_path / "p"
+    assert run_cli("gen", "--count", "1", "--seed", "3", "--out", str(progs)) == 0
+    monkeypatch.setattr(cli, "validate_schedule",
+                        lambda sp: ValidationReport(["forced violation"]))
+    assert run_cli("label", "--programs", str(progs), "--backend", "native",
+                   "--out", str(tmp_path / "c.csv")) == 2
+    err = capsys.readouterr().err
+    assert "invalid schedule" in err and "forced violation" in err
+
+
 def test_gen_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("gen", "--count", "10", "--seed", "7", "--out", str(a)) == 0

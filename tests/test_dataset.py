@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from unroll_tuner.backend import CostModelBackend, cost_model_evaluate
+from unroll_tuner.backend import CostModelBackend, cost_model_evaluate, measure_each
 from unroll_tuner.dataset import (
     LabeledSample,
     balance_classes,
@@ -29,6 +29,9 @@ class FixedBackend:
         from unroll_tuner.backend import ExecResult
         t = self.timings[u]
         return ExecResult(mean_ms=t, runs=1, per_run_ms=(t,))
+
+    def sweep(self, sp, factors, runs=1):
+        return measure_each(self, sp, factors, runs)
 
 
 def fv_of(label_seed: int = 0):
@@ -70,6 +73,9 @@ def test_label_error_carries_factor(matmul4):
         def measure(self, sp, u, runs=1):
             from unroll_tuner.errors import InvalidFactor
             raise InvalidFactor("boom")
+
+        def sweep(self, sp, factors, runs=1):
+            return measure_each(self, sp, factors, runs)
 
     from unroll_tuner.errors import InvalidFactor
     with pytest.raises(InvalidFactor, match="factor 0"):

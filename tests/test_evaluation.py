@@ -109,6 +109,21 @@ def test_oracle_predictor_gets_pc_one():
     assert all(r.sp >= 1.0 for r in reports)
 
 
+def test_run_benchmarks_sweeps_once_per_case():
+    class CountingBackend(CostModelBackend):
+        sweeps = 0
+
+        def sweep(self, sp, factors, runs=1):
+            self.sweeps += 1
+            return super().sweep(sp, factors, runs)
+
+    backend = CountingBackend()
+    cases = benchmark_suite({"small": 8})
+    reports = run_benchmarks(lambda fv: 0, backend, cases)
+    assert backend.sweeps == len(cases) == len(reports)
+    assert all(r.optimal_exec <= r.sans_exec for r in reports)
+
+
 def test_report_formats():
     backend = CostModelBackend()
     cases = benchmark_suite({"small": 8})[:2]
