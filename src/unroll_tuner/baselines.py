@@ -10,14 +10,11 @@ improvement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptFile, EmptyTrainingSet, FormatVersionMismatch
-
-TREE_FORMAT_VERSION = 1
+from .errors import EmptyTrainingSet
 
 
 @dataclass(frozen=True)
@@ -148,46 +145,3 @@ def accuracy_table(entries: list[tuple[str, float]]) -> str:
         lines.append(f"{name:<{width}}  {acc * 100:6.2f}%")
     return "\n".join(lines)
 
-
-# --- persistence (same versioned container style as the MLP) --------------------
-
-def _node_to_obj(node: TreeNode):
-    if node.is_leaf:
-        return {"label": node.label}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_obj(node.left),
-        "right": _node_to_obj(node.right),
-    }
-
-
-def _node_from_obj(obj) -> TreeNode:
-    if "label" in obj:
-        return TreeNode(label=int(obj["label"]))
-    return TreeNode(
-        feature=int(obj["feature"]),
-        threshold=float(obj["threshold"]),
-        left=_node_from_obj(obj["left"]),
-        right=_node_from_obj(obj["right"]),
-    )
-
-
-def save_tree(tree: TreeNode, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump({"format_version": TREE_FORMAT_VERSION, "kind": "tree",
-                   "root": _node_to_obj(tree)}, fh)
-
-
-def load_tree(path: str) -> TreeNode:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptFile(f"{path}: not a tree file ({exc})") from exc
-    if payload.get("format_version") != TREE_FORMAT_VERSION:
-        raise FormatVersionMismatch(f"{path}: format {payload.get('format_version')!r}")
-    try:
-        return _node_from_obj(payload["root"])
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CorruptFile(f"{path}: {exc}") from exc

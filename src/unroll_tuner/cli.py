@@ -22,10 +22,11 @@ from .dataset import balance_classes, label_sample, load_csv, save_csv, split_da
 from .errors import UnrollTunerError
 from .evaluation import accuracy, report_csv, report_table, run_benchmarks
 from .featurize import ScalerMode, extract_features, fit_scaler
-from .generator import ALLOWED_TRANSFORM_NAMES, GenConfig, gen_program, gen_schedules
+from .generator import GenConfig, gen_program, gen_schedules
 from .ir import DataType, validate_program
 from .mlp import TrainConfig, init_model, load_model, predict_class, save_model, train
-from .schedule import UNROLL_FACTORS, Unroll, schedule_program, validate_schedule
+from .schedule import UNROLL_FACTORS, Unroll, schedule_program
+from .schedule import validate_schedule  # noqa: F401  perfbench traces cli.validate_schedule
 from .textfmt import parse_program_text, program_to_text
 
 
@@ -44,12 +45,23 @@ def load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _pick(flag_value, config: dict[str, str], key: str, default, cast=str):
+def _pick(flag_value, config: dict[str, str], key: str, default, cast=str, minimum=None):
+    """Flag, else config value through `cast`, else default.  A config value
+    that does not cast, or a value below `minimum`, is an error naming its
+    flag or key."""
     if flag_value is not None:
-        return flag_value
-    if key in config:
-        return cast(config[key])
-    return default
+        value, source = flag_value, "--" + key.replace("_", "-")
+    elif key in config:
+        source = f"config key {key!r}"
+        try:
+            value = cast(config[key])
+        except ValueError as exc:
+            raise UnrollTunerError(f"{source}: {exc}") from None
+    else:
+        return default
+    if minimum is not None and value < minimum:
+        raise UnrollTunerError(f"{source} must be >= {minimum}, got {value}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,34 +72,40 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_classes(text: str) -> tuple[int, ...]:
-    classes = tuple(int(v) for v in text.split(","))
+    try:
+        classes = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        classes = ()            # rejected below with every other bad set
     bad = [c for c in classes if c not in UNROLL_FACTORS]
     if bad or len(set(classes)) != len(classes) or 0 not in classes:
         raise UnrollTunerError(
-            f"--classes must be distinct members of {UNROLL_FACTORS} including 0")
+            f"--classes {text!r}: need distinct members of {UNROLL_FACTORS} including 0")
     return tuple(sorted(classes))
 
 
+def _list_of(cast):
+    """Config cast for a comma-separated list."""
+    return lambda text: tuple(cast(v.strip()) for v in text.split(",") if v.strip())
+
+
 def _gen_config(args, config: dict[str, str]) -> GenConfig:
-    seed = _pick(args.seed, config, "seed", 0, int)
-    depth_min = int(config.get("gen.depth_min", 1))
-    depth_max = int(config.get("gen.depth_max", 4))
-    extents = tuple(int(v) for v in config.get("gen.extents", "16,32,64,128,256").split(","))
-    dtypes = tuple(DataType.from_name(name.strip())
-                   for name in config.get("gen.dtypes", "int32,int64,float32,float64").split(","))
-    transforms = tuple(
-        name.strip() for name in
-        config.get("gen.transforms", ",".join(ALLOWED_TRANSFORM_NAMES)).split(",") if name.strip()
-    )
-    return GenConfig(
-        seed=seed,
-        depth_range=(depth_min, depth_max),
-        extent_choices=extents,
-        max_inputs=int(config.get("gen.max_inputs", 4)),
-        dtype_choices=dtypes,
-        schedules_per_program=int(config.get("gen.schedules_per_program", 10)),
-        allowed_transforms=transforms,
-    )
+    d = GenConfig()
+    try:
+        return GenConfig(
+            seed=_pick(args.seed, config, "seed", d.seed, int),
+            depth_range=(_pick(None, config, "gen.depth_min", d.depth_range[0], int),
+                         _pick(None, config, "gen.depth_max", d.depth_range[1], int)),
+            extent_choices=_pick(None, config, "gen.extents", d.extent_choices, _list_of(int)),
+            max_inputs=_pick(None, config, "gen.max_inputs", d.max_inputs, int),
+            dtype_choices=_pick(None, config, "gen.dtypes", d.dtype_choices,
+                                _list_of(DataType.from_name)),
+            schedules_per_program=_pick(None, config, "gen.schedules_per_program",
+                                        d.schedules_per_program, int),
+            allowed_transforms=_pick(None, config, "gen.transforms", d.allowed_transforms,
+                                     _list_of(str)),
+        )
+    except ValueError as exc:       # GenConfig's own range checks
+        raise UnrollTunerError(f"gen config: {exc}") from None
 
 
 def _gen_worker(payload):
@@ -139,17 +157,14 @@ def _make_backend(name: str, config: dict[str, str]):
 
 def _runs(args, config: dict[str, str], backend) -> int:
     default = DEFAULT_RUNS if isinstance(backend, NativeBackend) else 1
-    return _pick(args.runs, config, "runs", default, int)
+    return _pick(args.runs, config, "runs", default, int, minimum=1)
 
 
 def _label_worker(payload):
     text, backend, runs, factors = payload
     program, transforms = parse_program_text(text)
-    sp = schedule_program(program, transforms)
-    report = validate_schedule(sp)
-    if not report.ok:
-        raise UnrollTunerError(f"invalid schedule for {program.name}: {report.violations}")
-    return label_sample(sp, backend, runs=runs, factors=factors)
+    return label_sample(schedule_program(program, transforms), backend,
+                        runs=runs, factors=factors)
 
 
 def cmd_label(args, config: dict[str, str]) -> int:
@@ -184,21 +199,27 @@ def cmd_label(args, config: dict[str, str]) -> int:
     return 0
 
 
-def cmd_train(args, config: dict[str, str]) -> int:
-    seed = _pick(args.seed, config, "seed", 0, int)
-    classes = _parse_classes(_pick(args.classes, config, "classes",
-                                   ",".join(str(u) for u in UNROLL_FACTORS)))
+def _prepare_data(args, config: dict[str, str], seed: int):
+    """Corpus CSV -> class-balanced rows -> split, plus a scaler fitted on
+    the training rows (shared by `train` and `baselines`)."""
     rows = load_csv(args.data)
     min_per_class = _pick(args.min_per_class, config, "min_per_class", 5, int)
     rows = balance_classes(rows, min_per_class, seed=seed)
     split = split_dataset(rows, seed=seed)
-    mode = ScalerMode(_pick(args.scaler, config, "scaler", "standardize"))
-    scaler = fit_scaler([r.features.to_list() for r in split.train], mode)
+    mode = ScalerMode(_pick(args.scaler, config, "scaler", "standardize", ScalerMode))
+    return split, fit_scaler([r.features.to_list() for r in split.train], mode)
+
+
+def cmd_train(args, config: dict[str, str]) -> int:
+    seed = _pick(args.seed, config, "seed", 0, int)
+    classes = _parse_classes(_pick(args.classes, config, "classes",
+                                   ",".join(str(u) for u in UNROLL_FACTORS)))
+    split, scaler = _prepare_data(args, config, seed)
     model = init_model(scaler.output_width, seed=seed, n_classes=len(classes))
     model.scaler = scaler
     model.classes = classes
-    cfg = TrainConfig(seed=seed,
-                      max_epochs=_pick(args.max_epochs, config, "max_epochs", 500, int))
+    cfg = TrainConfig(seed=seed, max_epochs=_pick(args.max_epochs, config, "max_epochs",
+                                                  500, int, minimum=1))
     model, history = train(model, split, cfg)
     out_path = _pick(args.out, config, "out", "model.json")
     save_model(model, out_path)
@@ -223,18 +244,12 @@ def cmd_predict(args, config: dict[str, str]) -> int:
 
 def cmd_baselines(args, config: dict[str, str]) -> int:
     seed = _pick(args.seed, config, "seed", 0, int)
-    rows = load_csv(args.data)
-    min_per_class = _pick(args.min_per_class, config, "min_per_class", 5, int)
-    rows = balance_classes(rows, min_per_class, seed=seed)
-    split = split_dataset(rows, seed=seed)
-    mode = ScalerMode(_pick(args.scaler, config, "scaler", "standardize"))
-    scaler = fit_scaler([r.features.to_list() for r in split.train], mode)
-
+    split, scaler = _prepare_data(args, config, seed)
     x_train = scaler.transform_matrix([r.features.to_list() for r in split.train])
     y_train = [r.label for r in split.train]
-    knn_cfg = KnnConfig(k=min(_pick(args.k, config, "k", 5, int), len(y_train)))
-    tree = tree_fit(x_train, y_train,
-                    TreeConfig(max_depth=_pick(args.max_depth, config, "max_depth", 12, int)))
+    knn_cfg = KnnConfig(k=min(_pick(args.k, config, "k", 5, int, minimum=1), len(y_train)))
+    tree = tree_fit(x_train, y_train, TreeConfig(
+        max_depth=_pick(args.max_depth, config, "max_depth", 12, int, minimum=1)))
 
     def knn(fv):
         return knn_predict(x_train, y_train, knn_cfg, scaler.transform(fv.to_list()))
@@ -247,8 +262,8 @@ def cmd_baselines(args, config: dict[str, str]) -> int:
     else:
         model = init_model(scaler.output_width, seed=seed)
         model.scaler = scaler
-        cfg = TrainConfig(seed=seed,
-                          max_epochs=_pick(args.max_epochs, config, "max_epochs", 60, int))
+        cfg = TrainConfig(seed=seed, max_epochs=_pick(args.max_epochs, config, "max_epochs",
+                                                      60, int, minimum=1))
         model, _ = train(model, split, cfg)
     entries = [
         ("neural network", accuracy(model, split.test)),
@@ -265,7 +280,10 @@ def _parse_sizes(text: str) -> dict[str, int]:
         name, _, value = part.partition(":")
         if name.strip() not in SIZE_CLASSES:
             raise UnrollTunerError(f"unknown size class {name.strip()!r}")
-        sizes[name.strip()] = int(value)
+        try:
+            sizes[name.strip()] = int(value)
+        except ValueError:
+            raise UnrollTunerError(f"--sizes {part!r}: size must be an integer") from None
     return sizes
 
 
@@ -283,16 +301,21 @@ def cmd_bench(args, config: dict[str, str]) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--jobs", type=int, default=None)
-    sub.add_argument("--backend", choices=("cost", "native"), default=None)
-    sub.add_argument("--config", default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--runs", type=int, default=None,
-                     help="timed repetitions per measurement (native default 30)")
-    sub.add_argument("--classes", default=None,
-                     help='factor class set, default "0,2,4,8,16,32,64"')
+_SHARED_FLAGS = {
+    "--seed": {"type": int},
+    "--jobs": {"type": int},
+    "--backend": {"choices": ("cost", "native")},
+    "--config": {},
+    "--out": {},
+    "--runs": {"type": int, "help": "timed repetitions per measurement (native default 30)"},
+    "--classes": {"help": 'factor class set, default "0,2,4,8,16,32,64"'},
+}
+
+
+def _add_shared(sub: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the named shared flags; a subcommand takes only those it reads."""
+    for flag in flags:
+        sub.add_argument(flag, default=None, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,14 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
                      description="loop-unrolling factor autotuner")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("gen", parents=[], help="generate random programs + schedules")
+    p = commands.add_parser("gen", help="generate random programs + schedules")
     p.add_argument("--count", type=int, default=None)
-    _add_common(p)
+    _add_shared(p, "--seed", "--jobs", "--config", "--out")
     p.set_defaults(func=cmd_gen)
 
     p = commands.add_parser("label", help="label programs by exhaustive timing over U")
     p.add_argument("--programs", required=True, help="directory of .prog files")
-    _add_common(p)
+    _add_shared(p, "--jobs", "--backend", "--config", "--out", "--runs", "--classes")
     p.set_defaults(func=cmd_label)
 
     p = commands.add_parser("train", help="fit the MLP on a labeled corpus")
@@ -315,13 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-per-class", type=int, default=None)
     p.add_argument("--max-epochs", type=int, default=None)
     p.add_argument("--scaler", choices=("standardize", "normalize"), default=None)
-    _add_common(p)
+    _add_shared(p, "--seed", "--config", "--out", "--classes")
     p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("predict", help="predict the factor for one program file")
     p.add_argument("program_file")
     p.add_argument("--model", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_predict)
 
     p = commands.add_parser("baselines", help="KNN / decision-tree / MLP accuracy table")
@@ -332,14 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scaler", choices=("standardize", "normalize"), default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--max-depth", type=int, default=None)
-    _add_common(p)
+    _add_shared(p, "--seed", "--config")
     p.set_defaults(func=cmd_baselines)
 
     p = commands.add_parser("bench", help="run the benchmark suite end to end")
     p.add_argument("--model", required=True)
     p.add_argument("--sizes", default=None,
                    help='override sizes, e.g. "small:16,medium:32,large:64"')
-    _add_common(p)
+    _add_shared(p, "--backend", "--config", "--out", "--runs")
     p.set_defaults(func=cmd_bench)
     return parser
 

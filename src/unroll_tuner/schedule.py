@@ -138,10 +138,6 @@ class ScheduledProgram:
     interchange_applied: bool = False
 
     @property
-    def current_iterators(self) -> tuple[Iterator, ...]:
-        return self.loops
-
-    @property
     def depth(self) -> int:
         return len(self.loops)
 
@@ -312,98 +308,21 @@ def schedule_program(p: Program, transforms=()) -> ScheduledProgram:
     return sp
 
 
-def validate_transforms(p: Program, transforms) -> ValidationReport:
-    """Static checks on a transform log, report-style (never raises)."""
-    report = ValidationReport()
-    unrolls = [t for t in transforms if isinstance(t, Unroll)]
-    parallels = [t for t in transforms if isinstance(t, Parallelize)]
-    if len(unrolls) > 1:
-        report.add("at most one Unroll per schedule")
-    if len(parallels) > 1:
-        report.add("at most one Parallelize per schedule")
-    for t in unrolls:
-        if t.factor not in UNROLL_FACTORS:
-            if not is_power_of_two(max(t.factor, 1)):
-                report.add(f"FactorNotPowerOfTwo: unroll factor {t.factor}")
-            else:
-                report.add(f"unroll factor {t.factor} outside {UNROLL_FACTORS}")
-    for t in transforms:
-        factors = ()
-        if isinstance(t, Split):
-            factors = (t.factor,)
-        elif isinstance(t, Tile2):
-            factors = (t.fa, t.fb)
-        elif isinstance(t, Tile3):
-            factors = (t.fa, t.fb, t.fc)
-        for f in factors:
-            if not is_power_of_two(f):
-                report.add(f"FactorNotPowerOfTwo: {type(t).__name__} factor {f}")
-            elif not TILE_FACTOR_MIN <= f <= TILE_FACTOR_MAX:
-                report.add(f"FactorOutOfRange: {type(t).__name__} factor {f}")
-    if report.ok:
-        # Levels can only be judged against the evolving shape: replay.
-        try:
-            schedule_program(p, transforms)
-        except UnrollTunerError as exc:
-            report.add(str(exc))
-    return report
-
-
 def validate_schedule(sp: ScheduledProgram) -> ValidationReport:
-    """Validate a schedule's transform log and its replay consistency."""
-    report = validate_transforms(sp.base, sp.applied)
-    if not report.ok:
+    """Replay a schedule's transform log and check that it rebuilds `sp`.
+
+    The report never raises: an illegal transform becomes its violation.
+    """
+    report = ValidationReport()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            replayed = schedule_program(sp.base, sp.applied)
+    except UnrollTunerError as exc:
+        report.add(str(exc))
         return report
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        replayed = schedule_program(sp.base, sp.applied)
     if replayed.loops != sp.loops or replayed.index_exprs != sp.index_exprs \
             or replayed.guards != sp.guards or replayed.unroll != sp.unroll \
             or replayed.parallel_level != sp.parallel_level:
-        report.add("current iterators inconsistent with the transform log")
+        report.add("loop nest inconsistent with the transform log")
     return report
-
-
-def merge_split(sp: ScheduledProgram, outer_level: int) -> ScheduledProgram:
-    """Undo a split: fuse loops at outer_level/outer_level+1 back into one.
-
-    Only legal when the pair was produced by a single split (inner coefficient
-    1, outer coefficient = inner extent) and no other transform separated them.
-    """
-    if not 0 <= outer_level < sp.depth - 1:
-        raise UnknownLevel(f"no split pair at level {outer_level}")
-    outer, inner = sp.loops[outer_level], sp.loops[outer_level + 1]
-    factor = inner.extent
-    merged_extent = (outer.extent - 1) * factor + inner.extent
-    for g in sp.guards:
-        coefs = g.expr.coefficients()
-        if coefs.get(outer.name) == factor and coefs.get(inner.name) == 1 \
-                and len(coefs) == 2 and g.expr.const == 0:
-            merged_extent = g.bound
-    merged_name = outer.name[:-2] if outer.name.endswith("_o") else f"{outer.name}_m"
-    taken = {it.name for it in sp.loops} - {outer.name, inner.name}
-    while merged_name in taken:
-        merged_name += "_"
-
-    def fuse(e: AffineExpr) -> AffineExpr:
-        coefs = e.coefficients()
-        if outer.name not in coefs and inner.name not in coefs:
-            return e
-        k_outer = coefs.pop(outer.name, 0)
-        k_inner = coefs.pop(inner.name, 0)
-        if k_outer != k_inner * factor:
-            raise UnrollTunerError("loops are not a mergeable split pair")
-        coefs[merged_name] = coefs.get(merged_name, 0) + k_inner
-        return AffineExpr(terms=tuple(sorted(coefs.items())), const=e.const)
-
-    exprs = {orig: fuse(e) for orig, e in sp.index_exprs.items()}
-    guards = tuple(
-        Guard(fuse(g.expr), g.bound) for g in sp.guards
-        if not (g.expr.variables() == {outer.name, inner.name} and g.bound == merged_extent)
-    )
-    loops = list(sp.loops)
-    loops[outer_level: outer_level + 2] = [Iterator(merged_name, 0, merged_extent, 0)]
-    tile_factors = {k: v for k, v in sp.tile_factors.items()
-                    if k not in (outer.name, inner.name)}
-    return replace(sp, loops=_relevel(loops), index_exprs=exprs, guards=guards,
-                   tile_factors=tile_factors)

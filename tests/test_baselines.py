@@ -10,8 +10,6 @@ from unroll_tuner.baselines import (
     TreeConfig,
     accuracy_table,
     knn_predict,
-    load_tree,
-    save_tree,
     tree_fit,
     tree_predict,
 )
@@ -135,18 +133,6 @@ def test_tree_respects_max_depth():
         return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
 
     assert depth(tree) <= 2
-
-
-def test_tree_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(32)
-    x = rng.uniform(0, 1, size=(32, 3))
-    y = [int(u) for u in rng.choice([2, 4, 8], size=32)]
-    tree = tree_fit(x, y)
-    path = str(tmp_path / "tree.json")
-    save_tree(tree, path)
-    loaded = load_tree(path)
-    for row in x:
-        assert tree_predict(loaded, row) == tree_predict(tree, row)
 
 
 def test_accuracy_table_shape():

@@ -47,18 +47,60 @@ def test_unknown_backend_in_config_exits_2(pipeline, tmp_path, capsys):
     assert "unknown backend 'gpu'" in capsys.readouterr().err
 
 
-def test_native_label_validates_schedule(tmp_path, monkeypatch, capsys):
-    from unroll_tuner import cli
-    from unroll_tuner.ir import ValidationReport
+ILLEGAL_SCHEDULES = {
+    "split 0 3\n": "factor 3 is not a power of two",
+    "split 0 256\n": "factor 256 outside [2, 128]",
+    "tile2 0 1 3 4\n": "factor 3 is not a power of two",
+    "parallelize 0\nparallelize 1\n": "at most one Parallelize per schedule",
+}
+PROGRAM_TEXT = """program t
+iter i0 0 8
+iter i1 0 8
+input a 2 float64
+body a[i0, i1] + a[i1, i0]
+output out[i0, i1]
+"""
+
+
+def test_label_rejects_illegal_schedules(tmp_path, monkeypatch, capsys):
+    from unroll_tuner import backend
+
+    # the native path must fail while replaying, before anything is compiled
+    monkeypatch.setattr(backend, "_compile_and_run",
+                        lambda *a, **k: pytest.fail("compiled an illegal schedule"))
+    for k, (directives, message) in enumerate(ILLEGAL_SCHEDULES.items()):
+        progs = tmp_path / f"p{k}"
+        progs.mkdir()
+        (progs / "t.prog").write_text(PROGRAM_TEXT + directives)
+        for name in ("cost", "native"):
+            assert run_cli("label", "--programs", str(progs), "--backend", name,
+                           "--out", str(tmp_path / "c.csv")) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_label_replays_each_schedule_once(tmp_path, monkeypatch):
+    from unroll_tuner import schedule
 
     progs = tmp_path / "p"
-    assert run_cli("gen", "--count", "1", "--seed", "3", "--out", str(progs)) == 0
-    monkeypatch.setattr(cli, "validate_schedule",
-                        lambda sp: ValidationReport(["forced violation"]))
-    assert run_cli("label", "--programs", str(progs), "--backend", "native",
-                   "--out", str(tmp_path / "c.csv")) == 2
+    assert run_cli("gen", "--count", "2", "--seed", "3", "--out", str(progs)) == 0
+    replays = []
+    real = schedule.new_schedule
+    monkeypatch.setattr(schedule, "new_schedule", lambda p: replays.append(p) or real(p))
+    assert run_cli("label", "--programs", str(progs), "--backend", "cost",
+                   "--out", str(tmp_path / "c.csv")) == 0
+    assert len(replays) == len(os.listdir(progs)) == 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "x.prog", "--model", "m.json", "--backend", "native"],
+    ["baselines", "--data", "c.csv", "--out", "x"],
+])
+def test_unread_flag_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert "invalid schedule" in err and "forced violation" in err
+    assert "usage" in err and "unrecognized arguments" in err
 
 
 def test_gen_deterministic(tmp_path):
@@ -152,3 +194,27 @@ def test_label_parallel_jobs_deterministic(tmp_path):
     assert run_cli("label", "--programs", str(progs), "--out", str(c1), "--jobs", "1") == 0
     assert run_cli("label", "--programs", str(progs), "--out", str(c2), "--jobs", "2") == 0
     assert read(c1) == read(c2)
+
+
+@pytest.mark.parametrize("argv, config_text, named", [
+    ("gen --count 1 --config {cfg} --out {tmp}/g", "seed = abc", "config key 'seed'"),
+    ("gen --count 1 --config {cfg} --out {tmp}/g", "gen.extents = 16,x",
+     "config key 'gen.extents'"),
+    ("gen --count 1 --config {cfg} --out {tmp}/g", "gen.depth_max = 9", "gen config: depth"),
+    ("label --programs {progs} --classes 0,x --out {tmp}/c.csv", "", "--classes '0,x'"),
+    ("bench --model {model} --sizes small:abc", "", "--sizes 'small:abc'"),
+    ("label --programs {progs} --runs 0 --out {tmp}/c.csv", "", "--runs must be >= 1"),
+    ("train --data {corpus} --max-epochs 0 --out {tmp}/m.json", "",
+     "--max-epochs must be >= 1"),
+    ("baselines --data {corpus} --model {model} --config {cfg}", "k = 0",
+     "config key 'k' must be >= 1"),
+])
+def test_malformed_value_is_pipeline_error(pipeline, tmp_path, capsys, argv, config_text,
+                                           named):
+    _, progs, corpus, model = pipeline
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text + "\n")
+    argv = argv.format(cfg=cfg, tmp=tmp_path, progs=progs, corpus=corpus, model=model)
+    assert run_cli(*argv.split()) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0], err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -24,11 +25,9 @@ from unroll_tuner.schedule import (
     Unroll,
     apply_transform,
     apply_unroll,
-    merge_split,
     new_schedule,
     schedule_program,
     validate_schedule,
-    validate_transforms,
 )
 
 
@@ -162,28 +161,26 @@ def test_validate_schedule_ok(matmul4):
 
 
 def test_validate_transforms_bad_unroll_factor(matmul4):
-    report = validate_transforms(matmul4, [Unroll(3)])
-    assert any("FactorNotPowerOfTwo" in v for v in report.violations)
+    with pytest.raises(InvalidFactor):
+        schedule_program(matmul4, [Unroll(3)])
 
 
 def test_validate_transforms_two_unrolls(matmul4):
-    report = validate_transforms(matmul4, [Unroll(2), Unroll(4)])
-    assert any("at most one Unroll" in v for v in report.violations)
+    with pytest.raises(UnrollTunerError, match="one Unroll"):
+        schedule_program(matmul4, [Unroll(2), Unroll(4)])
 
 
 def test_validate_transforms_bad_tile_factor(matmul4):
-    report = validate_transforms(matmul4, [Tile2(0, 1, 3, 4)])
-    assert any("FactorNotPowerOfTwo" in v for v in report.violations)
+    with pytest.raises(FactorNotPowerOfTwo):
+        schedule_program(matmul4, [Tile2(0, 1, 3, 4)])
 
 
-def test_merge_split_restores_original(vecadd):
-    sp = new_schedule(vecadd)
-    for factor in (4, 8):   # 8 does not divide 100: guard path
-        split = apply_transform(sp, Split(0, factor))
-        merged = merge_split(split, 0)
-        assert merged.loops == sp.loops
-        assert merged.index_exprs == sp.index_exprs
-        assert merged.guards == ()
+def test_validate_schedule_reports_log_that_does_not_replay(matmul4):
+    sp = schedule_program(matmul4, [Split(0, 2)])
+    illegal = validate_schedule(replace(sp, applied=(Split(0, 3),)))
+    assert any("power of two" in v for v in illegal.violations)
+    stale = validate_schedule(replace(sp, applied=()))
+    assert stale.violations == ["loop nest inconsistent with the transform log"]
 
 
 def test_transform_application_deterministic(matmul4):
