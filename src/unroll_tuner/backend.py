@@ -35,6 +35,7 @@ from .errors import (
     DepthExceedsMax,
     InvalidFactor,
     KernelMismatch,
+    KernelRunError,
     RunTimeout,
     ToolchainMissing,
     UnrollTunerError,
@@ -396,8 +397,12 @@ def _compile_and_run(source: str, runs: int, toolchain: str | None,
         except subprocess.TimeoutExpired as exc:
             raise RunTimeout(f"kernel exceeded {timeout} s") from exc
     if run.returncode != 0:
-        raise CompileError(f"kernel exited with {run.returncode}: {run.stderr}")
+        raise KernelRunError(f"kernel exited with {run.returncode}: {run.stderr}")
     return run
+
+
+def _unexpected_output(run: subprocess.CompletedProcess) -> KernelRunError:
+    return KernelRunError(f"unexpected kernel output:\n{run.stdout}\n{run.stderr}")
 
 
 def native_measure(source: str, runs: int = DEFAULT_RUNS, *,
@@ -408,15 +413,18 @@ def native_measure(source: str, runs: int = DEFAULT_RUNS, *,
     run = _compile_and_run(source, runs, toolchain, flags, timeout)
     mean = None
     checksum = None
-    for line in run.stdout.splitlines():
-        if line.startswith("mean_ms="):
-            mean = float(line.split("=", 1)[1])
-        elif line.startswith("checksum="):
-            checksum = int(line.split("=", 1)[1], 16)
-    per_run = [max(float(line.split("=", 1)[1]), 1e-9)
-               for line in run.stderr.splitlines() if line.startswith("run_ms=")]
+    try:
+        for line in run.stdout.splitlines():
+            if line.startswith("mean_ms="):
+                mean = float(line.split("=", 1)[1])
+            elif line.startswith("checksum="):
+                checksum = int(line.split("=", 1)[1], 16)
+        per_run = [max(float(line.split("=", 1)[1]), 1e-9)
+                   for line in run.stderr.splitlines() if line.startswith("run_ms=")]
+    except ValueError as exc:
+        raise _unexpected_output(run) from exc
     if mean is None or len(per_run) != runs:
-        raise CompileError(f"unexpected kernel output:\n{run.stdout}\n{run.stderr}")
+        raise _unexpected_output(run)
     return ExecResult(mean_ms=statistics.fmean(per_run), runs=runs,
                       per_run_ms=tuple(per_run), checksum=checksum)
 
@@ -445,17 +453,18 @@ def native_sweep(source: str, factors: tuple[int, ...], runs: int = DEFAULT_RUNS
     per_run = _tagged_values(run.stderr, "run_ms_")
     if set(checksums) != set(factors) or set(per_run) != set(factors) \
             or any(len(checksums[u]) != 1 or len(per_run[u]) != runs for u in factors):
-        raise CompileError(f"unexpected kernel output:\n{run.stdout}\n{run.stderr}")
-    sums = {u: int(checksums[u][0], 16) for u in factors}
+        raise _unexpected_output(run)
+    try:
+        sums = {u: int(checksums[u][0], 16) for u in factors}
+        times = {u: tuple(max(float(v), 1e-9) for v in per_run[u]) for u in factors}
+    except ValueError as exc:
+        raise _unexpected_output(run) from exc
     if len(set(sums.values())) > 1:
         raise KernelMismatch("unrolled variants disagree on the output checksum: "
                              + ", ".join(f"u={u}: {c:016x}" for u, c in sums.items()))
-    results = {}
-    for u in factors:
-        times = tuple(max(float(v), 1e-9) for v in per_run[u])
-        results[u] = ExecResult(mean_ms=statistics.fmean(times), runs=runs,
-                                per_run_ms=times, checksum=sums[u])
-    return results
+    return {u: ExecResult(mean_ms=statistics.fmean(times[u]), runs=runs,
+                          per_run_ms=times[u], checksum=sums[u])
+            for u in factors}
 
 
 # --- backend objects ----------------------------------------------------------

@@ -161,10 +161,13 @@ def _runs(args, config: dict[str, str], backend) -> int:
 
 
 def _label_worker(payload):
-    text, backend, runs, factors = payload
-    program, transforms = parse_program_text(text)
-    return label_sample(schedule_program(program, transforms), backend,
-                        runs=runs, factors=factors)
+    path, text, backend, runs, factors = payload
+    try:
+        program, transforms = parse_program_text(text)
+        return label_sample(schedule_program(program, transforms), backend,
+                            runs=runs, factors=factors)
+    except UnrollTunerError as exc:
+        raise UnrollTunerError(f"{path}: {exc}") from exc
 
 
 def cmd_label(args, config: dict[str, str]) -> int:
@@ -175,13 +178,12 @@ def cmd_label(args, config: dict[str, str]) -> int:
     files = sorted(f for f in os.listdir(in_dir) if f.endswith(".prog"))
     if not files:
         raise UnrollTunerError(f"no .prog files under {in_dir}")
-    texts = []
-    for name in files:
-        with open(os.path.join(in_dir, name)) as fh:
-            texts.append(fh.read())
-
     runs = _runs(args, config, backend)
-    payloads = [(text, backend, runs, factors) for text in texts]
+    payloads = []
+    for name in files:
+        path = os.path.join(in_dir, name)
+        with open(path) as fh:
+            payloads.append((path, fh.read(), backend, runs, factors))
     jobs = max(1, _pick(args.jobs, config, "jobs", 1, int))
     if jobs > 1 and not isinstance(backend, NativeBackend):   # timed executions must not overlap
         with multiprocessing.Pool(jobs) as pool:

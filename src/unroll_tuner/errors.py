@@ -73,6 +73,10 @@ class RunTimeout(UnrollTunerError):
     pass
 
 
+class KernelRunError(UnrollTunerError):
+    """A kernel that compiled exited non-zero or printed unparseable output."""
+
+
 class KernelMismatch(UnrollTunerError):
     """Unrolled variants of one schedule computed different outputs."""
 

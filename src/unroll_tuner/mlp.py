@@ -10,6 +10,7 @@ lives here.
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .featurize import FeatureVector, Scaler, ScalerMode
 from .rng import SplitMix64
 from .schedule import UNROLL_FACTORS
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 DEFAULT_HIDDEN = (500, 400, 250, 100)
 DEFAULT_DROPOUT = (0.12, 0.10, 0.04, 0.07)
 N_CLASSES = len(UNROLL_FACTORS)
@@ -100,8 +101,7 @@ def init_model(input_width: int, seed: int,
     for k in range(len(dims) - 1):
         fan_in, fan_out = dims[k], dims[k + 1]
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = np.array([rng.uniform(-limit, limit) for _ in range(fan_in * fan_out)],
-                     dtype=np.float64).reshape(fan_in, fan_out)
+        w = rng.uniform_array(fan_in * fan_out, -limit, limit).reshape(fan_in, fan_out)
         layer = Layer(w=w, b=np.zeros(fan_out))
         if k < len(dims) - 2:
             layer.gamma = np.ones(fan_out)
@@ -355,8 +355,23 @@ def _scaler_from_obj(obj) -> Scaler | None:
     )
 
 
+_BN_ARRAYS = ("gamma", "beta", "running_mean", "running_var")
+
+
+def _encode_array(a: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(a, "<f8").tobytes()).decode("ascii")
+
+
+def _decode_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
+    # binascii.Error and numpy's size errors are ValueErrors; astype copies
+    # out of the read-only buffer
+    raw = base64.b64decode(text, validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def save_model(m: MlpModel, path: str) -> None:
-    """Versioned structured-text (JSON) dump; floats round-trip exactly."""
+    """Versioned JSON envelope; every parameter array is one base64 string of
+    its little-endian float64 bytes, so weights round-trip bit for bit."""
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "mlp",
@@ -368,9 +383,8 @@ def save_model(m: MlpModel, path: str) -> None:
         "trained": m.trained,
         "scaler": _scaler_to_obj(m.scaler),
         "layers": [
-            {name: getattr(layer, name).tolist()
-             for name in ("w", "b", "gamma", "beta", "running_mean", "running_var")
-             if getattr(layer, name) is not None}
+            {name: _encode_array(getattr(layer, name))
+             for name in ("w", "b", *_BN_ARRAYS) if getattr(layer, name) is not None}
             for layer in m.layers
         ],
     }
@@ -390,22 +404,17 @@ def load_model(path: str) -> MlpModel:
             f"expected {MODEL_FORMAT_VERSION}")
     try:
         dims = [int(d) for d in payload["layer_dims"]]
+        if min(dims, default=0) < 1 or len(payload["layers"]) != len(dims) - 1:
+            raise ValueError(f"layer_dims {dims} do not match {len(payload['layers'])} layers")
         layers = []
         for k, obj in enumerate(payload["layers"]):
-            layer = Layer(
-                w=np.array(obj["w"], dtype=np.float64),
-                b=np.array(obj["b"], dtype=np.float64),
-            )
-            if "gamma" in obj:
-                layer.gamma = np.array(obj["gamma"], dtype=np.float64)
-                layer.beta = np.array(obj["beta"], dtype=np.float64)
-                layer.running_mean = np.array(obj["running_mean"], dtype=np.float64)
-                layer.running_var = np.array(obj["running_var"], dtype=np.float64)
-            if layer.w.shape != (dims[k], dims[k + 1]):
-                raise ValueError(f"layer {k} weight shape {layer.w.shape}")
+            width = (dims[k + 1],)
+            layer = Layer(w=_decode_array(obj["w"], (dims[k], dims[k + 1])),
+                          b=_decode_array(obj["b"], width))
+            if k < len(dims) - 2:
+                layer.gamma, layer.beta, layer.running_mean, layer.running_var = (
+                    _decode_array(obj[name], width) for name in _BN_ARRAYS)
             layers.append(layer)
-        if len(layers) != len(dims) - 1:
-            raise ValueError("layer count does not match layer_dims")
         model = MlpModel(
             layer_dims=dims,
             layers=layers,

@@ -8,15 +8,19 @@ stdlib / numpy generators are avoided for anything that ends up on disk.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer: a bijective 64-bit mixer."""
     z &= MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
     return (z ^ (z >> 31)) & MASK64
 
 
@@ -53,6 +57,20 @@ class SplitMix64:
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
+
+    def uniform_array(self, n: int, lo: float, hi: float) -> np.ndarray:
+        """`n` draws of `uniform(lo, hi)` as one float64 array.
+
+        Bit-identical to the scalar loop, state included: numpy `uint64`
+        arithmetic wraps mod 2**64 like the masked Python ints. Every constant
+        is an `np.uint64` so no operand is promoted to a signed or float type.
+        """
+        z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + n * _GOLDEN) & MASK64
+        return lo + (hi - lo) * ((z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53)))
 
     def choice(self, seq):
         if not seq:

@@ -15,9 +15,10 @@ from unroll_tuner.backend import (
     cost_model_evaluate,
     emit_kernel_source,
     native_measure,
+    native_sweep,
 )
 from unroll_tuner.dataset import label_sample
-from unroll_tuner.errors import CompileError, InvalidFactor, KernelMismatch
+from unroll_tuner.errors import CompileError, InvalidFactor, KernelMismatch, KernelRunError
 from unroll_tuner.interp import interpret, output_checksum
 from unroll_tuner.ir import BinOp, BinOpKind, Constant, DataType
 from unroll_tuner.schedule import (
@@ -160,6 +161,16 @@ class TestNative:
         with pytest.raises(CompileError) as err:
             native_measure("int main(void { return 0; }", runs=1)
         assert err.value.diagnostics
+
+    @pytest.mark.parametrize("source, message", [
+        ("int main(void) { return 3; }", "kernel exited with 3"),
+        ("int main(void) { return 0; }", "unexpected kernel output"),
+    ])
+    def test_run_fault_is_not_compile_error(self, source, message):
+        for run in (lambda: native_measure(source, runs=1),
+                    lambda: native_sweep(source, (0, 2), runs=1)):
+            with pytest.raises(KernelRunError, match=message):
+                run()
 
     def test_emitted_kernel_matches_interpreter_checksum(self, matmul4):
         for dtype in (DataType.Float64, DataType.Int32):

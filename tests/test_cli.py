@@ -75,7 +75,7 @@ def test_label_rejects_illegal_schedules(tmp_path, monkeypatch, capsys):
         for name in ("cost", "native"):
             assert run_cli("label", "--programs", str(progs), "--backend", name,
                            "--out", str(tmp_path / "c.csv")) == 2
-            assert capsys.readouterr().err == f"error: {message}\n"
+            assert capsys.readouterr().err == f"error: {progs / 't.prog'}: {message}\n"
 
 
 def test_label_replays_each_schedule_once(tmp_path, monkeypatch):

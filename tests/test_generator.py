@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from unroll_tuner.featurize import MAX_DEPTH
@@ -22,6 +23,17 @@ def test_splitmix_streams_independent():
     b = [SplitMix64.stream(1, 1).next_u64() for _ in range(4)]
     assert a != b
     assert a == [SplitMix64.stream(1, 0).next_u64() for _ in range(4)]
+
+
+@pytest.mark.parametrize("seed", [0, 99, 2**63, 2**64 - 1, 0xDEADBEEFCAFEF00D])
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_uniform_array_matches_scalar_draws(seed, n):
+    vec, scalar = SplitMix64(seed), SplitMix64(seed)
+    got = vec.uniform_array(n, -0.25, 0.75)
+    expected = np.array([scalar.uniform(-0.25, 0.75) for _ in range(n)], dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == expected.tobytes()
+    assert vec.next_u64() == scalar.next_u64()
 
 
 def test_same_seed_index_identical_program():

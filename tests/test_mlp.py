@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from unroll_tuner.errors import (
 from unroll_tuner.featurize import Scaler, ScalerMode, fit_scaler
 from unroll_tuner.mlp import (
     DEFAULT_DROPOUT,
+    MODEL_FORMAT_VERSION,
     AdamState,
     TrainConfig,
     adam_step,
@@ -391,7 +393,7 @@ def test_tampered_model_rejected(tmp_path):
     with pytest.raises(CorruptFile):
         load_model(path)
 
-    payload["format_version"] = 2
+    payload["format_version"] = MODEL_FORMAT_VERSION + 1
     with open(path, "w") as fh:
         json.dump(payload, fh)
     with pytest.raises(FormatVersionMismatch):
@@ -401,3 +403,69 @@ def test_tampered_model_rejected(tmp_path):
         fh.write("not json at all {")
     with pytest.raises(CorruptFile):
         load_model(path)
+
+
+def _layer_bytes(m):
+    return [getattr(layer, name).tobytes() for layer in m.layers
+            for name in ("w", "b", "gamma", "beta", "running_mean", "running_var")
+            if getattr(layer, name) is not None]
+
+
+def test_save_load_bit_exact_with_special_values(tmp_path):
+    m = toy_model(3, hidden=(4, 2))
+    m.scaler = identity_scaler(3)
+    m.trained = True
+    m.layers[0].w[0, :4] = [-0.0, 5e-324, np.inf, -np.inf]
+    m.layers[1].running_var[1] = 2.2250738585072014e-308 / 3    # subnormal
+    path = str(tmp_path / "m.json")
+    save_model(m, path)
+    loaded = load_model(path)
+    assert _layer_bytes(loaded) == _layer_bytes(m)
+    assert loaded.layer_dims == m.layer_dims and loaded.trained
+    loaded.layers[0].w += 1.0       # loaded arrays are writable, not views of the file buffer
+
+
+def _write_payload(tmp_path, mutate):
+    import json
+    m = toy_model(3)
+    m.scaler = identity_scaler(3)
+    path = str(tmp_path / "m.json")
+    save_model(m, path)
+    payload = json.load(open(path))
+    mutate(payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    return path
+
+
+def test_v1_model_file_rejected(tmp_path):
+    def to_v1(payload):
+        payload["format_version"] = 1
+        payload["layers"] = [{"w": [[0.0] * 2] * 3, "b": [0.0] * 2}]
+    with pytest.raises(FormatVersionMismatch):
+        load_model(_write_payload(tmp_path, to_v1))
+
+
+@pytest.mark.parametrize("bad", [
+    lambda text: text[:-1],                   # cut inside a base64 quantum
+    lambda text: text[:-16],                  # 36 bytes: not whole float64s
+    lambda text: base64.b64encode(base64.b64decode(text)[:-8]).decode(),   # one float short
+    lambda text: "!!" + text[2:],             # not base64
+    lambda text: [0.0] * 6,                   # a v1-style list
+])
+def test_bad_weight_string_is_corrupt_file(tmp_path, bad):
+    def mutate(payload):
+        payload["layers"][0]["w"] = bad(payload["layers"][0]["w"])
+    with pytest.raises(CorruptFile):
+        load_model(_write_payload(tmp_path, mutate))
+
+
+def test_init_model_matches_scalar_draws():
+    m = init_model(37, seed=99)
+    rng = SplitMix64.stream(99, 0x11A9)
+    for k, layer in enumerate(m.layers):
+        fan_in, fan_out = m.layer_dims[k], m.layer_dims[k + 1]
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        expected = np.array([rng.uniform(-limit, limit) for _ in range(fan_in * fan_out)],
+                            dtype=np.float64).reshape(fan_in, fan_out)
+        assert layer.w.tobytes() == expected.tobytes()
