@@ -27,7 +27,7 @@ from .ir import DataType, validate_program
 from .mlp import TrainConfig, init_model, load_model, predict_class, save_model, train
 from .schedule import UNROLL_FACTORS, Unroll, schedule_program
 from .schedule import validate_schedule  # noqa: F401  perfbench traces cli.validate_schedule
-from .textfmt import parse_program_text, program_to_text
+from .textfmt import format_transform, parse_program_text, program_to_text
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -114,9 +114,11 @@ def _gen_worker(payload):
     report = validate_program(p)
     if not report.ok:
         raise UnrollTunerError(f"generated program {index} invalid: {report.violations}")
+    text = program_to_text(p)
     files = []
     for j, sp in enumerate(gen_schedules(cfg, p)):
-        files.append((f"prog_{index:05d}_s{j:02d}.prog", program_to_text(p, sp.applied)))
+        schedule = "".join(format_transform(t) + "\n" for t in sp.applied)
+        files.append((f"prog_{index:05d}_s{j:02d}.prog", text + schedule))
     return files
 
 

@@ -210,7 +210,8 @@ class Scaler:
         else:
             span = b - a
             scaled = (x - a) / np.where(span == 0.0, 1.0, span)
-        keep = [c for c in range(x.shape[1]) if c not in set(self.dropped_columns)]
+        dropped = set(self.dropped_columns)
+        keep = [c for c in range(x.shape[1]) if c not in dropped]
         return scaled[:, keep]
 
     def transform(self, row) -> np.ndarray:

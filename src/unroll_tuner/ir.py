@@ -14,6 +14,7 @@ subscript.  Everything else must load from declared input buffers.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -154,6 +155,11 @@ class Program:
     def depth(self) -> int:
         return len(self.iterators)
 
+    @functools.cached_property
+    def _op_histogram(self) -> "OpHistogram":
+        # stored in the instance __dict__: no field, so == and hash ignore it
+        return _count_ops(self)
+
 
 @dataclass
 class ValidationReport:
@@ -266,6 +272,7 @@ class OpHistogram:
     """Static op counts per single innermost iteration.
 
     Rows are op kinds (Add/Sub/Mul/Div/Load/Store), columns are data types.
+    `op_histogram` shares one instance per `Program`: treat it as read-only.
     """
 
     counts: dict[tuple[object, DataType], int]
@@ -280,6 +287,11 @@ class OpHistogram:
 
 
 def op_histogram(p: Program) -> OpHistogram:
+    """The op counts of `p`, computed once per `Program` instance."""
+    return p._op_histogram
+
+
+def _count_ops(p: Program) -> OpHistogram:
     counts: dict[tuple[object, DataType], int] = {}
 
     def bump(kind, dtype: DataType) -> None:

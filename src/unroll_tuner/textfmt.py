@@ -18,6 +18,7 @@ programs without inputs default to float64.  Unknown directives are rejected.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .errors import ParseError
@@ -188,21 +189,37 @@ def _build_expr(node, dtype: DataType, buffer_dtypes: dict[str, DataType]) -> Ex
                  _build_expr(right, dtype, buffer_dtypes))
 
 
-def parse_program_text(text: str) -> tuple[Program, list[Transform]]:
-    """Parse one program file; returns the program and its schedule lines."""
+_PROGRAM_DIRECTIVES = frozenset(("program", "iter", "input", "body", "output"))
+
+
+def _parse_transform(directive: str, rest: str) -> Transform:
+    if directive == "split":
+        level, factor = rest.split()
+        return Split(int(level), int(factor))
+    if directive == "interchange":
+        a, b = rest.split()
+        return Interchange(int(a), int(b))
+    if directive == "tile2":
+        la, lb, fa, fb = rest.split()
+        return Tile2(int(la), int(lb), int(fa), int(fb))
+    if directive == "tile3":
+        la, lb, lc, fa, fb, fc = rest.split()
+        return Tile3(int(la), int(lb), int(lc), int(fa), int(fb), int(fc))
+    if directive == "parallelize":
+        return Parallelize(int(rest))
+    if directive == "unroll":
+        return Unroll(int(rest))
+    raise ParseError(f"unknown directive {directive!r}")
+
+
+def _program_fields(lines):
+    """Line-level parse of (line number, directive, rest) program lines."""
     name = None
     iterators: list[Iterator] = []
     inputs: list[BufferDecl] = []
     body_src = None
     output_src = None
-    transforms: list[Transform] = []
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        directive, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for line_no, directive, rest in lines:
         try:
             if directive == "program":
                 name = rest
@@ -214,31 +231,19 @@ def parse_program_text(text: str) -> tuple[Program, list[Transform]]:
                 inputs.append(BufferDecl(buf, int(rank), DataType.from_name(dtype)))
             elif directive == "body":
                 body_src = rest
-            elif directive == "output":
-                output_src = rest
-            elif directive == "split":
-                level, factor = rest.split()
-                transforms.append(Split(int(level), int(factor)))
-            elif directive == "interchange":
-                a, b = rest.split()
-                transforms.append(Interchange(int(a), int(b)))
-            elif directive == "tile2":
-                la, lb, fa, fb = rest.split()
-                transforms.append(Tile2(int(la), int(lb), int(fa), int(fb)))
-            elif directive == "tile3":
-                la, lb, lc, fa, fb, fc = rest.split()
-                transforms.append(Tile3(int(la), int(lb), int(lc), int(fa), int(fb), int(fc)))
-            elif directive == "parallelize":
-                transforms.append(Parallelize(int(rest)))
-            elif directive == "unroll":
-                transforms.append(Unroll(int(rest)))
             else:
-                raise ParseError(f"unknown directive {directive!r}")
-        except ParseError:
-            raise
+                output_src = rest
         except ValueError as exc:
             raise ParseError(f"line {line_no}: {exc}") from exc
+    return name, iterators, inputs, body_src, output_src
 
+
+# Sibling files of one program repeat its lines and differ only in their
+# schedule lines; `label` reads them in sorted order, so consecutive siblings
+# hit the cache.  The bound is small on purpose: a corpus cycles through it.
+@functools.lru_cache(maxsize=16)
+def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> Program:
+    name, iterators, inputs, body_src, output_src = _program_fields(lines)
     if name is None:
         raise ParseError("missing 'program' line")
     if not iterators:
@@ -260,7 +265,7 @@ def parse_program_text(text: str) -> tuple[Program, list[Transform]]:
     buffer_dtypes[output.buffer] = dtype
     body = _build_expr(_ExprParser(body_src).parse(), dtype, buffer_dtypes)
 
-    program = Program(
+    return Program(
         name=name,
         iterators=tuple(iterators),
         body=body,
@@ -268,7 +273,34 @@ def parse_program_text(text: str) -> tuple[Program, list[Transform]]:
         inputs=tuple(inputs),
         dtype=dtype,
     )
-    return program, transforms
+
+
+def parse_program_text(text: str) -> tuple[Program, list[Transform]]:
+    """Parse one program file; returns the program and its schedule lines.
+
+    Files whose program lines match (same text on the same line numbers)
+    share one frozen `Program` while they stay in a small parse cache; the
+    schedule lines are parsed per file.
+    """
+    program_lines = []
+    transforms: list[Transform] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        directive, _, rest = line.partition(" ")
+        rest = rest.strip()
+        if directive in _PROGRAM_DIRECTIVES:
+            program_lines.append((line_no, directive, rest))
+            continue
+        try:
+            transforms.append(_parse_transform(directive, rest))
+        except (ParseError, ValueError) as exc:
+            _program_fields(program_lines)     # an earlier bad program line is reported first
+            if isinstance(exc, ValueError):
+                raise ParseError(f"line {line_no}: {exc}") from exc
+            raise
+    return _parse_program_lines(tuple(program_lines)), transforms
 
 
 def _format_const(c: Constant) -> str:

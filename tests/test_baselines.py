@@ -8,6 +8,9 @@ import pytest
 from unroll_tuner.baselines import (
     KnnConfig,
     TreeConfig,
+    _best_split,
+    _gini,
+    _gini_rows,
     accuracy_table,
     knn_predict,
     tree_fit,
@@ -106,6 +109,60 @@ def test_depth_one_tree_equals_bruteforce_best_split():
     tree = tree_fit(x, y, TreeConfig(max_depth=1))
     assert best[1] is not None
     assert (tree.feature, tree.threshold) == pytest.approx(best[1])
+
+
+def _quadratic_best_split(x, y):
+    """The O(F*n^2) split search that `_best_split` replaced: two Gini
+    evaluations with np.unique per cut."""
+    n = x.shape[0]
+    best = None
+    best_score = _gini(y)
+    for f in range(x.shape[1]):
+        order = np.argsort(x[:, f], kind="stable")
+        values = x[order, f]
+        labels = y[order]
+        for cut in range(1, n):
+            if values[cut] == values[cut - 1]:
+                continue
+            left, right = labels[:cut], labels[cut:]
+            score = (cut * _gini(left) + (n - cut) * _gini(right)) / n
+            if score < best_score - 1e-12:
+                best_score = score
+                best = (f, float((values[cut - 1] + values[cut]) / 2.0))
+    return best
+
+
+def test_best_split_matches_quadratic_search():
+    rng = np.random.default_rng(32)
+    found = 0
+    for _ in range(150):
+        n = int(rng.integers(2, 90))
+        x = rng.integers(0, int(rng.integers(1, 8)), size=(n, 4)).astype(np.float64)
+        x[:, 3] = x[:, 0]             # equal scores across features: the first wins
+        y = rng.choice([0, 2, 4, 8, 16, 32, 64], size=n)
+        expected = _quadratic_best_split(x, y)
+        assert _best_split(x, y) == expected
+        found += expected is not None
+    assert found > 100
+
+
+def test_best_split_keeps_first_of_equal_cuts():
+    # cuts after rows 2 and 4 both score 1/3; the first (lower threshold) wins
+    x = np.arange(6, dtype=np.float64)[:, None]
+    y = np.array([0, 0, 1, 1, 0, 0])
+    assert _best_split(x, y) == _quadratic_best_split(x, y) == (0, 1.5)
+
+
+def test_gini_rows_bit_identical_to_gini():
+    rng = np.random.default_rng(33)
+    for _ in range(30):
+        labels = rng.choice([0, 2, 4, 8, 16, 32, 64], size=int(rng.integers(1, 400)))
+        _, codes = np.unique(labels, return_inverse=True)
+        onehot = np.zeros((labels.shape[0], codes.max() + 1), dtype=np.int64)
+        onehot[np.arange(labels.shape[0]), codes] = 1
+        sizes = np.arange(1, labels.shape[0] + 1)
+        rows = _gini_rows(np.cumsum(onehot, axis=0), sizes)
+        assert rows.tolist() == [_gini(labels[:m]) for m in sizes]
 
 
 def test_tree_deterministic():

@@ -4,8 +4,11 @@ import os
 
 import pytest
 
+from unroll_tuner import cli, textfmt
 from unroll_tuner.cli import load_config, main
 from unroll_tuner.dataset import load_csv
+from unroll_tuner.generator import GenConfig, gen_program, gen_schedules
+from unroll_tuner.textfmt import program_to_text
 
 
 def run_cli(*argv) -> int:
@@ -112,6 +115,46 @@ def test_gen_deterministic(tmp_path):
     assert len(files_a) == 100     # 10 programs x 10 schedules
     for name in files_a:
         assert read(a / name) == read(b / name)
+
+
+def test_gen_files_match_program_to_text():
+    cfg = GenConfig(seed=5)
+    for index in range(4):
+        p = gen_program(cfg, index)
+        texts = [text for _, text in cli._gen_worker((cfg, index))]
+        assert texts == [program_to_text(p, sp.applied) for sp in gen_schedules(cfg, p)]
+
+
+def test_label_parse_cache_leaves_outputs_unchanged(tmp_path, monkeypatch):
+    progs = tmp_path / "p"
+    assert run_cli("gen", "--count", "3", "--seed", "5", "--out", str(progs)) == 0
+    c1, c2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
+    assert run_cli("label", "--programs", str(progs), "--out", str(c1)) == 0
+    real = cli.parse_program_text
+
+    def uncached(text):
+        textfmt._parse_program_lines.cache_clear()
+        return real(text)
+
+    monkeypatch.setattr(cli, "parse_program_text", uncached)
+    assert run_cli("label", "--programs", str(progs), "--out", str(c2)) == 0
+    assert read(c1) == read(c2)
+    assert read(f"{c1}.timings.csv") == read(f"{c2}.timings.csv")
+
+
+def test_second_label_reparses_every_program(tmp_path):
+    count = 20
+    cache = textfmt._parse_program_lines
+    assert cache.cache_info().maxsize < count
+    progs = tmp_path / "p"
+    assert run_cli("gen", "--count", str(count), "--seed", "5", "--out", str(progs)) == 0
+    cache.cache_clear()
+    for _ in range(2):
+        before = cache.cache_info()
+        assert run_cli("label", "--programs", str(progs), "--out", str(tmp_path / "c.csv")) == 0
+        after = cache.cache_info()
+        assert after.misses - before.misses == count
+        assert after.hits - before.hits == count * 9     # 10 sibling files per program
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from conftest import F64, load, make_program
@@ -158,3 +160,12 @@ def test_output_shadowing_input_rejected():
     )
     report = validate_program(shadowed)
     assert any("shadows" in v for v in report.violations)
+
+
+def test_op_histogram_memoized_per_program(matmul4):
+    hist = op_histogram(matmul4)
+    assert op_histogram(matmul4) is hist
+    copy = dataclasses.replace(matmul4)
+    assert copy == matmul4 and hash(copy) == hash(matmul4)
+    assert op_histogram(copy) is not hist
+    assert op_histogram(copy).counts == hist.counts

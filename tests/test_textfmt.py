@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from unroll_tuner import textfmt
 from unroll_tuner.errors import ParseError
 from unroll_tuner.generator import GenConfig, gen_program, gen_schedules
 from unroll_tuner.ir import BinOpKind, DataType, validate_program
@@ -152,3 +153,29 @@ tile3 0 1 2 2 2 2
 """
     _, transforms = parse_program_text(text)
     assert transforms == [Split(2, 4), Tile3(0, 1, 2, 2, 2, 2)]
+
+
+def test_sibling_files_share_one_program():
+    sibling = MATMUL_TEXT.replace("unroll 4\n", "split 2 4\n")
+    a, _ = parse_program_text(MATMUL_TEXT)
+    b, transforms = parse_program_text(sibling)
+    assert b is a
+    textfmt._parse_program_lines.cache_clear()
+    fresh, fresh_transforms = parse_program_text(sibling)
+    assert fresh is not a and fresh == a
+    assert transforms == fresh_transforms
+
+
+@pytest.mark.parametrize("text, message", [
+    # a bad program line after schedule lines keeps its own line number
+    ("unroll 4\nsplit 0 2\nprogram x\niter i 0 four\nbody a[i]\noutput o[i]\n", "line 4: "),
+    # the first bad line in the file is the one reported
+    ("program x\niter i 0 four\nunroll x\nbody a[i]\noutput o[i]\n", "line 2: "),
+    ("program x\nunroll x\niter i 0 four\nbody a[i]\noutput o[i]\n", "line 2: "),
+    ("program x\niter i 0 four\nvectorize 4\nbody a[i]\noutput o[i]\n", "line 2: "),
+])
+def test_parse_error_line_numbers(text, message):
+    textfmt._parse_program_lines.cache_clear()
+    with pytest.raises(ParseError) as exc:
+        parse_program_text(text)
+    assert str(exc.value).startswith(message)
