@@ -12,11 +12,10 @@ factor and `sweep(sp, factors, runs)` for a set of factors:
   function per distinct effective factor into a single translation unit,
   so a sample costs one compile and one process.
 
-A single-kernel binary (`emit_kernel_source`) prints exactly one line
-`mean_ms=<float>` on stdout (plus `checksum=<hex>` in debug builds) and one
-`run_ms=<float>` line per timed repetition on stderr.  A sweep binary
-(`emit_sweep_source`) prints `checksum_<u>=<hex>` on stdout for every
-variant u and one `run_ms_<u>=<float>` line per variant and round on stderr.
+There is one binary format (`emit_sweep_source`): it prints
+`checksum_<u>=<hex>` on stdout for every variant u and one
+`run_ms_<u>=<float>` line per variant and round on stderr.  A single kernel
+(`emit_kernel_source`, `native_measure`) is a one-variant sweep.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .errors import (
     KernelRunError,
     RunTimeout,
     ToolchainMissing,
-    UnrollTunerError,
 )
 from .interp import (
     FILL_MODULUS,
@@ -62,19 +60,20 @@ TOOLCHAIN_ENV_VAR = "UNROLL_TUNER_TOOLCHAIN"
 
 @dataclass(frozen=True)
 class ExecResult:
-    mean_ms: float
-    runs: int
     per_run_ms: tuple[float, ...]
-    checksum: int | None = None   # output checksum: sweeps and debug-mode kernels
+    checksum: int | None = None   # output checksum of a native kernel
 
     def __post_init__(self):
-        if self.runs < 1 or len(self.per_run_ms) != self.runs:
-            raise ValueError("runs must be >= 1 and match per_run_ms")
-        if any(t <= 0.0 for t in self.per_run_ms):
-            raise ValueError("all run times must be positive")
-        if not math.isclose(self.mean_ms, statistics.fmean(self.per_run_ms),
-                            rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError("mean_ms must be the arithmetic mean of per_run_ms")
+        if not self.per_run_ms or min(self.per_run_ms) <= 0.0:
+            raise ValueError("need at least one run, and all run times positive")
+
+    @property
+    def runs(self) -> int:
+        return len(self.per_run_ms)
+
+    @property
+    def mean_ms(self) -> float:
+        return statistics.fmean(self.per_run_ms)
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def cost_model_evaluate(sp: ScheduledProgram, u: int,
     )
     if sp.parallel_level is not None:
         cost /= params.parallel_divisor
-    return ExecResult(mean_ms=cost, runs=1, per_run_ms=(cost,))
+    return ExecResult(per_run_ms=(cost,))
 
 
 # --- kernel emission ----------------------------------------------------------
@@ -164,18 +163,24 @@ def _expr_text(sp: ScheduledProgram, node, strides) -> str:
     return f"({_expr_text(sp, node.left, strides)} {op} {_expr_text(sp, node.right, strides)})"
 
 
-def _unit_lines(kernels: dict[str, ScheduledProgram], runs: int) -> list[str]:
-    """C source up to `main`: the shared preamble, one `static void <name>(void)`
-    per entry of `kernels` (all schedules of one base program), and
-    `out_checksum`.
+def emit_sweep_source(variants: dict[int, ScheduledProgram],
+                      runs: int = DEFAULT_RUNS) -> str:
+    """One translation unit timing several unrolled variants of one schedule.
+
+    `variants` maps each effective unroll factor u to its schedule, emitted
+    as `static void kernel_<u>(void)`.  Each variant runs once untimed and
+    prints `checksum_<u>=<hex>` on stdout; then RUNS rounds time every
+    variant once per round, printing `run_ms_<u>=<float>` on stderr.
+    Interleaving the rounds spreads machine noise over all variants alike.
+    RUNS is a macro so `native_sweep` can override it at compile time.
 
     Padded split iterations are masked by guards; the unrolled body is
     literally replicated with an epilogue loop for the remainder.
     """
-    for sp in kernels.values():
+    for sp in variants.values():
         if sp.depth > 7:
             raise DepthExceedsMax(f"nest depth {sp.depth} exceeds 7")
-    p = next(iter(kernels.values())).base
+    p = next(iter(variants.values())).base
     shapes = buffer_shapes(p)
     strides = {name: row_major_strides(shape) for name, shape in shapes.items()}
     sizes = {name: math.prod(shape) for name, shape in shapes.items()}
@@ -231,8 +236,8 @@ def _unit_lines(kernels: dict[str, ScheduledProgram], runs: int) -> list[str]:
     emit(f"    for (int64_t q = 0; q < {sizes[out]}; ++q) buf_{out}[q] = (elem_t)0;")
     emit("}")
     emit("")
-    for fn_name, sp in kernels.items():
-        _emit_kernel(sp, fn_name, strides, emit)
+    for u, sp in variants.items():
+        _emit_kernel(sp, f"kernel_{u}", strides, emit)
         emit("")
     emit("static uint64_t out_checksum(void) {")
     emit("    uint64_t h = 0xCBF29CE484222325ULL;")
@@ -247,7 +252,20 @@ def _unit_lines(kernels: dict[str, ScheduledProgram], runs: int) -> list[str]:
     emit("    return h;")
     emit("}")
     emit("")
-    return lines
+    emit("int main(void) {")
+    emit("    alloc_and_fill();")
+    for u in variants:
+        emit(f"    kernel_{u}();  /* warm-up, excluded from the timings */")
+        emit(f"    printf(\"checksum_{u}=%016llx\\n\", (unsigned long long)out_checksum());")
+    emit("    for (int r = 0; r < RUNS; ++r) {")
+    emit("        double t0, t1;")
+    for u in variants:
+        emit(f"        t0 = now_ms(); kernel_{u}(); t1 = now_ms();")
+        emit(f"        fprintf(stderr, \"run_ms_{u}=%.9f\\n\", t1 - t0);")
+    emit("    }")
+    emit("    return 0;")
+    emit("}")
+    return "\n".join(lines) + "\n"
 
 
 def _emit_kernel(sp: ScheduledProgram, fn_name: str, strides, emit) -> None:
@@ -294,61 +312,11 @@ def _emit_kernel(sp: ScheduledProgram, fn_name: str, strides, emit) -> None:
 
 def emit_kernel_source(sp: ScheduledProgram, runs: int = DEFAULT_RUNS,
                        debug: bool = False) -> str:
-    """Self-contained C source for the scheduled nest plus a timing harness.
+    """A one-variant sweep unit for `sp`, emitted as `kernel_<sp.unroll>`.
 
-    The harness does one untimed warm-up and RUNS timed repetitions (RUNS is a
-    macro so `native_measure` can override it at compile time).
+    `debug` changes nothing: every binary prints its output checksum.
     """
-    lines = _unit_lines({"kernel": sp}, runs)
-    emit = lines.append
-    emit("int main(void) {")
-    emit("    alloc_and_fill();")
-    emit("    kernel();  /* warm-up, excluded from the mean */")
-    emit("    double total = 0.0;")
-    emit("    for (int r = 0; r < RUNS; ++r) {")
-    emit("        double t0 = now_ms();")
-    emit("        kernel();")
-    emit("        double t1 = now_ms();")
-    emit("        fprintf(stderr, \"run_ms=%.9f\\n\", t1 - t0);")
-    emit("        total += t1 - t0;")
-    emit("    }")
-    emit("    volatile uint64_t sink = out_checksum();")
-    emit("    printf(\"mean_ms=%.9f\\n\", total / RUNS);")
-    if debug:
-        emit("    printf(\"checksum=%016llx\\n\", (unsigned long long)sink);")
-    else:
-        emit("    (void)sink;")
-    emit("    return 0;")
-    emit("}")
-    return "\n".join(lines) + "\n"
-
-
-def emit_sweep_source(variants: dict[int, ScheduledProgram],
-                      runs: int = DEFAULT_RUNS) -> str:
-    """One translation unit timing several unrolled variants of one schedule.
-
-    `variants` maps each effective unroll factor u to its schedule, emitted
-    as `kernel_<u>`.  Each variant runs once untimed and prints
-    `checksum_<u>=<hex>` on stdout; then RUNS rounds time every variant once
-    per round, printing `run_ms_<u>=<float>` on stderr.  Interleaving the
-    rounds spreads machine noise over all variants alike.
-    """
-    lines = _unit_lines({f"kernel_{u}": sp for u, sp in variants.items()}, runs)
-    emit = lines.append
-    emit("int main(void) {")
-    emit("    alloc_and_fill();")
-    for u in variants:
-        emit(f"    kernel_{u}();  /* warm-up, excluded from the timings */")
-        emit(f"    printf(\"checksum_{u}=%016llx\\n\", (unsigned long long)out_checksum());")
-    emit("    for (int r = 0; r < RUNS; ++r) {")
-    emit("        double t0, t1;")
-    for u in variants:
-        emit(f"        t0 = now_ms(); kernel_{u}(); t1 = now_ms();")
-        emit(f"        fprintf(stderr, \"run_ms_{u}=%.9f\\n\", t1 - t0);")
-    emit("    }")
-    emit("    return 0;")
-    emit("}")
-    return "\n".join(lines) + "\n"
+    return emit_sweep_source({sp.unroll: sp}, runs)
 
 
 def _resolve_toolchain(toolchain: str | None) -> str:
@@ -405,30 +373,6 @@ def _unexpected_output(run: subprocess.CompletedProcess) -> KernelRunError:
     return KernelRunError(f"unexpected kernel output:\n{run.stdout}\n{run.stderr}")
 
 
-def native_measure(source: str, runs: int = DEFAULT_RUNS, *,
-                   toolchain: str | None = None,
-                   flags: tuple[str, ...] | None = None,
-                   timeout: float = DEFAULT_TIMEOUT_S) -> ExecResult:
-    """Compile and time a kernel from `emit_kernel_source`; returns the parsed measurements."""
-    run = _compile_and_run(source, runs, toolchain, flags, timeout)
-    mean = None
-    checksum = None
-    try:
-        for line in run.stdout.splitlines():
-            if line.startswith("mean_ms="):
-                mean = float(line.split("=", 1)[1])
-            elif line.startswith("checksum="):
-                checksum = int(line.split("=", 1)[1], 16)
-        per_run = [max(float(line.split("=", 1)[1]), 1e-9)
-                   for line in run.stderr.splitlines() if line.startswith("run_ms=")]
-    except ValueError as exc:
-        raise _unexpected_output(run) from exc
-    if mean is None or len(per_run) != runs:
-        raise _unexpected_output(run)
-    return ExecResult(mean_ms=statistics.fmean(per_run), runs=runs,
-                      per_run_ms=tuple(per_run), checksum=checksum)
-
-
 def _tagged_values(text: str, prefix: str) -> dict[int, list[str]]:
     """Values of the `<prefix><u>=<value>` lines of `text`, grouped by u."""
     out: dict[int, list[str]] = {}
@@ -439,50 +383,54 @@ def _tagged_values(text: str, prefix: str) -> dict[int, list[str]]:
     return out
 
 
-def native_sweep(source: str, factors: tuple[int, ...], runs: int = DEFAULT_RUNS, *,
-                 toolchain: str | None = None,
-                 flags: tuple[str, ...] | None = None,
-                 timeout: float = DEFAULT_TIMEOUT_S) -> dict[int, ExecResult]:
-    """Compile and run a unit from `emit_sweep_source` once; one result per factor.
+def _parse_sweep_output(run: subprocess.CompletedProcess,
+                        runs: int) -> dict[int, ExecResult]:
+    """One result per variant of a sweep binary's output.
 
     The variants' output checksums must agree bit for bit, because unrolling
     replicates the body in order; otherwise `KernelMismatch` is raised.
     """
-    run = _compile_and_run(source, runs, toolchain, flags, timeout)
     checksums = _tagged_values(run.stdout, "checksum_")
     per_run = _tagged_values(run.stderr, "run_ms_")
-    if set(checksums) != set(factors) or set(per_run) != set(factors) \
-            or any(len(checksums[u]) != 1 or len(per_run[u]) != runs for u in factors):
+    if not checksums or set(checksums) != set(per_run) \
+            or any(len(checksums[u]) != 1 or len(per_run[u]) != runs for u in checksums):
         raise _unexpected_output(run)
     try:
-        sums = {u: int(checksums[u][0], 16) for u in factors}
-        times = {u: tuple(max(float(v), 1e-9) for v in per_run[u]) for u in factors}
+        sums = {u: int(checksums[u][0], 16) for u in checksums}
+        times = {u: tuple(max(float(v), 1e-9) for v in per_run[u]) for u in checksums}
     except ValueError as exc:
         raise _unexpected_output(run) from exc
     if len(set(sums.values())) > 1:
         raise KernelMismatch("unrolled variants disagree on the output checksum: "
                              + ", ".join(f"u={u}: {c:016x}" for u, c in sums.items()))
-    return {u: ExecResult(mean_ms=statistics.fmean(times[u]), runs=runs,
-                          per_run_ms=times[u], checksum=sums[u])
-            for u in factors}
+    return {u: ExecResult(per_run_ms=times[u], checksum=sums[u]) for u in checksums}
+
+
+def native_sweep(source: str, factors: tuple[int, ...], runs: int = DEFAULT_RUNS, *,
+                 toolchain: str | None = None,
+                 flags: tuple[str, ...] | None = None,
+                 timeout: float = DEFAULT_TIMEOUT_S) -> dict[int, ExecResult]:
+    """Compile and run a unit from `emit_sweep_source` once; one result per factor."""
+    run = _compile_and_run(source, runs, toolchain, flags, timeout)
+    results = _parse_sweep_output(run, runs)
+    if set(results) != set(factors):
+        raise _unexpected_output(run)
+    return {u: results[u] for u in factors}
+
+
+def native_measure(source: str, runs: int = DEFAULT_RUNS, *,
+                   toolchain: str | None = None,
+                   flags: tuple[str, ...] | None = None,
+                   timeout: float = DEFAULT_TIMEOUT_S) -> ExecResult:
+    """Compile and run a one-variant unit from `emit_kernel_source`."""
+    run = _compile_and_run(source, runs, toolchain, flags, timeout)
+    results = _parse_sweep_output(run, runs)
+    if len(results) != 1:
+        raise _unexpected_output(run)
+    return next(iter(results.values()))
 
 
 # --- backend objects ----------------------------------------------------------
-
-def measure_each(backend, sp: ScheduledProgram, factors: tuple[int, ...],
-                 runs: int) -> dict[int, ExecResult]:
-    """A sweep made of one `backend.measure` call per factor.
-
-    Errors are re-raised with the offending factor attached.
-    """
-    results = {}
-    for u in factors:
-        try:
-            results[u] = backend.measure(sp, u, runs)
-        except UnrollTunerError as exc:
-            raise type(exc)(f"factor {u}: {exc}") from exc
-    return results
-
 
 class CostModelBackend:
     """Deterministic backend; safe for concurrent use."""
@@ -497,7 +445,7 @@ class CostModelBackend:
 
     def sweep(self, sp: ScheduledProgram, factors: tuple[int, ...],
               runs: int = 1) -> dict[int, ExecResult]:
-        return measure_each(self, sp, factors, runs)
+        return {u: self.measure(sp, u, runs) for u in factors}
 
 
 @dataclass

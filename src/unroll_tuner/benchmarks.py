@@ -34,7 +34,7 @@ F64 = DataType.Float64
 
 
 def _iters(*pairs) -> tuple[Iterator, ...]:
-    return tuple(Iterator(name, 0, extent, k) for k, (name, extent) in enumerate(pairs))
+    return tuple(Iterator(name, 0, extent) for name, extent in pairs)
 
 
 def _load(buffer: str, *dims) -> Access:

@@ -132,7 +132,7 @@ def gen_program(cfg: GenConfig, index: int) -> Program:
     rng = SplitMix64.stream(cfg.seed, index)
     depth = rng.randint(*cfg.depth_range)
     iterators = tuple(
-        Iterator(f"i{k}", 0, rng.choice(cfg.extent_choices), k) for k in range(depth)
+        Iterator(f"i{k}", 0, rng.choice(cfg.extent_choices)) for k in range(depth)
     )
     dtype = rng.choice(cfg.dtype_choices)
     n_inputs = rng.randint(1, cfg.max_inputs)

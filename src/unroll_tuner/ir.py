@@ -51,12 +51,11 @@ class AccessMode(enum.Enum):
 
 @dataclass(frozen=True)
 class Iterator:
-    """One loop level: half-open range [lower, upper), level 0 = outermost."""
+    """One loop: half-open range [lower, upper); its level is its nest position."""
 
     name: str
     lower: int
     upper: int
-    level: int
 
     @property
     def extent(self) -> int:
@@ -199,11 +198,9 @@ def validate_program(p: Program) -> ValidationReport:
     names = [it.name for it in p.iterators]
     if len(set(names)) != len(names):
         report.add("duplicate iterator names")
-    for pos, it in enumerate(p.iterators):
+    for it in p.iterators:
         if it.extent < 1:
             report.add(f"non-positive extent: iterator {it.name} [{it.lower}, {it.upper})")
-        if it.level != pos:
-            report.add(f"iterator {it.name} level {it.level}, expected {pos}")
 
     ranks = {decl.name: decl.rank for decl in p.inputs}
     dtypes = {decl.name: decl.dtype for decl in p.inputs}

@@ -132,10 +132,8 @@ class ScheduledProgram:
     index_exprs: dict[str, AffineExpr] = field(default_factory=dict)
     guards: tuple[Guard, ...] = ()
     unroll: int = 0                                  # 0 = not applied
-    remainder_extent: int = 0
     parallel_level: int | None = None
     tile_factors: dict[str, int] = field(default_factory=dict)
-    interchange_applied: bool = False
 
     @property
     def depth(self) -> int:
@@ -152,22 +150,23 @@ class ScheduledProgram:
             return self.innermost_extent
         return self.innermost_extent // self.unroll
 
-    def level_of(self, loop_name: str) -> int:
-        for pos, it in enumerate(self.loops):
-            if it.name == loop_name:
-                return pos
-        raise KeyError(loop_name)
+    @property
+    def remainder_extent(self) -> int:
+        """Innermost epilogue trip count (iterations after the unrolled blocks)."""
+        if self.unroll == 0:
+            return 0
+        return self.innermost_extent % self.unroll
+
+    @property
+    def interchange_applied(self) -> bool:
+        return any(isinstance(t, Interchange) for t in self.applied)
 
 
 def new_schedule(p: Program) -> ScheduledProgram:
     """Empty schedule: current nest equals the base nest."""
-    loops = tuple(Iterator(it.name, 0, it.extent, k) for k, it in enumerate(p.iterators))
+    loops = tuple(Iterator(it.name, 0, it.extent) for it in p.iterators)
     exprs = {it.name: AffineExpr.var(it.name, const=it.lower) for it in p.iterators}
     return ScheduledProgram(base=p, loops=loops, index_exprs=exprs)
-
-
-def _relevel(loops) -> tuple[Iterator, ...]:
-    return tuple(replace(it, level=k) for k, it in enumerate(loops))
 
 
 def _check_tile_factor(f: int) -> None:
@@ -191,16 +190,15 @@ def _fresh_names(sp: ScheduledProgram, target: str, outer: str | None,
 
 
 def _split(sp: ScheduledProgram, level: int, factor: int,
-           outer_name: str | None = None, inner_name: str | None = None,
-           tile_factor: int | None = None) -> ScheduledProgram:
+           outer_name: str | None = None, inner_name: str | None = None) -> ScheduledProgram:
     if not 0 <= level < sp.depth:
         raise UnknownLevel(f"no loop level {level} in a depth-{sp.depth} nest")
     _check_tile_factor(factor)
     target = sp.loops[level]
     o_name, i_name = _fresh_names(sp, target.name, outer_name, inner_name)
     n = target.extent
-    outer = Iterator(o_name, 0, -(-n // factor), 0)
-    inner = Iterator(i_name, 0, factor, 0)
+    outer = Iterator(o_name, 0, -(-n // factor))
+    inner = Iterator(i_name, 0, factor)
 
     exprs = {
         orig: e.substitute(target.name, o_name, i_name, factor)
@@ -216,21 +214,18 @@ def _split(sp: ScheduledProgram, level: int, factor: int,
 
     loops = list(sp.loops)
     loops[level: level + 1] = [outer, inner]
-    tile_factors = dict(sp.tile_factors)
-    tile_factors[o_name] = tile_factor if tile_factor is not None else factor
-    tile_factors[i_name] = tile_factor if tile_factor is not None else factor
-    return replace(sp, loops=_relevel(loops), index_exprs=exprs, guards=guards,
+    tile_factors = {**sp.tile_factors, o_name: factor, i_name: factor}
+    return replace(sp, loops=tuple(loops), index_exprs=exprs, guards=guards,
                    tile_factors=tile_factors)
 
 
-def _interchange(sp: ScheduledProgram, a: int, b: int, explicit: bool) -> ScheduledProgram:
+def _interchange(sp: ScheduledProgram, a: int, b: int) -> ScheduledProgram:
     for lvl in (a, b):
         if not 0 <= lvl < sp.depth:
             raise UnknownLevel(f"no loop level {lvl} in a depth-{sp.depth} nest")
     loops = list(sp.loops)
     loops[a], loops[b] = loops[b], loops[a]
-    return replace(sp, loops=_relevel(loops),
-                   interchange_applied=sp.interchange_applied or explicit)
+    return replace(sp, loops=tuple(loops))
 
 
 def _tile(sp: ScheduledProgram, levels: tuple[int, ...], factors: tuple[int, ...]) -> ScheduledProgram:
@@ -241,12 +236,12 @@ def _tile(sp: ScheduledProgram, levels: tuple[int, ...], factors: tuple[int, ...
     # Strip-mine each level (each split shifts the ones below it by one), then
     # permute the 2k produced loops so all outer (block) loops come first.
     for j, f in enumerate(factors):
-        sp = _split(sp, base + 2 * j, f, tile_factor=f)
+        sp = _split(sp, base + 2 * j, f)
     produced = list(sp.loops[base: base + 2 * k])      # [o0, i0, o1, i1, ...]
     blocked = produced[0::2] + produced[1::2]          # [o0, o1, ..., i0, i1, ...]
     loops = list(sp.loops)
     loops[base: base + 2 * k] = blocked
-    return replace(sp, loops=_relevel(loops))
+    return replace(sp, loops=tuple(loops))
 
 
 def apply_transform(sp: ScheduledProgram, t: Transform) -> ScheduledProgram:
@@ -258,7 +253,7 @@ def apply_transform(sp: ScheduledProgram, t: Transform) -> ScheduledProgram:
     elif isinstance(t, Interchange):
         if t.level_a == t.level_b:
             raise UnknownLevel("interchange needs two distinct levels")
-        out = _interchange(sp, t.level_a, t.level_b, explicit=True)
+        out = _interchange(sp, t.level_a, t.level_b)
     elif isinstance(t, Tile2):
         out = _tile(sp, (t.level_a, t.level_b), (t.fa, t.fb))
     elif isinstance(t, Tile3):
@@ -296,8 +291,7 @@ def apply_unroll(sp: ScheduledProgram, u: int) -> ScheduledProgram:
             warnings.warn(f"unroll factor {u} dropped: innermost extent {n} too small")
             return replace(sp, applied=sp.applied + (Unroll(u),))
         warnings.warn(f"unroll factor {u} clamped to {eff} (innermost extent {n})")
-    return replace(sp, applied=sp.applied + (Unroll(u),),
-                   unroll=eff, remainder_extent=n % eff)
+    return replace(sp, applied=sp.applied + (Unroll(u),), unroll=eff)
 
 
 def schedule_program(p: Program, transforms=()) -> ScheduledProgram:

@@ -225,7 +225,7 @@ def _program_fields(lines):
                 name = rest
             elif directive == "iter":
                 it_name, lo, hi = rest.split()
-                iterators.append(Iterator(it_name, int(lo), int(hi), len(iterators)))
+                iterators.append(Iterator(it_name, int(lo), int(hi)))
             elif directive == "input":
                 buf, rank, dtype = rest.split()
                 inputs.append(BufferDecl(buf, int(rank), DataType.from_name(dtype)))

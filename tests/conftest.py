@@ -24,7 +24,7 @@ def load(buffer: str, *dims, dtype=F64) -> Access:
 
 def make_program(name, iterators, body, out_dims, inputs, dtype=F64) -> Program:
     """Compact program builder: iterators as (name, extent) pairs."""
-    its = tuple(Iterator(n, 0, e, k) for k, (n, e) in enumerate(iterators))
+    its = tuple(Iterator(n, 0, e) for n, e in iterators)
     return Program(
         name=name,
         iterators=its,

@@ -14,6 +14,7 @@ from unroll_tuner.backend import (
     NativeBackend,
     cost_model_evaluate,
     emit_kernel_source,
+    emit_sweep_source,
     native_measure,
     native_sweep,
 )
@@ -40,15 +41,16 @@ def ops_program(total_ops: int):
     return make_program(f"ops{total_ops}", [("i0", 64)], body, ("i0",), [("a", 1)])
 
 
-def test_exec_result_invariants():
-    r = ExecResult(mean_ms=2.0, runs=2, per_run_ms=(1.0, 3.0))
-    assert r.mean_ms == 2.0
-    with pytest.raises(ValueError):
-        ExecResult(mean_ms=1.0, runs=2, per_run_ms=(1.0,))
-    with pytest.raises(ValueError):
-        ExecResult(mean_ms=0.0, runs=1, per_run_ms=(0.0,))
-    with pytest.raises(ValueError):
-        ExecResult(mean_ms=5.0, runs=1, per_run_ms=(1.0,))
+def test_exec_result_invariants(vecadd):
+    r = ExecResult(per_run_ms=(1.0, 3.0))
+    assert r.runs == 2 and r.mean_ms == 2.0
+    for bad in ((), (0.0,), (1.0, -2.0)):
+        with pytest.raises(ValueError):
+            ExecResult(per_run_ms=bad)
+    sp = schedule_program(vecadd, [Parallelize(0)])
+    for u in UNROLL_FACTORS:
+        res = cost_model_evaluate(sp, u)
+        assert res.runs == 1 and res.mean_ms == res.per_run_ms[0]
 
 
 def test_cost_params_validated():
@@ -116,7 +118,7 @@ def test_cost_invalid_factor(vecadd):
 # --- emission -------------------------------------------------------------------
 
 def kernel_section(source: str) -> str:
-    start = source.index("static void kernel(void)")
+    start = re.search(r"static void kernel_\d+\(void\)", source).start()
     end = source.index("static uint64_t out_checksum")
     return source[start:end]
 
@@ -165,6 +167,10 @@ class TestNative:
     @pytest.mark.parametrize("source, message", [
         ("int main(void) { return 3; }", "kernel exited with 3"),
         ("int main(void) { return 0; }", "unexpected kernel output"),
+        # a valid unit, but two variants for `native_measure` and not (0, 2)
+        pytest.param(emit_sweep_source({u: apply_unroll(new_schedule(ops_program(3)), u)
+                                        for u in (2, 4)}, runs=1),
+                     "unexpected kernel output", id="two-variant unit"),
     ])
     def test_run_fault_is_not_compile_error(self, source, message):
         for run in (lambda: native_measure(source, runs=1),
@@ -185,10 +191,13 @@ class TestNative:
                 [("a", 2), ("b", 1)],
                 dtype=dtype,
             )
-            sp = apply_unroll(schedule_program(p, [Tile2(0, 1, 2, 2)]), 2)
+            tiled = schedule_program(p, [Tile2(0, 1, 2, 2)])
+            sp = apply_unroll(tiled, 2)
             expected = output_checksum(interpret(sp).output, dtype)
-            res = native_measure(emit_kernel_source(sp, debug=True), runs=1)
-            assert res.checksum == expected
+            # the call shape of perfbench's NativeLabel.final_checks
+            got = native_measure(emit_kernel_source(sp, runs=1, debug=True), runs=1).checksum
+            assert got == expected
+            assert got == NativeBackend().sweep(tiled, (2,), 1)[2].checksum
 
     def test_backend_object(self, matmul4):
         backend = NativeBackend()

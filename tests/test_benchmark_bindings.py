@@ -29,7 +29,7 @@ def workloads():
 def test_benchmark_bindings_resolve(workloads):
     bindings = [b[:2] for b in workloads.LayerLog().boundaries()]
     bindings += workloads.CostPipeline.SPLIT_POINTS
-    # NativeLabel.final_checks builds and runs single debug kernels
+    # NativeLabel.final_checks builds and runs one-variant sweep binaries
     bindings += [(backend, "emit_kernel_source"), (backend, "native_measure")]
     missing = [f"{owner.__name__}.{attr}" for owner, attr in bindings
                if getattr(owner, attr, None) is None]

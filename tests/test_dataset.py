@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from unroll_tuner.backend import CostModelBackend, cost_model_evaluate, measure_each
+from unroll_tuner.backend import CostModelBackend, cost_model_evaluate
 from unroll_tuner.dataset import (
     LabeledSample,
     balance_classes,
@@ -28,10 +28,10 @@ class FixedBackend:
     def measure(self, sp, u, runs=1):
         from unroll_tuner.backend import ExecResult
         t = self.timings[u]
-        return ExecResult(mean_ms=t, runs=1, per_run_ms=(t,))
+        return ExecResult(per_run_ms=(t,))
 
     def sweep(self, sp, factors, runs=1):
-        return measure_each(self, sp, factors, runs)
+        return {u: self.measure(sp, u, runs) for u in factors}
 
 
 def fv_of(label_seed: int = 0):
@@ -69,17 +69,9 @@ def test_label_matches_bruteforce_cost_argmin():
 
 
 def test_label_error_carries_factor(matmul4):
-    class Exploding:
-        def measure(self, sp, u, runs=1):
-            from unroll_tuner.errors import InvalidFactor
-            raise InvalidFactor("boom")
-
-        def sweep(self, sp, factors, runs=1):
-            return measure_each(self, sp, factors, runs)
-
     from unroll_tuner.errors import InvalidFactor
-    with pytest.raises(InvalidFactor, match="factor 0"):
-        label_sample(new_schedule(matmul4), Exploding())
+    with pytest.raises(InvalidFactor, match="3"):
+        label_sample(new_schedule(matmul4), CostModelBackend(), factors=(0, 3))
 
 
 def test_features_extracted_before_unroll(matmul4):

@@ -41,7 +41,7 @@ def test_non_positive_extent_reported():
     p = make_program("empty", [("i0", 4)], load("a", "i0"), ("i0",), [("a", 1)])
     degenerate = Program(
         name=p.name,
-        iterators=(Iterator("i0", 5, 5, 0),),
+        iterators=(Iterator("i0", 5, 5),),
         body=p.body,
         output=p.output,
         inputs=p.inputs,
