@@ -7,41 +7,4 @@ and predict factors for new programs (with KNN / decision-tree baselines and
 a five-kernel benchmark harness for evaluation).
 """
 
-from .ir import (
-    AccessMode,
-    BinOpKind,
-    BufferAccess,
-    BufferDecl,
-    DataType,
-    Iterator,
-    Program,
-    Subscript,
-    innermost_trip_count,
-    op_histogram,
-    validate_program,
-)
-from .schedule import (
-    UNROLL_FACTORS,
-    Interchange,
-    Parallelize,
-    ScheduledProgram,
-    Split,
-    Tile2,
-    Tile3,
-    Unroll,
-    apply_transform,
-    apply_unroll,
-    new_schedule,
-    schedule_program,
-    validate_schedule,
-)
-from .featurize import FeatureVector, Scaler, ScalerMode, extract_features, fit_scaler
-from .backend import CostModelBackend, CostModelParams, ExecResult, NativeBackend
-from .generator import GenConfig, gen_program, gen_schedules
-from .dataset import LabeledSample, SplitDataset, balance_classes, label_sample, split_dataset
-from .mlp import MlpModel, TrainConfig, init_model, load_model, predict_class, save_model, train
-from .evaluation import accuracy, compute_metrics, run_benchmarks
-
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

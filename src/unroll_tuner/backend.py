@@ -27,7 +27,7 @@ import statistics
 import subprocess
 import tempfile
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     CompileError,
@@ -325,13 +325,11 @@ def _resolve_toolchain(toolchain: str | None) -> str:
 
 
 def _compile_and_run(source: str, runs: int, toolchain: str | None,
-                     flags: tuple[str, ...] | None,
-                     timeout: float) -> subprocess.CompletedProcess:
+                     flags: tuple[str, ...] | None) -> subprocess.CompletedProcess:
     """Compile `source` with -DRUNS=`runs`, run the binary once, return its output.
 
-    Compilation failures are retried once (dropping -fopenmp on the retry if
-    it was present, so parallel kernels degrade to serial rather than fail on
-    toolchains without OpenMP).
+    A failed compile with -fopenmp is retried once without it, so parallel
+    kernels degrade to serial rather than fail on toolchains without OpenMP.
     """
     cmd = _resolve_toolchain(toolchain)
     if shutil.which(cmd) is None:
@@ -349,21 +347,22 @@ def _compile_and_run(source: str, runs: int, toolchain: str | None,
         def compile_with(fl: list[str]) -> subprocess.CompletedProcess:
             return subprocess.run(
                 [cmd, *fl, f"-DRUNS={runs}", src_path, "-o", bin_path],
-                capture_output=True, text=True, timeout=timeout,
+                capture_output=True, text=True, timeout=DEFAULT_TIMEOUT_S,
             )
 
         proc = compile_with(use_flags)
         if proc.returncode != 0:
-            retry_flags = [f for f in use_flags if f != "-fopenmp"]
-            retry = compile_with(retry_flags)
+            if "-fopenmp" not in use_flags:
+                raise CompileError(proc.stderr)
+            retry = compile_with([f for f in use_flags if f != "-fopenmp"])
             if retry.returncode != 0:
                 raise CompileError(proc.stderr + "\n--- retry ---\n" + retry.stderr)
 
         try:
             run = subprocess.run([bin_path], capture_output=True, text=True,
-                                 timeout=timeout)
+                                 timeout=DEFAULT_TIMEOUT_S)
         except subprocess.TimeoutExpired as exc:
-            raise RunTimeout(f"kernel exceeded {timeout} s") from exc
+            raise RunTimeout(f"kernel exceeded {DEFAULT_TIMEOUT_S} s") from exc
     if run.returncode != 0:
         raise KernelRunError(f"kernel exited with {run.returncode}: {run.stderr}")
     return run
@@ -408,10 +407,9 @@ def _parse_sweep_output(run: subprocess.CompletedProcess,
 
 def native_sweep(source: str, factors: tuple[int, ...], runs: int = DEFAULT_RUNS, *,
                  toolchain: str | None = None,
-                 flags: tuple[str, ...] | None = None,
-                 timeout: float = DEFAULT_TIMEOUT_S) -> dict[int, ExecResult]:
+                 flags: tuple[str, ...] | None = None) -> dict[int, ExecResult]:
     """Compile and run a unit from `emit_sweep_source` once; one result per factor."""
-    run = _compile_and_run(source, runs, toolchain, flags, timeout)
+    run = _compile_and_run(source, runs, toolchain, flags)
     results = _parse_sweep_output(run, runs)
     if set(results) != set(factors):
         raise _unexpected_output(run)
@@ -420,10 +418,9 @@ def native_sweep(source: str, factors: tuple[int, ...], runs: int = DEFAULT_RUNS
 
 def native_measure(source: str, runs: int = DEFAULT_RUNS, *,
                    toolchain: str | None = None,
-                   flags: tuple[str, ...] | None = None,
-                   timeout: float = DEFAULT_TIMEOUT_S) -> ExecResult:
+                   flags: tuple[str, ...] | None = None) -> ExecResult:
     """Compile and run a one-variant unit from `emit_kernel_source`."""
-    run = _compile_and_run(source, runs, toolchain, flags, timeout)
+    run = _compile_and_run(source, runs, toolchain, flags)
     results = _parse_sweep_output(run, runs)
     if len(results) != 1:
         raise _unexpected_output(run)
@@ -434,8 +431,6 @@ def native_measure(source: str, runs: int = DEFAULT_RUNS, *,
 
 class CostModelBackend:
     """Deterministic backend; safe for concurrent use."""
-
-    name = "cost"
 
     def __init__(self, params: CostModelParams | None = None):
         self.params = params or CostModelParams()
@@ -458,8 +453,6 @@ class NativeBackend:
 
     toolchain: str | None = None
     flags: tuple[str, ...] | None = None
-    timeout: float = DEFAULT_TIMEOUT_S
-    name: str = field(default="native", init=False)
 
     def measure(self, sp: ScheduledProgram, u: int, runs: int = DEFAULT_RUNS) -> ExecResult:
         return self.sweep(sp, (u,), runs)[u]
@@ -481,6 +474,5 @@ class NativeBackend:
                 effective[u] = unrolled.unroll
                 variants.setdefault(unrolled.unroll, unrolled)
         results = native_sweep(emit_sweep_source(variants, runs=runs), tuple(variants), runs,
-                               toolchain=self.toolchain, flags=self.flags,
-                               timeout=self.timeout)
+                               toolchain=self.toolchain, flags=self.flags)
         return {u: results[effective[u]] for u in factors}

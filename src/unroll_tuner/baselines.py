@@ -29,13 +29,10 @@ class KnnConfig:
 @dataclass(frozen=True)
 class TreeConfig:
     max_depth: int = 12
-    min_samples_split: int = 2
 
     def __post_init__(self):
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
 
 
 def _majority(labels) -> int:
@@ -131,8 +128,7 @@ def tree_fit(train_x, train_y, cfg: TreeConfig | None = None) -> TreeNode:
 
     def build(rows: np.ndarray, depth: int) -> TreeNode:
         labels = y[rows]
-        if depth >= cfg.max_depth or rows.shape[0] < cfg.min_samples_split \
-                or np.unique(labels).shape[0] == 1:
+        if depth >= cfg.max_depth or np.unique(labels).shape[0] == 1:
             return TreeNode(label=_majority(labels.tolist()))
         split = _best_split(x[rows], labels)
         if split is None:

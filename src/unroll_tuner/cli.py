@@ -227,7 +227,7 @@ def cmd_train(args, config: dict[str, str]) -> int:
     model, history = train(model, split, cfg)
     out_path = _pick(args.out, config, "out", "model.json")
     save_model(model, out_path)
-    test_acc = accuracy(model, split.test) if split.test else float("nan")
+    test_acc = accuracy(model, split.test)
     best = min(h["valid_loss"] for h in history)
     print(f"trained {len(history)} epochs (best valid loss {best:.4f}); "
           f"test accuracy {test_acc:.3f}; model -> {out_path}")
@@ -236,11 +236,15 @@ def cmd_train(args, config: dict[str, str]) -> int:
 
 def cmd_predict(args, config: dict[str, str]) -> int:
     with open(args.program_file) as fh:
-        program, transforms = parse_program_text(fh.read())
-    kept = [t for t in transforms if not isinstance(t, Unroll)]
-    if len(kept) != len(transforms):
-        warnings.warn("ignoring unroll directive in input; predicting a fresh factor")
-    sp = schedule_program(program, kept)
+        text = fh.read()
+    try:
+        program, transforms = parse_program_text(text)
+        kept = [t for t in transforms if not isinstance(t, Unroll)]
+        if len(kept) != len(transforms):
+            warnings.warn("ignoring unroll directive in input; predicting a fresh factor")
+        sp = schedule_program(program, kept)
+    except UnrollTunerError as exc:
+        raise UnrollTunerError(f"{args.program_file}: {exc}") from exc
     model = load_model(args.model)
     print(f"unroll_factor={predict_class(model, extract_features(sp))}")
     return 0
@@ -261,16 +265,8 @@ def cmd_baselines(args, config: dict[str, str]) -> int:
     def by_tree(fv):
         return tree_predict(tree, scaler.transform(fv.to_list()))
 
-    if args.model:
-        model = load_model(args.model)
-    else:
-        model = init_model(scaler.output_width, seed=seed)
-        model.scaler = scaler
-        cfg = TrainConfig(seed=seed, max_epochs=_pick(args.max_epochs, config, "max_epochs",
-                                                      60, int, minimum=1))
-        model, _ = train(model, split, cfg)
     entries = [
-        ("neural network", accuracy(model, split.test)),
+        ("neural network", accuracy(load_model(args.model), split.test)),
         ("knn", accuracy(knn, split.test)),
         ("decision tree", accuracy(by_tree, split.test)),
     ]
@@ -352,9 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("baselines", help="KNN / decision-tree / MLP accuracy table")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", default=None, help="trained MLP (trains one when omitted)")
+    p.add_argument("--model", required=True, help="trained MLP from `train`")
     p.add_argument("--min-per-class", type=int, default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
     p.add_argument("--scaler", choices=("standardize", "normalize"), default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--max-depth", type=int, default=None)

@@ -38,8 +38,6 @@ class SplitDataset:
     train: list[LabeledSample]
     valid: list[LabeledSample]
     test: list[LabeledSample]
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
-    seed: int = 0
 
     def __len__(self) -> int:
         return len(self.train) + len(self.valid) + len(self.test)
@@ -95,22 +93,19 @@ def balance_classes(rows: list[LabeledSample], min_per_class: int,
     return [row for idx, row in enumerate(rows) if idx in keep]
 
 
-def split_dataset(rows: list[LabeledSample], seed: int = 0,
-                  fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)) -> SplitDataset:
+def split_dataset(rows: list[LabeledSample], seed: int = 0) -> SplitDataset:
     """Seeded shuffle then a 60/20/20 cut (sizes within one row of exact)."""
     if len(rows) < 10:
         raise TooFewRows(f"need at least 10 rows to split, got {len(rows)}")
     shuffled = list(rows)
     SplitMix64.stream(seed, 0x5B17).shuffle(shuffled)
     n = len(shuffled)
-    n_train = round(fractions[0] * n)
-    n_valid = round(fractions[1] * n)
+    n_train = round(0.6 * n)
+    n_valid = round(0.2 * n)
     return SplitDataset(
         train=shuffled[:n_train],
         valid=shuffled[n_train:n_train + n_valid],
         test=shuffled[n_train + n_valid:],
-        fractions=fractions,
-        seed=seed,
     )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthExceedsMax, EmptyTrainingSet, LabelNotInClassSet
-from .ir import BinOpKind, DataType, Program, expr_leaves, load_accesses, op_histogram
+from .ir import AccessMode, BinOpKind, DataType, Program, load_accesses, op_histogram
 from .schedule import UNROLL_FACTORS, ScheduledProgram, new_schedule
 
 MAX_DEPTH = 7
@@ -154,9 +154,10 @@ def extract_features(sp: ScheduledProgram | Program) -> FeatureVector:
         depth=sp.depth,
         span=_pad(it.extent for it in sp.loops),
         data_loaded=tuple(data_loaded_per_level(sp)),
-        load_count=len(load_accesses(p)),
+        load_count=hist.count(AccessMode.Load),
         store_count=1,
-        leaf_count=len(expr_leaves(p.body)),
+        # every BinOp has two children, so a tree has one more leaf than ops
+        leaf_count=sum(hist.count(k) for k in BinOpKind) + 1,
         add_count=hist.count(BinOpKind.Add),
         sub_count=hist.count(BinOpKind.Sub),
         mul_count=hist.count(BinOpKind.Mul),

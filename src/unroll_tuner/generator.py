@@ -44,6 +44,7 @@ from .textfmt import program_to_text
 
 ALLOWED_TRANSFORM_NAMES = ("tile2", "tile3", "interchange", "parallelize")
 _TILE_FACTOR_POOL = (2, 4, 8, 16, 32, 64, 128)
+_LOAD_BIAS = 0.65   # chance that an expression leaf is a load, not a constant
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class GenConfig:
     )
     schedules_per_program: int = 10
     allowed_transforms: tuple[str, ...] = ALLOWED_TRANSFORM_NAMES
-    load_bias: float = 0.65
     max_leaves: int = 16
 
     def __post_init__(self):
@@ -103,9 +103,9 @@ def _random_access(rng: SplitMix64, decls, iterators, dtype: DataType) -> Access
 
 
 def _random_expr(rng: SplitMix64, n_leaves: int, decls, iterators,
-                 dtype: DataType, load_bias: float) -> Expr:
+                 dtype: DataType) -> Expr:
     if n_leaves <= 1:
-        if decls and rng.random() < load_bias:
+        if decls and rng.random() < _LOAD_BIAS:
             return _random_access(rng, decls, iterators, dtype)
         return _random_constant(rng, dtype)
     roll = rng.random()
@@ -119,11 +119,11 @@ def _random_expr(rng: SplitMix64, n_leaves: int, decls, iterators,
         kind = BinOpKind.Div
     if kind is BinOpKind.Div:
         # divisors are nonzero constants only, so generated nests never trap
-        left = _random_expr(rng, n_leaves - 1, decls, iterators, dtype, load_bias)
+        left = _random_expr(rng, n_leaves - 1, decls, iterators, dtype)
         return BinOp(kind, left, _nonzero_constant(rng, dtype))
     n_left = rng.randint(1, n_leaves - 1)
-    left = _random_expr(rng, n_left, decls, iterators, dtype, load_bias)
-    right = _random_expr(rng, n_leaves - n_left, decls, iterators, dtype, load_bias)
+    left = _random_expr(rng, n_left, decls, iterators, dtype)
+    right = _random_expr(rng, n_leaves - n_left, decls, iterators, dtype)
     return BinOp(kind, left, right)
 
 
@@ -140,7 +140,7 @@ def gen_program(cfg: GenConfig, index: int) -> Program:
         BufferDecl(f"in{k}", rng.randint(1, depth), dtype) for k in range(n_inputs)
     )
     n_leaves = rng.randint(2, cfg.max_leaves)
-    body = _random_expr(rng, n_leaves, decls, iterators, dtype, cfg.load_bias)
+    body = _random_expr(rng, n_leaves, decls, iterators, dtype)
     output = BufferAccess(
         buffer="out",
         dtype=dtype,

@@ -118,14 +118,13 @@ def allocate_buffers(p: Program) -> dict[str, list]:
 
 @dataclass
 class InterpResult:
-    buffers: dict[str, list]
     output: list
     body_executions: int
     store_trace: list | None = None
 
 
 def interpret(target: Program | ScheduledProgram, trace_stores: bool = False) -> InterpResult:
-    """Run the nest; returns final buffers and the body-execution count."""
+    """Run the nest; returns the output buffer and the body-execution count."""
     sp = target if isinstance(target, ScheduledProgram) else new_schedule(target)
     p = sp.base
     buffers = allocate_buffers(p)
@@ -205,7 +204,6 @@ def interpret(target: Program | ScheduledProgram, trace_stores: bool = False) ->
 
     run(0)
     return InterpResult(
-        buffers=buffers,
         output=buffers[p.output.buffer],
         body_executions=counter[0],
         store_trace=trace,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass, field
 
 
@@ -183,10 +182,6 @@ def walk_expr(expr: Expr):
             stack.append(node.left)
 
 
-def expr_leaves(expr: Expr) -> list[Expr]:
-    return [n for n in walk_expr(expr) if not isinstance(n, BinOp)]
-
-
 def load_accesses(p: Program) -> list[BufferAccess]:
     """All Load accesses of the body, in tree order."""
     return [n.access for n in walk_expr(p.body) if isinstance(n, Access)]
@@ -258,12 +253,6 @@ def validate_program(p: Program) -> ValidationReport:
     return report
 
 
-OP_HISTOGRAM_KINDS = (
-    BinOpKind.Add, BinOpKind.Sub, BinOpKind.Mul, BinOpKind.Div,
-    AccessMode.Load, AccessMode.Store,
-)
-
-
 @dataclass
 class OpHistogram:
     """Static op counts per single innermost iteration.
@@ -301,8 +290,3 @@ def _count_ops(p: Program) -> OpHistogram:
             bump(AccessMode.Load, node.access.dtype)
     bump(AccessMode.Store, p.output.dtype)
     return OpHistogram(counts)
-
-
-def innermost_trip_count(p: Program) -> int:
-    """Total innermost-body executions before any scheduling."""
-    return math.prod(it.extent for it in p.iterators)

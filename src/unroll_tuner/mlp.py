@@ -34,21 +34,22 @@ DEFAULT_HIDDEN = (500, 400, 250, 100)
 DEFAULT_DROPOUT = (0.12, 0.10, 0.04, 0.07)
 N_CLASSES = len(UNROLL_FACTORS)
 LOG_CLAMP = 1e-12
+# ADAM hyperparameters (Kingma & Ba's defaults)
+ADAM_LR = 1e-3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
     batch_size: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patience: int = 10
     max_epochs: int = 500
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.eps, self.max_epochs) <= 0:
+        if min(self.batch_size, self.max_epochs) <= 0:
             raise ValueError("training hyperparameters must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
@@ -214,24 +215,24 @@ class AdamState:
 
 
 def adam_update(param: np.ndarray, grad: np.ndarray, m1: np.ndarray, v1: np.ndarray,
-                t: int, cfg: TrainConfig) -> None:
+                t: int) -> None:
     """One in-place ADAM step with bias correction (t counts from 1)."""
-    m1 *= cfg.beta1
-    m1 += (1 - cfg.beta1) * grad
-    v1 *= cfg.beta2
-    v1 += (1 - cfg.beta2) * grad * grad
-    m_hat = m1 / (1 - cfg.beta1 ** t)
-    v_hat = v1 / (1 - cfg.beta2 ** t)
-    param -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    m1 *= ADAM_BETA1
+    m1 += (1 - ADAM_BETA1) * grad
+    v1 *= ADAM_BETA2
+    v1 += (1 - ADAM_BETA2) * grad * grad
+    m_hat = m1 / (1 - ADAM_BETA1 ** t)
+    v_hat = v1 / (1 - ADAM_BETA2 ** t)
+    param -= ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def adam_step(model: MlpModel, grads, state: AdamState, t: int, cfg: TrainConfig) -> MlpModel:
+def adam_step(model: MlpModel, grads, state: AdamState, t: int) -> MlpModel:
     if t < 1:
         raise ValueError("ADAM step counter starts at 1")
     for k, layer in enumerate(model.layers):
         for name in grads[k]:
             adam_update(getattr(layer, name), grads[k][name],
-                        state.m[k][name], state.v[k][name], t, cfg)
+                        state.m[k][name], state.v[k][name], t)
     return model
 
 
@@ -295,7 +296,7 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
                 continue      # batchnorm needs at least two rows
             t += 1
             _, grads = loss_and_gradients(m, x_train[idx], y_train[idx], dropout_rng)
-            adam_step(m, grads, state, t, cfg)
+            adam_step(m, grads, state, t)
         train_loss, train_acc = _evaluate(m, x_train, y_train)
         valid_loss, valid_acc = _evaluate(m, x_valid, y_valid)
         history.append({"epoch": epoch, "train_loss": train_loss, "train_acc": train_acc,

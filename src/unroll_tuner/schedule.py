@@ -39,8 +39,6 @@ def is_power_of_two(n: int) -> bool:
 class Split:
     level: int
     factor: int
-    outer_name: str | None = None
-    inner_name: str | None = None
 
 
 @dataclass(frozen=True)
@@ -176,11 +174,10 @@ def _check_tile_factor(f: int) -> None:
         raise FactorNotPowerOfTwo(f"factor {f} is not a power of two")
 
 
-def _fresh_names(sp: ScheduledProgram, target: str, outer: str | None,
-                 inner: str | None) -> tuple[str, str]:
+def _fresh_names(sp: ScheduledProgram, target: str) -> tuple[str, str]:
     taken = {it.name for it in sp.loops}
-    o = outer or f"{target}_o"
-    i = inner or f"{target}_i"
+    o = f"{target}_o"
+    i = f"{target}_i"
     while o in taken:
         o += "_"
     taken.add(o)
@@ -189,13 +186,12 @@ def _fresh_names(sp: ScheduledProgram, target: str, outer: str | None,
     return o, i
 
 
-def _split(sp: ScheduledProgram, level: int, factor: int,
-           outer_name: str | None = None, inner_name: str | None = None) -> ScheduledProgram:
+def _split(sp: ScheduledProgram, level: int, factor: int) -> ScheduledProgram:
     if not 0 <= level < sp.depth:
         raise UnknownLevel(f"no loop level {level} in a depth-{sp.depth} nest")
     _check_tile_factor(factor)
     target = sp.loops[level]
-    o_name, i_name = _fresh_names(sp, target.name, outer_name, inner_name)
+    o_name, i_name = _fresh_names(sp, target.name)
     n = target.extent
     outer = Iterator(o_name, 0, -(-n // factor))
     inner = Iterator(i_name, 0, factor)
@@ -249,7 +245,7 @@ def apply_transform(sp: ScheduledProgram, t: Transform) -> ScheduledProgram:
     if sp.unroll != 0 and not isinstance(t, (Unroll, Parallelize)):
         raise UnrollTunerError("nest transforms cannot follow unroll")
     if isinstance(t, Split):
-        out = _split(sp, t.level, t.factor, t.outer_name, t.inner_name)
+        out = _split(sp, t.level, t.factor)
     elif isinstance(t, Interchange):
         if t.level_a == t.level_b:
             raise UnknownLevel("interchange needs two distinct levels")

@@ -13,7 +13,8 @@
     unroll <f>
 
 The program's element type is the (single) dtype of its input declarations;
-programs without inputs default to float64.  Unknown directives are rejected.
+programs without inputs default to float64.  Unknown directives are rejected,
+and so is a program that fails `validate_program`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .ir import (
     Iterator,
     Program,
     Subscript,
+    validate_program,
 )
 from .schedule import (
     Interchange,
@@ -265,7 +267,7 @@ def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> Program:
     buffer_dtypes[output.buffer] = dtype
     body = _build_expr(_ExprParser(body_src).parse(), dtype, buffer_dtypes)
 
-    return Program(
+    program = Program(
         name=name,
         iterators=tuple(iterators),
         body=body,
@@ -273,6 +275,10 @@ def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> Program:
         inputs=tuple(inputs),
         dtype=dtype,
     )
+    report = validate_program(program)
+    if not report.ok:
+        raise ParseError("; ".join(report.violations))
+    return program
 
 
 def parse_program_text(text: str) -> tuple[Program, list[Transform]]:

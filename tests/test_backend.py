@@ -269,6 +269,27 @@ class TestNativeSweep:
             NativeBackend().sweep(new_schedule(matmul4), UNROLL_FACTORS, runs=1)
 
 
+def test_failed_compile_retried_only_without_openmp(monkeypatch, tmp_path):
+    from unroll_tuner.backend import TOOLCHAIN_ENV_VAR
+
+    log = tmp_path / "argv.log"
+    fake = tmp_path / "fake-cc"
+    fake.write_text(f'#!/bin/sh\necho "$@" >> "{log}"\necho broken >&2\nexit 1\n')
+    fake.chmod(0o755)
+    monkeypatch.setenv(TOOLCHAIN_ENV_VAR, str(fake))
+    serial = "int main(void) { return 0; }\n"
+    parallel = "#pragma omp parallel\n" + serial
+    for source, compiles in ((serial, 1), (parallel, 2)):
+        log.write_text("")
+        with pytest.raises(CompileError) as err:
+            native_measure(source, runs=1)
+        argvs = log.read_text().splitlines()
+        assert len(argvs) == compiles
+        assert err.value.diagnostics.count("broken") == compiles
+        assert "-fopenmp" not in argvs[-1].split()
+    assert "-fopenmp" in argvs[0].split()
+
+
 def test_toolchain_env_var_overrides(monkeypatch, vecadd):
     from unroll_tuner.backend import TOOLCHAIN_ENV_VAR
     from unroll_tuner.errors import ToolchainMissing

@@ -81,6 +81,30 @@ def test_label_rejects_illegal_schedules(tmp_path, monkeypatch, capsys):
             assert capsys.readouterr().err == f"error: {progs / 't.prog'}: {message}\n"
 
 
+@pytest.mark.parametrize("body, message", [
+    ("a[i0, k] + 1.0", "dangling iterator 'k' in body access to a"),
+    ("b[i0, i1] + 1.0", "undeclared buffer 'b'"),
+    ("a[i0] + 1.0", "rank mismatch: a declared rank 2, indexed with 1 subscripts"),
+])
+def test_label_and_predict_reject_invalid_programs(tmp_path, capsys, body, message):
+    progs = tmp_path / "p"
+    progs.mkdir()
+    path = progs / "t.prog"
+    path.write_text(PROGRAM_TEXT.replace("a[i0, i1] + a[i1, i0]", body))
+    assert run_cli("label", "--programs", str(progs), "--out", str(tmp_path / "c.csv")) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    # the program is parsed before the model is loaded
+    assert run_cli("predict", str(path), "--model", str(tmp_path / "m.json")) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_baselines_needs_a_model(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("baselines", "--data", "c.csv")
+    assert exc.value.code == 1
+    assert "--model" in capsys.readouterr().err
+
+
 def test_label_replays_each_schedule_once(tmp_path, monkeypatch):
     from unroll_tuner import schedule
 
@@ -96,7 +120,7 @@ def test_label_replays_each_schedule_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["predict", "x.prog", "--model", "m.json", "--backend", "native"],
-    ["baselines", "--data", "c.csv", "--out", "x"],
+    ["baselines", "--data", "c.csv", "--model", "m.json", "--out", "x"],
 ])
 def test_unread_flag_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

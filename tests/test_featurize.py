@@ -21,7 +21,7 @@ from unroll_tuner.featurize import (
     parse_csv_row,
 )
 from unroll_tuner.generator import GenConfig, gen_program
-from unroll_tuner.ir import Constant, load_accesses
+from unroll_tuner.ir import BinOp, Constant, load_accesses, walk_expr
 from unroll_tuner.schedule import Parallelize, Tile2, new_schedule, schedule_program
 
 
@@ -55,6 +55,16 @@ def test_constant_body_loads_nothing():
     fv = extract_features(p)
     assert fv.data_loaded == (0,) * MAX_DEPTH
     assert fv.load_count == 0
+
+
+def test_load_and_leaf_counts_match_a_body_walk():
+    # both counts come from the op histogram, not from walking the body
+    cfg = GenConfig(seed=21)
+    for index in range(200):
+        p = gen_program(cfg, index)
+        fv = extract_features(p)
+        assert fv.load_count == len(load_accesses(p))
+        assert fv.leaf_count == sum(not isinstance(n, BinOp) for n in walk_expr(p.body))
 
 
 def distinct_subtuple_loads(p, level: int) -> int:

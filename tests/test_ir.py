@@ -1,8 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
-
-import pytest
+import math
 
 from conftest import F64, load, make_program
 from unroll_tuner.interp import interpret
@@ -15,8 +14,6 @@ from unroll_tuner.ir import (
     DataType,
     Iterator,
     Program,
-    expr_leaves,
-    innermost_trip_count,
     op_histogram,
     subs,
     validate_program,
@@ -118,17 +115,6 @@ def test_histogram_invariant_under_child_commutation(matmul4):
     assert op_histogram(matmul4).counts == op_histogram(swapped).counts
 
 
-@pytest.mark.parametrize("extents,expected", [
-    ((256, 256, 256), 16_777_216),
-    ((1,), 1),
-    ((100, 50), 5000),
-])
-def test_innermost_trip_count(extents, expected):
-    p = make_program("t", [(f"i{k}", e) for k, e in enumerate(extents)],
-                     Constant(1.0, F64), tuple(f"i{k}" for k in range(len(extents))), [])
-    assert innermost_trip_count(p) == expected
-
-
 def test_trip_count_matches_interpreted_body_executions():
     rng = SplitMix64(99)
     for _ in range(20):
@@ -136,11 +122,7 @@ def test_trip_count_matches_interpreted_body_executions():
         extents = [(f"i{k}", rng.randint(1, 8)) for k in range(depth)]
         p = make_program("r", extents, Constant(1.0, F64),
                          tuple(n for n, _ in extents), [])
-        assert interpret(p).body_executions == innermost_trip_count(p)
-
-
-def test_expr_leaves_count(matmul4):
-    assert len(expr_leaves(matmul4.body)) == 3
+        assert interpret(p).body_executions == math.prod(e for _, e in extents)
 
 
 def test_empty_subscript_rejected():

@@ -17,6 +17,7 @@ from unroll_tuner.errors import (
 )
 from unroll_tuner.featurize import Scaler, ScalerMode, fit_scaler
 from unroll_tuner.mlp import (
+    ADAM_EPS,
     DEFAULT_DROPOUT,
     MODEL_FORMAT_VERSION,
     AdamState,
@@ -216,32 +217,29 @@ def test_gradients_match_finite_differences():
 # --- adam ---------------------------------------------------------------------------
 
 def test_adam_single_scalar_step():
-    cfg = TrainConfig(learning_rate=1e-3)
     w = np.array([1.0])
     g = np.array([1.0])
     m1 = np.zeros(1)
     v1 = np.zeros(1)
-    adam_update(w, g, m1, v1, t=1, cfg=cfg)
+    adam_update(w, g, m1, v1, t=1)
     # hand evaluation: m=0.1, v=0.001, m_hat=1, v_hat=1, step=lr*1/(1+eps)
-    expected = 1.0 - 1e-3 * (1.0 / (1.0 + cfg.eps))
+    expected = 1.0 - 1e-3 * (1.0 / (1.0 + ADAM_EPS))
     assert w[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_adam_zero_gradient_no_drift():
-    cfg = TrainConfig()
     m = toy_model(2)
     state = AdamState.for_model(m)
     before = [l.w.copy() for l in m.layers]
     grads = [{name: np.zeros_like(getattr(l, name))
               for name in ("w", "b", "gamma", "beta") if getattr(l, name) is not None}
              for l in m.layers]
-    adam_step(m, grads, state, 1, cfg)
+    adam_step(m, grads, state, 1)
     for b, l in zip(before, m.layers):
         assert np.abs(l.w - b).max() < 1e-12
 
 
 def test_adam_deterministic():
-    cfg = TrainConfig()
     rng = np.random.default_rng(8)
     outs = []
     for _ in range(2):
@@ -250,7 +248,7 @@ def test_adam_deterministic():
         grads = [{name: np.full_like(getattr(l, name), 0.25)
                   for name in ("w", "b", "gamma", "beta") if getattr(l, name) is not None}
                  for l in m.layers]
-        adam_step(m, grads, state, 1, cfg)
+        adam_step(m, grads, state, 1)
         outs.append([l.w.copy() for l in m.layers])
     for a, b in zip(*outs):
         assert np.array_equal(a, b)
