@@ -46,7 +46,7 @@ from .interp import (
     buffer_shapes,
     row_major_strides,
 )
-from .ir import Access, BinOpKind, Constant, DataType, op_histogram
+from .ir import Access, Constant, DataType, op_histogram
 from .schedule import UNROLL_FACTORS, ScheduledProgram, apply_unroll
 
 DEFAULT_RUNS = 30
@@ -158,9 +158,8 @@ def _expr_text(sp: ScheduledProgram, node, strides) -> str:
         return _c_const(node.value)
     if isinstance(node, Access):
         return _access_text(sp, node.access, strides)
-    op = {BinOpKind.Add: "+", BinOpKind.Sub: "-",
-          BinOpKind.Mul: "*", BinOpKind.Div: "/"}[node.kind]
-    return f"({_expr_text(sp, node.left, strides)} {op} {_expr_text(sp, node.right, strides)})"
+    return (f"({_expr_text(sp, node.left, strides)} {node.kind.value} "
+            f"{_expr_text(sp, node.right, strides)})")
 
 
 def emit_sweep_source(variants: dict[int, ScheduledProgram],

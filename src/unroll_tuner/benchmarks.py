@@ -163,28 +163,12 @@ class BenchmarkCase:
     transforms: tuple[Transform, ...]
 
 
-def _mmxm_case(size_class: str, msize: int) -> BenchmarkCase:
-    tiles = {"small": 16, "medium": 0, "large": 32}[size_class]
-    transforms: tuple[Transform, ...] = (Parallelize(0),)
-    if tiles:
-        transforms = (Tile2(0, 1, tiles, tiles), Parallelize(0))
-    return BenchmarkCase("MMxM", size_class, mmxm(msize), transforms)
+# Tile2 factors of (MMxM, SMM, RGB_gray) per size class; 0 leaves a kernel untiled.
+_TILE2_FACTORS = {"small": (16, 0, 0), "medium": (0, 16, 32), "large": (32, 32, 64)}
 
 
-def _smm_case(size_class: str, msize: int) -> BenchmarkCase:
-    tiles = {"small": 0, "medium": 16, "large": 32}[size_class]
-    transforms: tuple[Transform, ...] = ()
-    if tiles:
-        transforms = (Tile2(0, 1, tiles, tiles), Interchange(1, 2), Parallelize(0))
-    return BenchmarkCase("SMM", size_class, smm(msize), transforms)
-
-
-def _rgb_case(size_class: str, isize: int) -> BenchmarkCase:
-    tiles = {"small": 0, "medium": 32, "large": 64}[size_class]
-    transforms: tuple[Transform, ...] = (Parallelize(0),)
-    if tiles:
-        transforms = (Tile2(0, 1, tiles, tiles), Parallelize(0))
-    return BenchmarkCase("RGB_gray", size_class, rgb_gray(isize), transforms)
+def _tile2(factor: int) -> tuple[Transform, ...]:
+    return (Tile2(0, 1, factor, factor),) if factor else ()
 
 
 def benchmark_suite(sizes: dict[str, int] | None = None) -> list[BenchmarkCase]:
@@ -192,13 +176,19 @@ def benchmark_suite(sizes: dict[str, int] | None = None) -> list[BenchmarkCase]:
     sizes = sizes or SIZE_CLASSES
     cases: list[BenchmarkCase] = []
     for size_class, size in sizes.items():
-        cases.append(_mmxm_case(size_class, size))
-        cases.append(_smm_case(size_class, size))
-        cases.append(_rgb_case(size_class, size))
-        cases.append(BenchmarkCase("Blur", size_class, blur(size), (Parallelize(0),)))
-        cases.append(BenchmarkCase(
-            "Conv_layer", size_class,
-            conv_layer(CONV_BATCH.get(size_class, 8), height=size // 8, width=size // 8),
-            (Parallelize(0),),
-        ))
+        mmxm_tile, smm_tile, rgb_tile = _TILE2_FACTORS[size_class]
+        # untiled SMM runs with no schedule at all
+        smm_schedule = (*_tile2(smm_tile), Interchange(1, 2), Parallelize(0)) if smm_tile else ()
+        cases += [
+            BenchmarkCase("MMxM", size_class, mmxm(size), (*_tile2(mmxm_tile), Parallelize(0))),
+            BenchmarkCase("SMM", size_class, smm(size), smm_schedule),
+            BenchmarkCase("RGB_gray", size_class, rgb_gray(size),
+                          (*_tile2(rgb_tile), Parallelize(0))),
+            BenchmarkCase("Blur", size_class, blur(size), (Parallelize(0),)),
+            BenchmarkCase(
+                "Conv_layer", size_class,
+                conv_layer(CONV_BATCH[size_class], height=size // 8, width=size // 8),
+                (Parallelize(0),),
+            ),
+        ]
     return cases

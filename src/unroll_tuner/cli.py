@@ -281,9 +281,13 @@ def _parse_sizes(text: str) -> dict[str, int]:
         if name.strip() not in SIZE_CLASSES:
             raise UnrollTunerError(f"unknown size class {name.strip()!r}")
         try:
-            sizes[name.strip()] = int(value)
+            size = int(value)
         except ValueError:
             raise UnrollTunerError(f"--sizes {part!r}: size must be an integer") from None
+        # the convolution's image side is size // 8, and a zero-extent loop costs nothing
+        if size < 8:
+            raise UnrollTunerError(f"--sizes {part!r}: size must be at least 8")
+        sizes[name.strip()] = size
     return sizes
 
 

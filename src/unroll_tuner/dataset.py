@@ -39,9 +39,6 @@ class SplitDataset:
     valid: list[LabeledSample]
     test: list[LabeledSample]
 
-    def __len__(self) -> int:
-        return len(self.train) + len(self.valid) + len(self.test)
-
 
 def sweep_argmin(sp: ScheduledProgram, backend, runs: int = 1,
                  factors: tuple[int, ...] = UNROLL_FACTORS) -> tuple[dict[int, float], int]:

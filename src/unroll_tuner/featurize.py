@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,80 +34,68 @@ DTYPE_CODES = {
     DataType.Float64: 3,
 }
 
-FEATURE_COLUMNS = (
-    ("depth",)
-    + tuple(f"span{k}" for k in range(MAX_DEPTH))
-    + tuple(f"load{k}" for k in range(MAX_DEPTH))
-    + ("loads", "stores", "leaves", "add", "sub", "mul", "div", "dtype")
-    + tuple(f"tile{k}" for k in range(MAX_DEPTH))
-    + tuple(f"tilef{k}" for k in range(MAX_DEPTH))
-    + ("interch",)
-    + tuple(f"par{k}" for k in range(MAX_DEPTH))
-)
-
-CSV_HEADER = ",".join(FEATURE_COLUMNS + ("label",))
-
-# Only the data-loaded columns reach magnitudes ~1e5; they get pre-divided
-# by 1000 before the scaler is fitted.
-RESCALE_COLUMNS = tuple(range(1 + MAX_DEPTH, 1 + 2 * MAX_DEPTH))
 RESCALE_DIVISOR = 1000.0
+
+
+def _csv(stem: str, width: int = 1):
+    """A field of `width` CSV columns: `stem` itself, or `<stem>0`.. if wider."""
+    return field(metadata={"stem": stem, "width": width})
 
 
 @dataclass(frozen=True)
 class FeatureVector:
-    depth: int
-    span: tuple[int, ...]
-    data_loaded: tuple[int, ...]
-    load_count: int
-    store_count: int
-    leaf_count: int
-    add_count: int
-    sub_count: int
-    mul_count: int
-    div_count: int
-    dtype_flag: int
-    tile_applied: tuple[int, ...]
-    tile_factor: tuple[int, ...]
-    interchange_applied: int
-    parallel_flag: tuple[int, ...]
+    """One corpus row; the fields in order make the CSV columns, all integers."""
 
-    def to_list(self) -> list:
-        return (
-            [self.depth]
-            + list(self.span)
-            + list(self.data_loaded)
-            + [self.load_count, self.store_count, self.leaf_count,
-               self.add_count, self.sub_count, self.mul_count, self.div_count,
-               self.dtype_flag]
-            + list(self.tile_applied)
-            + list(self.tile_factor)
-            + [self.interchange_applied]
-            + list(self.parallel_flag)
-        )
+    depth: int = _csv("depth")
+    span: tuple[int, ...] = _csv("span", MAX_DEPTH)
+    data_loaded: tuple[int, ...] = _csv("load", MAX_DEPTH)
+    load_count: int = _csv("loads")
+    store_count: int = _csv("stores")
+    leaf_count: int = _csv("leaves")
+    add_count: int = _csv("add")
+    sub_count: int = _csv("sub")
+    mul_count: int = _csv("mul")
+    div_count: int = _csv("div")
+    dtype_flag: int = _csv("dtype")
+    tile_applied: tuple[int, ...] = _csv("tile", MAX_DEPTH)
+    tile_factor: tuple[int, ...] = _csv("tilef", MAX_DEPTH)
+    interchange_applied: int = _csv("interch")
+    parallel_flag: tuple[int, ...] = _csv("par", MAX_DEPTH)
+
+    def to_list(self) -> list[int]:
+        values = []
+        for name, _, width in _LAYOUT:
+            if width == 1:
+                values.append(getattr(self, name))
+            else:
+                values.extend(getattr(self, name))
+        return values
 
     @classmethod
     def from_list(cls, values) -> "FeatureVector":
         if len(values) != len(FEATURE_COLUMNS):
             raise ValueError(f"expected {len(FEATURE_COLUMNS)} values, got {len(values)}")
-        d = MAX_DEPTH
-        v = list(values)
-        return cls(
-            depth=v[0],
-            span=tuple(v[1:1 + d]),
-            data_loaded=tuple(v[1 + d:1 + 2 * d]),
-            load_count=v[1 + 2 * d],
-            store_count=v[2 + 2 * d],
-            leaf_count=v[3 + 2 * d],
-            add_count=v[4 + 2 * d],
-            sub_count=v[5 + 2 * d],
-            mul_count=v[6 + 2 * d],
-            div_count=v[7 + 2 * d],
-            dtype_flag=v[8 + 2 * d],
-            tile_applied=tuple(v[9 + 2 * d:9 + 3 * d]),
-            tile_factor=tuple(v[9 + 3 * d:9 + 4 * d]),
-            interchange_applied=v[9 + 4 * d],
-            parallel_flag=tuple(v[10 + 4 * d:10 + 5 * d]),
-        )
+        return cls(**{name: values[start] if width == 1 else tuple(values[start:start + width])
+                      for name, start, width in _LAYOUT})
+
+
+def _layout() -> tuple[tuple[tuple[str, int, int], ...], tuple[str, ...]]:
+    """(field name, first column, width) per field, and the column names."""
+    layout, columns = [], []
+    for f in fields(FeatureVector):
+        stem, width = f.metadata["stem"], f.metadata["width"]
+        layout.append((f.name, len(columns), width))
+        columns += [stem] if width == 1 else [f"{stem}{k}" for k in range(width)]
+    return tuple(layout), tuple(columns)
+
+
+_LAYOUT, FEATURE_COLUMNS = _layout()
+CSV_HEADER = ",".join(FEATURE_COLUMNS + ("label",))
+
+# Only the data-loaded columns reach magnitudes ~1e5; they get pre-divided
+# by RESCALE_DIVISOR before the scaler is fitted.
+RESCALE_COLUMNS = next(tuple(range(start, start + width))
+                       for name, start, width in _LAYOUT if name == "data_loaded")
 
 
 def _pad(values, fill=0) -> tuple:
@@ -246,33 +234,18 @@ def fit_scaler(train_rows, mode: ScalerMode = ScalerMode.Standardize) -> Scaler:
 
 # --- CSV row encoding ----------------------------------------------------------
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, int):
-        return str(v)
-    f = float(v)
-    return str(int(f)) if f.is_integer() else repr(f)
-
-
-def _parse_value(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def encode_csv_row(fv: FeatureVector, label: int) -> str:
     if label not in UNROLL_FACTORS:
         raise LabelNotInClassSet(f"label {label} not in {UNROLL_FACTORS}")
-    return ",".join([_format_value(v) for v in fv.to_list()] + [str(label)])
+    return ",".join(map(str, fv.to_list() + [label]))
 
 
 def parse_csv_row(text: str) -> tuple[FeatureVector, int]:
     parts = text.strip().split(",")
     if len(parts) != len(FEATURE_COLUMNS) + 1:
         raise ValueError(f"expected {len(FEATURE_COLUMNS) + 1} fields, got {len(parts)}")
-    label = _parse_value(parts[-1])
+    # every cell is an integer; int() raises ValueError on any other text
+    label = int(parts[-1])
     if label not in UNROLL_FACTORS:
         raise LabelNotInClassSet(f"label {parts[-1]} not in {UNROLL_FACTORS}")
-    return FeatureVector.from_list([_parse_value(v) for v in parts[:-1]]), int(label)
+    return FeatureVector.from_list([int(v) for v in parts[:-1]]), label

@@ -37,10 +37,12 @@ class DataType(enum.Enum):
 
 
 class BinOpKind(enum.Enum):
-    Add = "add"
-    Sub = "sub"
-    Mul = "mul"
-    Div = "div"
+    """Binary operators; each value is its symbol in `.prog` text and in C."""
+
+    Add = "+"
+    Sub = "-"
+    Mul = "*"
+    Div = "/"
 
 
 class AccessMode(enum.Enum):
@@ -81,9 +83,7 @@ def subs(*dims) -> tuple[Subscript, ...]:
     """Subscript tuple from 'i0' / ('i1', 1) / ('y1', 'ky') style shorthands."""
     out = []
     for dim in dims:
-        if isinstance(dim, Subscript):
-            out.append(dim)
-        elif isinstance(dim, str):
+        if isinstance(dim, str):
             out.append(Subscript.of(dim))
         else:
             names = tuple(d for d in dim if isinstance(d, str))
@@ -148,10 +148,6 @@ class Program:
             if it.name == name:
                 return it
         raise KeyError(name)
-
-    @property
-    def depth(self) -> int:
-        return len(self.iterators)
 
     @functools.cached_property
     def _op_histogram(self) -> "OpHistogram":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import base64
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -132,7 +132,7 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
         x = x[None, :]
     if x.shape[1] != m.input_width:
         raise DimensionMismatch(f"batch width {x.shape[1]} != input width {m.input_width}")
-    cache = {"inputs": [], "z": [], "xhat": [], "std": [], "relu": [], "mask": []}
+    cache = {"inputs": [], "xhat": [], "std": [], "relu": [], "mask": []}
     a = x
     for k, layer in enumerate(m.layers[:-1]):
         cache["inputs"].append(a)
@@ -157,7 +157,6 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
             a = a * mask
         else:
             mask = None
-        cache["z"].append(z)
         cache["xhat"].append(xhat)
         cache["std"].append(std)
         cache["relu"].append(relu_in)
@@ -333,27 +332,14 @@ def predict_class(m: MlpModel, fv: FeatureVector) -> int:
 # --- persistence ---------------------------------------------------------------
 
 def _scaler_to_obj(s: Scaler | None):
-    if s is None:
-        return None
-    return {
-        "mode": s.mode.value,
-        "stat_a": list(s.stat_a),
-        "stat_b": list(s.stat_b),
-        "dropped_columns": list(s.dropped_columns),
-        "rescaled_columns": list(s.rescaled_columns),
-    }
+    return None if s is None else {**asdict(s), "mode": s.mode.value}
 
 
 def _scaler_from_obj(obj) -> Scaler | None:
     if obj is None:
         return None
-    return Scaler(
-        mode=ScalerMode(obj["mode"]),
-        stat_a=tuple(obj["stat_a"]),
-        stat_b=tuple(obj["stat_b"]),
-        dropped_columns=tuple(obj["dropped_columns"]),
-        rescaled_columns=tuple(obj["rescaled_columns"]),
-    )
+    values = {f.name: tuple(obj[f.name]) for f in fields(Scaler) if f.name != "mode"}
+    return Scaler(mode=ScalerMode(obj["mode"]), **values)
 
 
 _BN_ARRAYS = ("gamma", "beta", "running_mean", "running_var")

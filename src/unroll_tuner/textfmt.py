@@ -12,15 +12,18 @@
     parallelize <l>
     unroll <f>
 
-The program's element type is the (single) dtype of its input declarations;
-programs without inputs default to float64.  Unknown directives are rejected,
-and so is a program that fails `validate_program`.
+A schedule directive is its transform's class name in lower case followed by
+its fields in declaration order.  The program's element type is the (single)
+dtype of its input declarations; programs without inputs default to float64.
+Unknown directives are rejected, and so is a program that fails
+`validate_program`.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from dataclasses import fields, replace
 
 from .errors import ParseError
 from .ir import (
@@ -54,7 +57,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[+\-*/()\[\],]))"
 )
 
-_BINOPS = {"+": BinOpKind.Add, "-": BinOpKind.Sub, "*": BinOpKind.Mul, "/": BinOpKind.Div}
+_TRANSFORMS = {cls.__name__.lower(): cls
+               for cls in (Split, Interchange, Tile2, Tile3, Parallelize, Unroll)}
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -75,11 +79,16 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _ExprParser:
-    """Recursive-descent parser; buffers are resolved after the full file."""
+    """Recursive-descent parser from expression text to IR nodes.
 
-    def __init__(self, text: str):
+    Every input shares the program's dtype, so every constant and access
+    takes `dtype`.
+    """
+
+    def __init__(self, text: str, dtype: DataType):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.dtype = dtype
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -93,27 +102,27 @@ class _ExprParser:
         self.pos += 1
         return kind, val
 
-    def parse(self):
+    def parse(self) -> Expr:
         node = self.expr()
         if self.peek()[0] is not None:
             raise ParseError(f"trailing tokens in expression: {self.tokens[self.pos:]}")
         return node
 
-    def expr(self):
+    def expr(self) -> Expr:
         node = self.term()
         while self.peek()[1] in ("+", "-"):
             _, op = self.take()
-            node = ("binop", _BINOPS[op], node, self.term())
+            node = BinOp(BinOpKind(op), node, self.term())
         return node
 
-    def term(self):
+    def term(self) -> Expr:
         node = self.factor()
         while self.peek()[1] in ("*", "/"):
             _, op = self.take()
-            node = ("binop", _BINOPS[op], node, self.factor())
+            node = BinOp(BinOpKind(op), node, self.factor())
         return node
 
-    def factor(self):
+    def factor(self) -> Expr:
         kind, val = self.peek()
         if val == "(":
             self.take()
@@ -125,19 +134,26 @@ class _ExprParser:
             kind, val = self.take()
             if kind != "num":
                 raise ParseError("unary minus only allowed on numeric literals")
-            return ("const", "-" + val)
+            return self.constant("-" + val)
         if kind == "num":
             self.take()
-            return ("const", val)
+            return self.constant(val)
         if kind == "ident":
             self.take()
             if self.peek()[1] != "[":
                 raise ParseError(f"bare identifier {val!r}; accesses need subscripts")
-            subs = self.subscripts()
-            return ("access", val, subs)
+            return Access(BufferAccess(val, self.dtype, self.subscripts(), AccessMode.Load))
         raise ParseError(f"unexpected token {val!r} in expression")
 
-    def subscripts(self):
+    def constant(self, text: str) -> Constant:
+        value = float(text)
+        if not self.dtype.is_float:
+            if not value.is_integer():             # also false for an overflowed inf
+                raise ParseError(f"non-integer constant {text!r} in {self.dtype.value} program")
+            value = int(value)
+        return Constant(value, self.dtype)
+
+    def subscripts(self) -> tuple[Subscript, ...]:
         self.take("[")
         dims = []
         while True:
@@ -165,53 +181,19 @@ class _ExprParser:
                 raise ParseError(f"expected ',' or ']' in subscript, got {sep!r}")
 
 
-def _literal_value(text: str, dtype: DataType):
-    if dtype.is_float:
-        return float(text)
-    value = float(text)
-    if value != int(value):
-        raise ParseError(f"non-integer constant {text!r} in {dtype.value} program")
-    return int(value)
-
-
-def _build_expr(node, dtype: DataType, buffer_dtypes: dict[str, DataType]) -> Expr:
-    tag = node[0]
-    if tag == "const":
-        return Constant(_literal_value(node[1], dtype), dtype)
-    if tag == "access":
-        _, buf, subs = node
-        return Access(BufferAccess(
-            buffer=buf,
-            dtype=buffer_dtypes.get(buf, dtype),
-            index_iterators=subs,
-            mode=AccessMode.Load,
-        ))
-    _, kind, left, right = node
-    return BinOp(kind, _build_expr(left, dtype, buffer_dtypes),
-                 _build_expr(right, dtype, buffer_dtypes))
-
-
 _PROGRAM_DIRECTIVES = frozenset(("program", "iter", "input", "body", "output"))
 
 
 def _parse_transform(directive: str, rest: str) -> Transform:
-    if directive == "split":
-        level, factor = rest.split()
-        return Split(int(level), int(factor))
-    if directive == "interchange":
-        a, b = rest.split()
-        return Interchange(int(a), int(b))
-    if directive == "tile2":
-        la, lb, fa, fb = rest.split()
-        return Tile2(int(la), int(lb), int(fa), int(fb))
-    if directive == "tile3":
-        la, lb, lc, fa, fb, fc = rest.split()
-        return Tile3(int(la), int(lb), int(lc), int(fa), int(fb), int(fc))
-    if directive == "parallelize":
-        return Parallelize(int(rest))
-    if directive == "unroll":
-        return Unroll(int(rest))
-    raise ParseError(f"unknown directive {directive!r}")
+    cls = _TRANSFORMS.get(directive)
+    if cls is None:
+        raise ParseError(f"unknown directive {directive!r}")
+    args = rest.split()
+    arity = len(fields(cls))
+    if len(args) != arity:
+        raise ValueError(
+            f"{directive} takes {arity} integer{'s' * (arity > 1)}, got {len(args)}")
+    return cls(*map(int, args))
 
 
 def _program_fields(lines):
@@ -258,14 +240,11 @@ def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> Program:
         raise ParseError("all input declarations must share one dtype")
     dtype = dtypes.pop() if dtypes else DataType.Float64
 
-    out_node = _ExprParser(output_src).parse()
-    if out_node[0] != "access":
+    out_node = _ExprParser(output_src, dtype).parse()
+    if not isinstance(out_node, Access):
         raise ParseError("output line must be a single buffer subscript")
-    output = BufferAccess(out_node[1], dtype, out_node[2], AccessMode.Store)
-
-    buffer_dtypes = {decl.name: decl.dtype for decl in inputs}
-    buffer_dtypes[output.buffer] = dtype
-    body = _build_expr(_ExprParser(body_src).parse(), dtype, buffer_dtypes)
+    output = replace(out_node.access, mode=AccessMode.Store)
+    body = _ExprParser(body_src, dtype).parse()
 
     program = Program(
         name=name,
@@ -326,7 +305,6 @@ def _format_subscripts(access: BufferAccess) -> str:
 
 
 _PRECEDENCE = {BinOpKind.Add: 1, BinOpKind.Sub: 1, BinOpKind.Mul: 2, BinOpKind.Div: 2}
-_OP_TEXT = {BinOpKind.Add: "+", BinOpKind.Sub: "-", BinOpKind.Mul: "*", BinOpKind.Div: "/"}
 
 
 def format_expr(expr: Expr) -> str:
@@ -343,23 +321,14 @@ def format_expr(expr: Expr) -> str:
     # must keep its parentheses for the tree to round-trip structurally
     if isinstance(expr.right, BinOp) and _PRECEDENCE[expr.right.kind] <= prec:
         right = f"({right})"
-    return f"{left} {_OP_TEXT[expr.kind]} {right}"
+    return f"{left} {expr.kind.value} {right}"
 
 
 def format_transform(t: Transform) -> str:
-    if isinstance(t, Split):
-        return f"split {t.level} {t.factor}"
-    if isinstance(t, Interchange):
-        return f"interchange {t.level_a} {t.level_b}"
-    if isinstance(t, Tile2):
-        return f"tile2 {t.level_a} {t.level_b} {t.fa} {t.fb}"
-    if isinstance(t, Tile3):
-        return f"tile3 {t.level_a} {t.level_b} {t.level_c} {t.fa} {t.fb} {t.fc}"
-    if isinstance(t, Parallelize):
-        return f"parallelize {t.level}"
-    if isinstance(t, Unroll):
-        return f"unroll {t.factor}"
-    raise ValueError(f"unknown transform {t!r}")
+    name = type(t).__name__.lower()
+    if _TRANSFORMS.get(name) is not type(t):
+        raise ValueError(f"unknown transform {t!r}")
+    return " ".join([name, *(str(getattr(t, f.name)) for f in fields(t))])
 
 
 def program_to_text(p: Program, transforms=()) -> str:

@@ -144,6 +144,17 @@ def test_emit_no_unroll_loop_count(matmul4):
     assert len(re.findall(r"for \(int64_t i", section)) == len(sp.loops) == 5
 
 
+def test_emit_operator_symbols():
+    body = BinOp(BinOpKind.Sub,
+                 BinOp(BinOpKind.Add, load("a", "i0"),
+                       BinOp(BinOpKind.Mul, load("a", "i0"), load("a", "i0"))),
+                 BinOp(BinOpKind.Div, load("a", "i0"), Constant(2.0, F64)))
+    p = make_program("ops", [("i0", 8)], body, ("i0",), [("a", 1)])
+    src = emit_sweep_source({0: apply_unroll(new_schedule(p), 0)}, runs=1)
+    assert "buf_out[(i0)] = ((buf_a[(i0)] + (buf_a[(i0)] * buf_a[(i0)]))" \
+        " - (buf_a[(i0)] / ((elem_t)2.0)));" in src
+
+
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain on PATH")
 class TestNative:
     def test_measure_runs_30(self):

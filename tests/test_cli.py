@@ -270,6 +270,9 @@ def test_label_parallel_jobs_deterministic(tmp_path):
     ("gen --count 1 --config {cfg} --out {tmp}/g", "gen.depth_max = 9", "gen config: depth"),
     ("label --programs {progs} --classes 0,x --out {tmp}/c.csv", "", "--classes '0,x'"),
     ("bench --model {model} --sizes small:abc", "", "--sizes 'small:abc'"),
+    ("bench --model {model} --sizes small:4", "", "--sizes 'small:4': size must be at least 8"),
+    ("bench --model {model} --sizes small:8,medium:0", "", "--sizes 'medium:0'"),
+    ("bench --model {model} --sizes large:-8", "", "--sizes 'large:-8'"),
     ("label --programs {progs} --runs 0 --out {tmp}/c.csv", "", "--runs must be >= 1"),
     ("train --data {corpus} --max-epochs 0 --out {tmp}/m.json", "",
      "--max-epochs must be >= 1"),

@@ -170,3 +170,16 @@ def test_csv_header_mismatch(tmp_path):
         fh.write(",".join(cols) + "\n")
     with pytest.raises(HeaderMismatch):
         load_csv(path)
+
+
+@pytest.mark.parametrize("column, cell", [(0, "3.0"), (8, "1e3"), (-1, "8.0"), (1, "x")])
+def test_csv_non_integer_cell_rejected(tmp_path, column, cell):
+    path = str(tmp_path / "cells.csv")
+    save_csv([sample(0)], path)
+    lines = open(path).read().splitlines()
+    parts = lines[1].split(",")
+    parts[column] = cell
+    with open(path, "w") as fh:
+        fh.write(lines[0] + "\n" + ",".join(parts) + "\n")
+    with pytest.raises(MalformedRow):
+        load_csv(path)

@@ -209,6 +209,19 @@ def test_header_shape():
     assert len(CSV_HEADER.split(",")) == len(FEATURE_COLUMNS) + 1 == 46
 
 
+def test_header_literal():
+    assert CSV_HEADER == (
+        "depth,span0,span1,span2,span3,span4,span5,span6,"
+        "load0,load1,load2,load3,load4,load5,load6,"
+        "loads,stores,leaves,add,sub,mul,div,dtype,"
+        "tile0,tile1,tile2,tile3,tile4,tile5,tile6,"
+        "tilef0,tilef1,tilef2,tilef3,tilef4,tilef5,tilef6,"
+        "interch,par0,par1,par2,par3,par4,par5,par6,label"
+    )
+    # the data-loaded columns are the ones rescaled before the scaler fit
+    assert RESCALE_COLUMNS == tuple(range(8, 15))
+
+
 def test_encode_final_field_is_label(matmul4):
     row = encode_csv_row(extract_features(matmul4), 16)
     assert row.split(",")[-1] == "16"

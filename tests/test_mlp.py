@@ -361,6 +361,7 @@ def test_save_load_roundtrip(tmp_path):
     path = str(tmp_path / "model.json")
     save_model(m, path)
     loaded = load_model(path)
+    assert loaded.scaler == scaler
     rng = np.random.default_rng(9)
     queries = rng.normal(size=(100, 2)) * 10
     for q in queries:
@@ -467,3 +468,15 @@ def test_init_model_matches_scalar_draws():
         expected = np.array([rng.uniform(-limit, limit) for _ in range(fan_in * fan_out)],
                             dtype=np.float64).reshape(fan_in, fan_out)
         assert layer.w.tobytes() == expected.tobytes()
+
+
+SCALER_KEYS = ["mode", "stat_a", "stat_b", "dropped_columns", "rescaled_columns"]
+
+
+@pytest.mark.parametrize("key", SCALER_KEYS)
+def test_scaler_missing_key_is_corrupt_file(tmp_path, key):
+    def mutate(payload):
+        assert list(payload["scaler"]) == SCALER_KEYS       # saved in field order
+        del payload["scaler"][key]
+    with pytest.raises(CorruptFile):
+        load_model(_write_payload(tmp_path, mutate))

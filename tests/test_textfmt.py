@@ -5,9 +5,14 @@ import pytest
 from unroll_tuner import textfmt
 from unroll_tuner.errors import ParseError
 from unroll_tuner.generator import GenConfig, gen_program, gen_schedules
-from unroll_tuner.ir import BinOpKind, DataType, validate_program
-from unroll_tuner.schedule import Parallelize, Tile2, Unroll
-from unroll_tuner.textfmt import format_expr, parse_program_text, program_to_text
+from unroll_tuner.ir import BinOpKind, DataType, validate_program, walk_expr
+from unroll_tuner.schedule import Interchange, Parallelize, Split, Tile2, Tile3, Unroll
+from unroll_tuner.textfmt import (
+    format_expr,
+    format_transform,
+    parse_program_text,
+    program_to_text,
+)
 
 MATMUL_TEXT = """\
 program matmul
@@ -118,6 +123,8 @@ output o[i]
     assert program.body.right.value == 3
     with pytest.raises(ParseError, match="non-integer"):
         parse_program_text(text.replace("* 3", "* 3.5"))
+    with pytest.raises(ParseError, match="non-integer constant '1e400'"):
+        parse_program_text(text.replace("* 3", "* 1e400"))
 
 
 def test_generated_programs_roundtrip():
@@ -138,8 +145,6 @@ def test_format_expr_parenthesizes_mixed_precedence(matmul4):
 
 
 def test_split_and_tile3_directives():
-    from unroll_tuner.schedule import Split, Tile3
-
     text = """\
 program deep
 iter i0 0 16
@@ -179,3 +184,79 @@ def test_parse_error_line_numbers(text, message):
     with pytest.raises(ParseError) as exc:
         parse_program_text(text)
     assert str(exc.value).startswith(message)
+
+
+OPS_TEXT = """\
+program ops
+iter i 0 8
+input a 1 float64
+body a[i] + a[i] * a[i] - a[i] / 2.0
+output o[i]
+"""
+
+
+def test_operator_symbols_roundtrip():
+    program, _ = parse_program_text(OPS_TEXT)
+    kinds = {node.kind for node in walk_expr(program.body) if hasattr(node, "kind")}
+    assert kinds == set(BinOpKind)
+    assert program_to_text(program) == OPS_TEXT
+
+
+@pytest.mark.parametrize("transform, text", [
+    (Split(2, 4), "split 2 4"),
+    (Interchange(0, 2), "interchange 0 2"),
+    (Tile2(0, 1, 4, 8), "tile2 0 1 4 8"),
+    (Tile3(0, 1, 2, 2, 4, 8), "tile3 0 1 2 2 4 8"),
+    (Parallelize(1), "parallelize 1"),
+    (Unroll(16), "unroll 16"),
+])
+def test_transform_directive_text(transform, text):
+    assert format_transform(transform) == text
+    _, transforms = parse_program_text(OPS_TEXT + text + "\n")
+    assert transforms == [transform]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("split 2", "line 6: split takes 2 integers, got 1"),
+    ("unroll", "line 6: unroll takes 1 integer, got 0"),
+    ("tile3 0 1 2 2 2 2 2", "line 6: tile3 takes 6 integers, got 7"),
+])
+def test_directive_argument_count(line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_program_text(OPS_TEXT + line + "\n")
+    assert str(exc.value) == message
+
+
+def test_format_transform_rejects_non_transforms():
+    with pytest.raises(ValueError):
+        format_transform(object())
+
+
+@pytest.mark.parametrize("body, message", [
+    ("a[i] $ 2.0", "bad expression syntax near ' $ 2.0'"),
+    ("(a[i] + 1.0", "unexpected end of expression"),
+    ("a[i] a[i]", "trailing tokens in expression"),
+    ("-a[i]", "unary minus only allowed on numeric literals"),
+    ("a + 1.0", "bare identifier 'a'; accesses need subscripts"),
+    ("a[i] * )", "unexpected token ')' in expression"),
+    ("(a[i] + 1.0]", "expected ')', got ']'"),
+    ("a[1]", "subscript must start with an iterator, got '1'"),
+    ("a[i-i]", "iterators may only be added in subscripts"),
+    ("a[i+1.5]", "subscript offsets must be integer literals"),
+    ("a[i)", "expected ',' or ']' in subscript, got ')'"),
+])
+def test_expression_parse_errors(body, message):
+    with pytest.raises(ParseError) as exc:
+        parse_program_text(OPS_TEXT.replace("a[i] + a[i] * a[i] - a[i] / 2.0", body))
+    assert str(exc.value).startswith(message)
+
+
+def test_bad_literal_reported_before_later_syntax_error():
+    text = OPS_TEXT.replace("float64", "int32")
+    with pytest.raises(ParseError, match="non-integer constant '3.5' in int32 program"):
+        parse_program_text(text.replace("a[i] + a[i] * a[i] - a[i] / 2.0", "a[i] * 3.5 + )"))
+
+
+def test_output_must_be_an_access():
+    with pytest.raises(ParseError, match="output line must be a single buffer subscript"):
+        parse_program_text(OPS_TEXT.replace("output o[i]", "output 1.0"))
