@@ -43,17 +43,32 @@ def _majority(labels) -> int:
     return min(lab for lab, c in counts.items() if c == best)
 
 
-def knn_predict(train_x, train_y, cfg: KnnConfig, query) -> int:
-    """Majority label among the k nearest training rows (Euclidean)."""
+def _nearest(dists: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest distances in the order a stable argsort
+    gives them: distance ties go to the lower index."""
+    kth = np.partition(dists, k - 1)[k - 1]
+    near = np.flatnonzero(dists <= kth)                  # ascending indices
+    return near[np.argsort(dists[near], kind="stable")[:k]]
+
+
+def knn_predict(train_x, train_y, cfg: KnnConfig, query):
+    """Majority label among the k nearest training rows (Euclidean).
+
+    A 1-D query gives one label; a 2-D block of queries gives a list with
+    one label per row.
+    """
     x = np.asarray(train_x, dtype=np.float64)
     if x.size == 0:
         raise EmptyTrainingSet("KNN needs a non-empty training set")
     if cfg.k > x.shape[0]:
         raise ValueError(f"k={cfg.k} exceeds training size {x.shape[0]}")
     q = np.asarray(query, dtype=np.float64)
-    dists = np.sqrt(((x - q) ** 2).sum(axis=1))
-    nearest = np.argsort(dists, kind="stable")[:cfg.k]   # distance ties -> lower index
-    return _majority(train_y[i] for i in nearest)
+    diff = x - q[..., None, :]               # (queries, train rows, features)
+    diff *= diff
+    dists = np.sqrt(diff.sum(axis=-1))
+    labels = [_majority(train_y[i] for i in _nearest(row, cfg.k))
+              for row in np.atleast_2d(dists)]
+    return labels if q.ndim == 2 else labels[0]
 
 
 # --- decision tree --------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .dataset import sweep_argmin
 from .errors import EmptyTestSet, NonPositiveTime
 from .featurize import extract_features
-from .mlp import predict_class
+from .mlp import predict_class, predict_probs
 from .schedule import schedule_program
 from .textfmt import format_transform
 
@@ -27,14 +27,24 @@ def compute_metrics(predit: float, optimal: float, sans: float) -> tuple[float, 
 def accuracy(model, test_rows) -> float:
     """Fraction of rows whose predicted factor equals the label.
 
-    `model` is either a trained MlpModel or any callable FeatureVector -> factor.
+    `model` is either a trained MlpModel, which scores every row in one
+    batched pass, or any callable FeatureVector -> factor.
     """
     rows = list(test_rows)
     if not rows:
         raise EmptyTestSet("accuracy needs a non-empty test set")
-    predict = model if callable(model) else (lambda fv: predict_class(model, fv))
-    correct = sum(1 for row in rows if predict(row.features) == row.label)
-    return correct / len(rows)
+    if callable(model):
+        predicted = [model(row.features) for row in rows]
+    else:
+        probs = predict_probs(model, [row.features.to_list() for row in rows])
+        predicted = [model.classes[i] for i in probs.argmax(axis=1)]
+    return hit_rate(predicted, rows)
+
+
+def hit_rate(predicted, rows) -> float:
+    """Fraction of `rows` whose label equals the factor predicted for it,
+    `predicted` being in row order."""
+    return sum(1 for p, row in zip(predicted, rows, strict=True) if p == row.label) / len(rows)
 
 
 @dataclass(frozen=True)

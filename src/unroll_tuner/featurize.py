@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DepthExceedsMax, EmptyTrainingSet, LabelNotInClassSet
-from .ir import AccessMode, BinOpKind, DataType, Program, load_accesses, op_histogram
+from .ir import AccessMode, BinOpKind, DataType, Program, load_iterator_sets, op_histogram
 from .schedule import UNROLL_FACTORS, ScheduledProgram, new_schedule
 
 MAX_DEPTH = 7
@@ -110,15 +110,15 @@ def data_loaded_per_level(sp: ScheduledProgram | Program) -> list[int]:
     level_by_name = {it.name: pos for pos, it in enumerate(sp.loops)}
     extent_by_name = {it.name: it.extent for it in sp.loops}
     out = [0] * MAX_DEPTH
-    for acc in load_accesses(sp.base):
+    for names, accesses in load_iterator_sets(sp.base):
         used: set[str] = set()
-        for it_name in acc.iterator_names:
+        for it_name in names:
             used |= sp.index_exprs[it_name].variables()
         levels = sorted(level_by_name[name] for name in used)
         for lvl in range(sp.depth):
             deeper = [sp.loops[k].name for k in levels if k >= lvl]
             if deeper:
-                out[lvl] += math.prod(extent_by_name[name] for name in deeper)
+                out[lvl] += accesses * math.prod(extent_by_name[name] for name in deeper)
     return out
 
 

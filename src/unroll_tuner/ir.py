@@ -13,6 +13,7 @@ subscript.  Everything else must load from declared input buffers.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 from dataclasses import dataclass, field
@@ -154,6 +155,12 @@ class Program:
         # stored in the instance __dict__: no field, so == and hash ignore it
         return _count_ops(self)
 
+    @functools.cached_property
+    def _load_iterator_sets(self) -> tuple[tuple[frozenset[str], int], ...]:
+        counts = collections.Counter(frozenset(acc.iterator_names)
+                                     for acc in load_accesses(self))
+        return tuple(counts.items())
+
 
 @dataclass
 class ValidationReport:
@@ -271,6 +278,13 @@ class OpHistogram:
 def op_histogram(p: Program) -> OpHistogram:
     """The op counts of `p`, computed once per `Program` instance."""
     return p._op_histogram
+
+
+def load_iterator_sets(p: Program) -> tuple[tuple[frozenset[str], int], ...]:
+    """(iterator names, number of Load accesses subscripted by exactly those
+    names) per distinct name set, in order of first appearance; computed
+    once per `Program` instance."""
+    return p._load_iterator_sets
 
 
 def _count_ops(p: Program) -> OpHistogram:

@@ -11,7 +11,6 @@ lives here.
 from __future__ import annotations
 
 import base64
-import copy
 import json
 from dataclasses import asdict, dataclass, fields
 
@@ -39,6 +38,7 @@ ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_CHUNK = 1 << 16      # elements per ADAM update slice
 
 
 @dataclass
@@ -83,6 +83,41 @@ class MlpModel:
     @property
     def n_hidden(self) -> int:
         return len(self.layer_dims) - 2
+
+
+_TRAINED = ("w", "b", "gamma", "beta")
+
+
+def _trained_arrays(m: MlpModel) -> list[np.ndarray]:
+    """Every array ADAM updates, in the flat layout's order: layer by layer,
+    w, b, then gamma and beta on the hidden layers."""
+    return [getattr(layer, name) for layer in m.layers for name in _TRAINED
+            if getattr(layer, name) is not None]
+
+
+def param_views(m: MlpModel, flat: np.ndarray) -> list[dict[str, np.ndarray]]:
+    """Per layer, name -> the view of `flat` that holds that trained array in
+    the flat layout, shaped like the array."""
+    views, start = [], 0
+    for layer in m.layers:
+        named = {}
+        for name in _TRAINED:
+            array = getattr(layer, name)
+            if array is not None:
+                named[name] = flat[start:start + array.size].reshape(array.shape)
+                start += array.size
+        views.append(named)
+    return views
+
+
+def _flatten(m: MlpModel) -> np.ndarray:
+    """Copy the trained arrays into one flat buffer and rebind each layer's
+    arrays to their views of it; returns the buffer."""
+    flat = np.concatenate([array.ravel() for array in _trained_arrays(m)])
+    for layer, named in zip(m.layers, param_views(m, flat)):
+        for name, view in named.items():
+            setattr(layer, name, view)
+    return flat
 
 
 def init_model(input_width: int, seed: int,
@@ -167,8 +202,14 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
 
 
 def loss_and_gradients(m: MlpModel, batch: np.ndarray, one_hot: np.ndarray,
-                       dropout_rng: np.random.Generator | None = None):
-    """Mean cross-entropy and backprop gradients for every W, b, gamma, beta."""
+                       dropout_rng: np.random.Generator | None = None,
+                       grad: np.ndarray | None = None):
+    """Mean cross-entropy and its gradient with respect to every trained array.
+
+    The gradient goes into `grad`, a flat buffer in the layout of
+    `param_views` (a new one when None); the returned per-layer dicts of W,
+    b, gamma and beta gradients are its views.
+    """
     y = np.asarray(one_hot, dtype=np.float64)
     probs, cache = forward(m, batch, train=True, dropout_rng=dropout_rng)
     if y.shape != probs.shape:
@@ -176,63 +217,77 @@ def loss_and_gradients(m: MlpModel, batch: np.ndarray, one_hot: np.ndarray,
     n = probs.shape[0]
     loss = float(-(y * np.log(np.maximum(probs, LOG_CLAMP))).sum() / n)
 
-    grads = [dict() for _ in m.layers]
-    delta = (probs - y) / n                           # d loss / d logits
-    grads[-1]["w"] = cache["inputs"][-1].T @ delta
-    grads[-1]["b"] = delta.sum(axis=0)
-    da = delta @ m.layers[-1].w.T
-    for k in range(m.n_hidden - 1, -1, -1):
-        layer = m.layers[k]
-        if cache["mask"][k] is not None:
-            da = da * cache["mask"][k]
-        dh = da * (cache["relu"][k] > 0.0)
-        xhat, std = cache["xhat"][k], cache["std"][k]
-        grads[k]["gamma"] = (dh * xhat).sum(axis=0)
-        grads[k]["beta"] = dh.sum(axis=0)
-        rows = dh.shape[0]
-        dxhat = dh * layer.gamma
-        dz = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
-        grads[k]["w"] = cache["inputs"][k].T @ dz
-        grads[k]["b"] = dz.sum(axis=0)
-        da = dz @ layer.w.T
+    if grad is None:
+        grad = np.empty(sum(array.size for array in _trained_arrays(m)))
+    grads = param_views(m, grad)
+    dz = (probs - y) / n                              # d loss / d logits
+    for k in range(len(m.layers) - 1, -1, -1):
+        if k < m.n_hidden:      # back through dropout, ReLU and batchnorm
+            da = dz @ m.layers[k + 1].w.T
+            if cache["mask"][k] is not None:
+                da = da * cache["mask"][k]
+            dh = da * (cache["relu"][k] > 0.0)
+            xhat, std = cache["xhat"][k], cache["std"][k]
+            np.sum(dh * xhat, axis=0, out=grads[k]["gamma"])
+            np.sum(dh, axis=0, out=grads[k]["beta"])
+            dxhat = dh * m.layers[k].gamma
+            dz = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
+        np.matmul(cache["inputs"][k].T, dz, out=grads[k]["w"])
+        np.sum(dz, axis=0, out=grads[k]["b"])
     return loss, grads
 
 
 @dataclass
 class AdamState:
-    m: list[dict[str, np.ndarray]]
-    v: list[dict[str, np.ndarray]]
+    grad: np.ndarray        # the step's gradient; these three are flat like the parameters
+    m: np.ndarray           # first and second moments
+    v: np.ndarray
+    scratch: np.ndarray     # (2, ADAM_CHUNK or fewer): the temporaries of one chunk
 
     @classmethod
-    def for_model(cls, model: MlpModel) -> "AdamState":
-        zeros = [
-            {name: np.zeros_like(getattr(layer, name))
-             for name in ("w", "b", "gamma", "beta") if getattr(layer, name) is not None}
-            for layer in model.layers
-        ]
-        return cls(m=copy.deepcopy(zeros), v=copy.deepcopy(zeros))
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        # one block, not three: three separate frees let malloc trim the heap, and
+        # the next command in the process faulted those pages back in
+        grad, m, v = np.zeros((3, params.size))
+        return cls(grad=grad, m=m, v=v, scratch=np.empty((2, min(ADAM_CHUNK, params.size))))
 
 
 def adam_update(param: np.ndarray, grad: np.ndarray, m1: np.ndarray, v1: np.ndarray,
-                t: int) -> None:
-    """One in-place ADAM step with bias correction (t counts from 1)."""
+                t: int, scratch: np.ndarray) -> None:
+    """One in-place ADAM step with bias correction (t counts from 1).
+
+    `scratch` (two arrays shaped like `param`) holds the temporaries of
+    `param -= lr * m_hat / (sqrt(v_hat) + eps)`, computed in that order, so
+    each element gets the same bits whichever arrays it is updated with.
+    """
+    a, b = scratch
     m1 *= ADAM_BETA1
-    m1 += (1 - ADAM_BETA1) * grad
+    m1 += np.multiply(grad, 1 - ADAM_BETA1, out=a)
     v1 *= ADAM_BETA2
-    v1 += (1 - ADAM_BETA2) * grad * grad
-    m_hat = m1 / (1 - ADAM_BETA1 ** t)
-    v_hat = v1 / (1 - ADAM_BETA2 ** t)
-    param -= ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.multiply(grad, 1 - ADAM_BETA2, out=a)
+    v1 += np.multiply(a, grad, out=a)
+    np.sqrt(np.divide(v1, 1 - ADAM_BETA2 ** t, out=a), out=a)       # sqrt(v_hat)
+    a += ADAM_EPS
+    np.divide(m1, 1 - ADAM_BETA1 ** t, out=b)                       # m_hat
+    b *= ADAM_LR
+    b /= a
+    param -= b
 
 
-def adam_step(model: MlpModel, grads, state: AdamState, t: int) -> MlpModel:
+def adam_step(params: np.ndarray, state: AdamState, t: int) -> None:
+    """One ADAM step on the flat parameter buffer `params` (see `train`)
+    from the gradient in `state.grad`.
+
+    The flat buffers are updated in slices of ADAM_CHUNK elements, so the
+    scratch arrays stay small and each slice's arrays stay in cache.
+    """
     if t < 1:
         raise ValueError("ADAM step counter starts at 1")
-    for k, layer in enumerate(model.layers):
-        for name in grads[k]:
-            adam_update(getattr(layer, name), grads[k][name],
-                        state.m[k][name], state.v[k][name], t)
-    return model
+    n = params.size
+    for start in range(0, n, ADAM_CHUNK):
+        part = slice(start, start + ADAM_CHUNK)
+        adam_update(params[part], state.grad[part], state.m[part], state.v[part], t,
+                    state.scratch[:, :min(ADAM_CHUNK, n - start)])
 
 
 def one_hot(labels, classes: tuple[int, ...] = UNROLL_FACTORS) -> np.ndarray:
@@ -252,8 +307,17 @@ def _evaluate(m: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return loss, acc
 
 
-def _snapshot(m: MlpModel) -> list[Layer]:
-    return copy.deepcopy(m.layers)
+def _snapshot(m: MlpModel, params: np.ndarray):
+    """Copies of everything a training step changes."""
+    return params.copy(), [(l.running_mean.copy(), l.running_var.copy())
+                           for l in m.layers[:-1]]
+
+
+def _restore(m: MlpModel, params: np.ndarray, snapshot) -> None:
+    saved, stats = snapshot
+    params[...] = saved
+    for layer, (mean, var) in zip(m.layers, stats):
+        layer.running_mean, layer.running_var = mean, var
 
 
 def train(m: MlpModel, split, cfg: TrainConfig | None = None):
@@ -262,6 +326,14 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
     Returns (model, history); the model carries the parameters of the epoch
     with the lowest validation loss, not the last one.  The scaler must
     already be attached and fitted on the training rows only.
+
+    Training first gathers the trained arrays (w, b, gamma, beta) into one
+    flat buffer; afterwards the model's arrays are views of it.
+
+    History holds one dict per epoch run: `epoch`, `train_loss` (the
+    row-weighted mean of that epoch's mini-batch losses, each taken before
+    its ADAM step; NaN if no batch ran), and `valid_loss` and `valid_acc`
+    (the validation split scored after the epoch).
     """
     cfg = cfg or TrainConfig()
     if not split.train or not split.valid:
@@ -279,36 +351,40 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
 
     shuffle_rng = SplitMix64.stream(cfg.seed, 0x7A13)
     dropout_rng = np.random.Generator(np.random.PCG64(cfg.seed ^ 0xD20B0))
-    state = AdamState.for_model(m)
+    params = _flatten(m)
+    state = AdamState.for_params(params)
     history: list[dict] = []
     best_loss = float("inf")
-    best_layers = _snapshot(m)
+    best = _snapshot(m, params)
     stall = 0
     t = 0
     n = x_train.shape[0]
     for epoch in range(cfg.max_epochs):
         order = list(range(n))
         shuffle_rng.shuffle(order)
+        loss_sum, rows = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             if len(idx) < 2:
                 continue      # batchnorm needs at least two rows
             t += 1
-            _, grads = loss_and_gradients(m, x_train[idx], y_train[idx], dropout_rng)
-            adam_step(m, grads, state, t)
-        train_loss, train_acc = _evaluate(m, x_train, y_train)
+            loss, _ = loss_and_gradients(m, x_train[idx], y_train[idx], dropout_rng, state.grad)
+            adam_step(params, state, t)
+            loss_sum += loss * len(idx)
+            rows += len(idx)
         valid_loss, valid_acc = _evaluate(m, x_valid, y_valid)
-        history.append({"epoch": epoch, "train_loss": train_loss, "train_acc": train_acc,
+        history.append({"epoch": epoch,
+                        "train_loss": loss_sum / rows if rows else float("nan"),
                         "valid_loss": valid_loss, "valid_acc": valid_acc})
         if valid_loss < best_loss:
             best_loss = valid_loss
-            best_layers = _snapshot(m)
+            best = _snapshot(m, params)
             stall = 0
         else:
             stall += 1
             if stall >= cfg.patience:
                 break
-    m.layers = best_layers
+    _restore(m, params, best)
     m.trained = True
     return m, history
 

@@ -22,6 +22,7 @@ Unknown directives are rejected, and so is a program that fails
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import fields, replace
 
@@ -123,23 +124,19 @@ class _ExprParser:
         return node
 
     def factor(self) -> Expr:
-        kind, val = self.peek()
+        kind, val = self.take()
         if val == "(":
-            self.take()
             node = self.expr()
             self.take(")")
             return node
         if val == "-":
-            self.take()
             kind, val = self.take()
             if kind != "num":
                 raise ParseError("unary minus only allowed on numeric literals")
             return self.constant("-" + val)
         if kind == "num":
-            self.take()
             return self.constant(val)
         if kind == "ident":
-            self.take()
             if self.peek()[1] != "[":
                 raise ParseError(f"bare identifier {val!r}; accesses need subscripts")
             return Access(BufferAccess(val, self.dtype, self.subscripts(), AccessMode.Load))
@@ -147,9 +144,12 @@ class _ExprParser:
 
     def constant(self, text: str) -> Constant:
         value = float(text)
-        if not self.dtype.is_float:
-            if not value.is_integer():             # also false for an overflowed inf
-                raise ParseError(f"non-integer constant {text!r} in {self.dtype.value} program")
+        if self.dtype.is_float:
+            if not math.isfinite(value):           # a literal beyond the double range
+                raise ParseError(f"non-finite constant {text!r} in {self.dtype.value} program")
+        elif not value.is_integer():               # also false for an overflowed inf
+            raise ParseError(f"non-integer constant {text!r} in {self.dtype.value} program")
+        else:
             value = int(value)
         return Constant(value, self.dtype)
 

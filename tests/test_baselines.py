@@ -59,6 +59,49 @@ def test_knn_matches_bruteforce_on_hand_built_set():
         assert knn_predict(x, y, cfg, q) == expected
 
 
+def _reference_knn(train_x, train_y, k, query) -> int:
+    """KNN for one query by a full stable argsort, as before batching."""
+    x = np.asarray(train_x, dtype=np.float64)
+    dists = np.sqrt(((x - np.asarray(query, dtype=np.float64)) ** 2).sum(axis=1))
+    votes = [train_y[i] for i in np.argsort(dists, kind="stable")[:k]]
+    top = max(votes.count(lab) for lab in votes)
+    return min(lab for lab in votes if votes.count(lab) == top)
+
+
+def test_knn_block_matches_per_query_reference():
+    rng = np.random.default_rng(61)
+    distance_ties = vote_ties = 0      # cut inside a run of equal distances; tied top vote
+    for trial in range(40):
+        n, width, k = int(rng.integers(5, 40)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        k = min(k, n)
+        # integer points on a small grid: many equal distances, and duplicated rows
+        x = rng.integers(0, 3, size=(n, width)).astype(float)
+        x[rng.integers(0, n, size=n // 3)] = x[0]
+        y = [int(u) for u in rng.choice([0, 2, 4, 8, 16, 32, 64], size=n)]
+        queries = rng.integers(0, 3, size=(int(rng.integers(1, 9)), width)).astype(float)
+        expected = [_reference_knn(x, y, k, q) for q in queries]
+        assert knn_predict(x, y, KnnConfig(k=k), queries) == expected
+        assert [knn_predict(x, y, KnnConfig(k=k), q) for q in queries] == expected
+        for q in queries:
+            dists = np.sqrt(((x - q) ** 2).sum(axis=1))
+            order = np.argsort(dists, kind="stable")
+            distance_ties += k < n and dists[order[k - 1]] == dists[order[k]]
+            votes = [y[i] for i in order[:k]]
+            counts = sorted((votes.count(lab) for lab in set(votes)), reverse=True)
+            vote_ties += len(counts) > 1 and counts[0] == counts[1]
+    assert distance_ties > 20 and vote_ties > 20
+
+
+def test_knn_block_breaks_two_two_one_vote_split_to_smallest_factor():
+    # the five nearest to 0 hold labels 32, 32, 4, 4, 64: a 2-2-1 split
+    x = [[1.0], [1.0], [-2.0], [2.0], [3.0], [9.0], [9.0]]
+    y = [32, 32, 4, 4, 64, 2, 2]
+    queries = np.array([[0.0], [9.0], [0.5]])
+    got = knn_predict(x, y, KnnConfig(k=5), queries)
+    assert got == [_reference_knn(x, y, 5, q) for q in queries] == [4, 2, 4]
+    assert isinstance(knn_predict(x, y, KnnConfig(k=5), queries[0]), int)
+
+
 def test_knn_empty_training_set():
     with pytest.raises(EmptyTrainingSet):
         knn_predict([], [], KnnConfig(k=1), [0.0])

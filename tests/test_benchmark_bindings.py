@@ -34,3 +34,28 @@ def test_benchmark_bindings_resolve(workloads):
     missing = [f"{owner.__name__}.{attr}" for owner, attr in bindings
                if getattr(owner, attr, None) is None]
     assert not missing
+
+
+def test_split_points_are_called(workloads, tmp_path, monkeypatch, capsys):
+    """The cost pipeline's untraced passes probe the machine's speed at each
+    `CostPipeline.SPLIT_POINTS` call; a point the CLI stops calling would
+    leave its stage unprobed, though its name still resolves."""
+    from unroll_tuner import cli
+
+    calls = {}
+    for owner, attr in workloads.CostPipeline.SPLIT_POINTS:
+        name = f"{owner.__name__}.{attr}"
+        calls[name] = 0
+
+        def counted(*args, _fn=getattr(owner, attr), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    corpus, csv, model = tmp_path / "corpus", tmp_path / "c.csv", tmp_path / "m.json"
+    for argv in (["gen", "--count", 3, "--seed", 5, "--out", corpus],
+                 ["label", "--programs", corpus, "--out", csv],
+                 ["train", "--data", csv, "--seed", 5, "--max-epochs", 1, "--out", model],
+                 ["baselines", "--data", csv, "--model", model, "--seed", 5]):
+        assert cli.main([str(a) for a in argv]) == 0, capsys.readouterr()
+    assert calls and all(n >= 1 for n in calls.values()), calls

@@ -11,12 +11,16 @@ from unroll_tuner.evaluation import (
     REPORT_HEADER,
     accuracy,
     compute_metrics,
+    hit_rate,
     report_csv,
     report_table,
     run_benchmarks,
 )
 from unroll_tuner.featurize import extract_features
-from unroll_tuner.dataset import LabeledSample
+from unroll_tuner.dataset import LabeledSample, label_sample, split_dataset
+from unroll_tuner.featurize import fit_scaler
+from unroll_tuner.generator import GenConfig, generate
+from unroll_tuner.mlp import TrainConfig, init_model, predict_class, predict_probs, train
 from unroll_tuner.interp import allocate_buffers, buffer_shapes, interpret, row_major_strides
 from unroll_tuner.ir import validate_program
 from unroll_tuner.schedule import UNROLL_FACTORS, schedule_program, validate_schedule
@@ -62,6 +66,30 @@ def test_accuracy_matches_hand_count():
     predict = lambda fv: next(preds)
     # hand count: positions 0,1,3,4,6,7,8,10,12,13,14,16,18 correct = 13
     assert accuracy(predict, rows) == pytest.approx(13 / 20)
+
+
+def test_hit_rate_pairs_predictions_with_rows_in_order():
+    rows = [LabeledSample(None, u) for u in (0, 2, 4, 8)]
+    assert hit_rate([0, 4, 4, 2], rows) == 0.5
+    with pytest.raises(ValueError):
+        hit_rate([0, 2, 4], rows)
+
+
+def test_batched_mlp_accuracy_matches_per_row_predict_class():
+    backend = CostModelBackend()
+    rows = [label_sample(sp, backend)
+            for _, schedules in generate(GenConfig(seed=31), 60) for sp in schedules]
+    split = split_dataset(rows, seed=31)
+    scaler = fit_scaler([r.features.to_list() for r in split.train])
+    model = init_model(scaler.output_width, seed=31)
+    model.scaler = scaler
+    model, _ = train(model, split, TrainConfig(seed=31, max_epochs=2))
+    per_row = [predict_class(model, r.features) for r in rows]
+    batched = predict_probs(model, [r.features.to_list() for r in rows]).argmax(axis=1)
+    assert per_row == [model.classes[i] for i in batched]
+    hits = sum(p == r.label for p, r in zip(per_row, rows))
+    assert 0 < hits < len(rows)
+    assert accuracy(model, rows) == hits / len(rows)
 
 
 def test_accuracy_empty_test_set():

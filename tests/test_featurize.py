@@ -20,8 +20,8 @@ from unroll_tuner.featurize import (
     fit_scaler,
     parse_csv_row,
 )
-from unroll_tuner.generator import GenConfig, gen_program
-from unroll_tuner.ir import BinOp, Constant, load_accesses, walk_expr
+from unroll_tuner.generator import GenConfig, gen_program, gen_schedules
+from unroll_tuner.ir import BinOp, Constant, load_accesses, load_iterator_sets, walk_expr
 from unroll_tuner.schedule import Parallelize, Tile2, new_schedule, schedule_program
 
 
@@ -102,6 +102,38 @@ def test_data_loaded_matches_enumeration_oracle():
         measured = data_loaded_per_level(p)
         for level in range(len(p.iterators)):
             assert measured[level] == distinct_subtuple_loads(p, level), (index, level)
+
+
+def _per_access_data_loaded(sp) -> list[int]:
+    """data_loaded_per_level as one pass per Load access, before the
+    accesses' iterator sets were memoized per program."""
+    level_by_name = {it.name: pos for pos, it in enumerate(sp.loops)}
+    extent_by_name = {it.name: it.extent for it in sp.loops}
+    out = [0] * MAX_DEPTH
+    for acc in load_accesses(sp.base):
+        used: set[str] = set()
+        for it_name in acc.iterator_names:
+            used |= sp.index_exprs[it_name].variables()
+        levels = sorted(level_by_name[name] for name in used)
+        for lvl in range(sp.depth):
+            deeper = [sp.loops[k].name for k in levels if k >= lvl]
+            if deeper:
+                out[lvl] += math.prod(extent_by_name[name] for name in deeper)
+    return out
+
+
+def test_data_loaded_matches_per_access_loop():
+    cfg = GenConfig(seed=99)
+    shared = 0
+    for index in range(150):
+        p = gen_program(cfg, index)
+        sets = load_iterator_sets(p)
+        assert load_iterator_sets(p) is sets                  # memoized per program
+        assert sum(n for _, n in sets) == len(load_accesses(p))
+        shared += any(n > 1 for _, n in sets)
+        for sp in gen_schedules(cfg, p):
+            assert data_loaded_per_level(sp) == _per_access_data_loaded(sp)
+    assert shared         # some program has two loads with the same iterators
 
 
 def test_rgb_gray_level_y_small():

@@ -17,11 +17,17 @@ from unroll_tuner.errors import (
 )
 from unroll_tuner.featurize import Scaler, ScalerMode, fit_scaler
 from unroll_tuner.mlp import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_CHUNK,
     ADAM_EPS,
+    ADAM_LR,
     DEFAULT_DROPOUT,
+    LOG_CLAMP,
     MODEL_FORMAT_VERSION,
     AdamState,
     TrainConfig,
+    _flatten,
     adam_step,
     adam_update,
     forward,
@@ -29,6 +35,7 @@ from unroll_tuner.mlp import (
     load_model,
     loss_and_gradients,
     one_hot,
+    param_views,
     predict_class,
     predict_probs,
     save_model,
@@ -221,7 +228,7 @@ def test_adam_single_scalar_step():
     g = np.array([1.0])
     m1 = np.zeros(1)
     v1 = np.zeros(1)
-    adam_update(w, g, m1, v1, t=1)
+    adam_update(w, g, m1, v1, t=1, scratch=np.empty((2, 1)))
     # hand evaluation: m=0.1, v=0.001, m_hat=1, v_hat=1, step=lr*1/(1+eps)
     expected = 1.0 - 1e-3 * (1.0 / (1.0 + ADAM_EPS))
     assert w[0] == pytest.approx(expected, abs=1e-15)
@@ -229,29 +236,146 @@ def test_adam_single_scalar_step():
 
 def test_adam_zero_gradient_no_drift():
     m = toy_model(2)
-    state = AdamState.for_model(m)
-    before = [l.w.copy() for l in m.layers]
-    grads = [{name: np.zeros_like(getattr(l, name))
-              for name in ("w", "b", "gamma", "beta") if getattr(l, name) is not None}
-             for l in m.layers]
-    adam_step(m, grads, state, 1)
-    for b, l in zip(before, m.layers):
+    params = _flatten(m)
+    state = AdamState.for_params(params)
+    before = params.copy()
+    before_w = [l.w.copy() for l in m.layers]
+    state.grad[:] = 0.0
+    adam_step(params, state, 1)
+    assert np.abs(params - before).max() < 1e-12
+    for b, l in zip(before_w, m.layers):
         assert np.abs(l.w - b).max() < 1e-12
 
 
 def test_adam_deterministic():
-    rng = np.random.default_rng(8)
     outs = []
     for _ in range(2):
         m = toy_model(2, seed=9)
-        state = AdamState.for_model(m)
-        grads = [{name: np.full_like(getattr(l, name), 0.25)
-                  for name in ("w", "b", "gamma", "beta") if getattr(l, name) is not None}
-                 for l in m.layers]
-        adam_step(m, grads, state, 1)
+        params = _flatten(m)
+        state = AdamState.for_params(params)
+        state.grad[:] = 0.25
+        adam_step(params, state, 1)
         outs.append([l.w.copy() for l in m.layers])
     for a, b in zip(*outs):
         assert np.array_equal(a, b)
+
+
+def test_flatten_makes_trained_arrays_views_of_one_buffer():
+    m = init_model(5, seed=1, hidden=(4, 3), dropout=(0.0, 0.0))
+    values = [[getattr(l, n).copy() for n in ("w", "b", "gamma", "beta")
+               if getattr(l, n) is not None] for l in m.layers]
+    params = _flatten(m)
+    assert params.size == sum(a.size for layer in values for a in layer)
+    start = 0
+    for layer, before in zip(m.layers, values):
+        arrays = [getattr(layer, n) for n in ("w", "b", "gamma", "beta")
+                  if getattr(layer, n) is not None]
+        for array, old in zip(arrays, before):      # layout: layer by layer, w, b, gamma, beta
+            assert array.base is params and array.shape == old.shape
+            assert np.array_equal(array, old)
+            assert np.array_equal(params[start:start + array.size], old.ravel())
+            start += array.size
+    params[:] = 7.0
+    assert all(np.all(l.w == 7.0) and np.all(l.b == 7.0) for l in m.layers)
+    assert m.layers[0].running_mean.base is None           # running stats stay apart
+
+
+def test_training_leaves_model_arrays_views_of_one_buffer():
+    split, scaler = cluster_split(n_rows=60, seed=3)
+    m = init_model(scaler.output_width, seed=1, hidden=(8,), dropout=(0.0,))
+    m.scaler = scaler
+    m, _ = train(m, split, TrainConfig(seed=1, max_epochs=2))
+    bases = {id(getattr(l, n).base) for l in m.layers for n in ("w", "b", "gamma", "beta")
+             if getattr(l, n) is not None}
+    assert len(bases) == 1
+
+
+def _reference_adam_update(param, grad, m1, v1, t):
+    """The per-array ADAM update the flat buffer replaced."""
+    m1 *= ADAM_BETA1
+    m1 += (1 - ADAM_BETA1) * grad
+    v1 *= ADAM_BETA2
+    v1 += (1 - ADAM_BETA2) * grad * grad
+    m_hat = m1 / (1 - ADAM_BETA1 ** t)
+    v_hat = v1 / (1 - ADAM_BETA2 ** t)
+    param -= ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def test_flat_adam_matches_per_layer_updates():
+    names = ("w", "b", "gamma", "beta")
+    flat = init_model(38, seed=99)
+    ref = init_model(38, seed=99)
+    ref_arrays = [{n: getattr(l, n) for n in names if getattr(l, n) is not None}
+                  for l in ref.layers]
+    ref_m = [{n: np.zeros_like(a) for n, a in layer.items()} for layer in ref_arrays]
+    ref_v = [{n: np.zeros_like(a) for n, a in layer.items()} for layer in ref_arrays]
+    params = _flatten(flat)
+    assert params.size > 5 * ADAM_CHUNK          # several slices and a partial one
+    state = AdamState.for_params(params)
+    rng = np.random.default_rng(99)
+    for t in range(1, 6):
+        grad = state.grad
+        grad[:] = rng.normal(scale=10.0 ** -t, size=params.size)
+        grad[::7] = 0.0
+        adam_step(params, state, t)
+        for k, layer in enumerate(param_views(flat, grad)):
+            for n, g in layer.items():
+                _reference_adam_update(ref_arrays[k][n], g, ref_m[k][n], ref_v[k][n], t)
+    for k, layer in enumerate(flat.layers):
+        for n in ref_arrays[k]:
+            assert getattr(layer, n).tobytes() == ref_arrays[k][n].tobytes()
+    moments = [np.concatenate([a.ravel() for layer in ms for a in layer.values()])
+               for ms in (ref_m, ref_v)]
+    assert state.m.tobytes() == moments[0].tobytes()
+    assert state.v.tobytes() == moments[1].tobytes()
+
+
+def _reference_loss_and_gradients(m, batch, one_hot, dropout_rng=None):
+    """Backprop into one fresh array per parameter, as before the flat buffer."""
+    y = np.asarray(one_hot, dtype=np.float64)
+    probs, cache = forward(m, batch, train=True, dropout_rng=dropout_rng)
+    n = probs.shape[0]
+    loss = float(-(y * np.log(np.maximum(probs, LOG_CLAMP))).sum() / n)
+    grads = [dict() for _ in m.layers]
+    delta = (probs - y) / n
+    grads[-1]["w"] = cache["inputs"][-1].T @ delta
+    grads[-1]["b"] = delta.sum(axis=0)
+    da = delta @ m.layers[-1].w.T
+    for k in range(m.n_hidden - 1, -1, -1):
+        layer = m.layers[k]
+        if cache["mask"][k] is not None:
+            da = da * cache["mask"][k]
+        dh = da * (cache["relu"][k] > 0.0)
+        xhat, std = cache["xhat"][k], cache["std"][k]
+        grads[k]["gamma"] = (dh * xhat).sum(axis=0)
+        grads[k]["beta"] = dh.sum(axis=0)
+        dxhat = dh * layer.gamma
+        dz = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
+        grads[k]["w"] = cache["inputs"][k].T @ dz
+        grads[k]["b"] = dz.sum(axis=0)
+        da = dz @ layer.w.T
+    return loss, grads
+
+
+def test_flat_gradients_match_per_array_backprop():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(100, 38))
+    y = one_hot([UNROLL_FACTORS[i % 7] for i in range(100)])
+    m, ref = init_model(38, seed=99), init_model(38, seed=99)
+    grad = np.full(sum(getattr(l, n).size for l in m.layers for n in ("w", "b", "gamma", "beta")
+                       if getattr(l, n) is not None), np.nan)
+    loss, grads = loss_and_gradients(m, x, y, np.random.default_rng(5), grad)
+    ref_loss, ref_grads = _reference_loss_and_gradients(ref, x, y, np.random.default_rng(5))
+    assert loss == ref_loss
+    assert not np.isnan(grad).any()         # every slot of the buffer is written
+    for got, want in zip(grads, ref_grads):
+        assert sorted(got) == sorted(want)
+        for name in want:
+            assert np.shares_memory(got[name], grad)
+            assert got[name].tobytes() == want[name].tobytes()
+    for a, b in zip(m.layers[:-1], ref.layers[:-1]):
+        assert a.running_mean.tobytes() == b.running_mean.tobytes()
+        assert a.running_var.tobytes() == b.running_var.tobytes()
 
 
 # --- training ------------------------------------------------------------------------
@@ -283,6 +407,58 @@ def test_history_length_equals_epochs_run():
     m, history = train(m, split, TrainConfig(seed=1, max_epochs=7, patience=100))
     assert len(history) == 7
     assert [h["epoch"] for h in history] == list(range(7))
+
+
+@pytest.mark.parametrize("batch_size, sizes", [
+    (10, [10, 10, 10, 6]),       # a short last batch weighs less
+    (7, [7] * 5),                # the 36th row alone is skipped
+])
+def test_history_train_loss_is_row_weighted_batch_mean(monkeypatch, batch_size, sizes):
+    import unroll_tuner.mlp as mlp_mod
+    split, scaler = cluster_split(n_rows=60, seed=7)        # 36 training rows
+    m = init_model(scaler.output_width, seed=5, hidden=(8,), dropout=(0.1,))
+    m.scaler = scaler
+    events = []
+    real_step, real_evaluate = mlp_mod.loss_and_gradients, mlp_mod._evaluate
+
+    def step(model, batch, *args):
+        loss, grads = real_step(model, batch, *args)
+        events.append((loss, len(batch)))
+        return loss, grads
+
+    def evaluate(*args):
+        events.append(None)                  # the end of an epoch
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(mlp_mod, "loss_and_gradients", step)
+    monkeypatch.setattr(mlp_mod, "_evaluate", evaluate)
+    m, history = train(m, split, TrainConfig(seed=5, batch_size=batch_size, max_epochs=4,
+                                             patience=10))
+    epochs, batches = [], []
+    for event in events:
+        if event is None:
+            epochs.append(batches)
+            batches = []
+        else:
+            batches.append(event)
+    assert len(epochs) == len(history) == 4
+    for h, batches in zip(history, epochs):
+        assert set(h) == {"epoch", "train_loss", "valid_loss", "valid_acc"}
+        assert [rows for _, rows in batches] == sizes
+        loss_sum = 0.0
+        for loss, rows in batches:
+            loss_sum += loss * rows
+        assert h["train_loss"] == loss_sum / sum(sizes)
+
+
+def test_history_train_loss_nan_when_no_batch_runs():
+    split, scaler = cluster_split(n_rows=60, seed=7)
+    m = init_model(scaler.output_width, seed=5, hidden=(8,), dropout=(0.1,))
+    m.scaler = scaler
+    before = [l.w.copy() for l in m.layers]
+    m, history = train(m, split, TrainConfig(seed=5, batch_size=1, max_epochs=2))
+    assert all(math.isnan(h["train_loss"]) for h in history)
+    assert all(np.array_equal(l.w, b) for l, b in zip(m.layers, before))
 
 
 def test_early_stopping_returns_best_snapshot():

@@ -235,6 +235,8 @@ def test_format_transform_rejects_non_transforms():
 @pytest.mark.parametrize("body, message", [
     ("a[i] $ 2.0", "bad expression syntax near ' $ 2.0'"),
     ("(a[i] + 1.0", "unexpected end of expression"),
+    ("a[i] +", "unexpected end of expression"),
+    ("a[i] * (", "unexpected end of expression"),
     ("a[i] a[i]", "trailing tokens in expression"),
     ("-a[i]", "unary minus only allowed on numeric literals"),
     ("a + 1.0", "bare identifier 'a'; accesses need subscripts"),
@@ -249,6 +251,13 @@ def test_expression_parse_errors(body, message):
     with pytest.raises(ParseError) as exc:
         parse_program_text(OPS_TEXT.replace("a[i] + a[i] * a[i] - a[i] / 2.0", body))
     assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400 + ".0"])
+def test_float_program_rejects_non_finite_constant(literal):
+    with pytest.raises(ParseError, match=f"non-finite constant '{literal}' in float64 program"):
+        parse_program_text(OPS_TEXT.replace("a[i] + a[i] * a[i] - a[i] / 2.0",
+                                            f"a[i] * {literal}"))
 
 
 def test_bad_literal_reported_before_later_syntax_error():
