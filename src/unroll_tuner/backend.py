@@ -7,10 +7,11 @@ factor and `sweep(sp, factors, runs)` for a set of factors:
   tests/CI): per-trip body cost, loop-control overhead shrinking with the
   unroll factor, and an instruction-cache penalty once the replicated body
   outgrows the modeled capacity.
-* `NativeBackend` — emits C for the scheduled nest, compiles it with the
-  configured toolchain and parses the timing output.  A sweep emits one
-  function per distinct effective factor into a single translation unit,
-  so a sample costs one compile and one process.
+* `NativeBackend` — emits C for the scheduled nest, compiles it with
+  $UNROLL_TUNER_TOOLCHAIN (else `cc`) and the fixed DEFAULT_FLAGS, and
+  parses the timing output.  A sweep emits one function per distinct
+  effective factor into a single translation unit, so a sample costs one
+  compile and one process.
 
 There is one binary format (`emit_sweep_source`): it prints
 `checksum_<u>=<hex>` on stdout for every variant u and one
@@ -318,24 +319,18 @@ def emit_kernel_source(sp: ScheduledProgram, runs: int = DEFAULT_RUNS,
     return emit_sweep_source({sp.unroll: sp}, runs)
 
 
-def _resolve_toolchain(toolchain: str | None) -> str:
-    # the environment variable outranks configured commands
-    return os.environ.get(TOOLCHAIN_ENV_VAR) or toolchain or DEFAULT_TOOLCHAIN
-
-
-def _compile_and_run(source: str, runs: int, toolchain: str | None,
-                     flags: tuple[str, ...] | None) -> subprocess.CompletedProcess:
+def _compile_and_run(source: str, runs: int) -> subprocess.CompletedProcess:
     """Compile `source` with -DRUNS=`runs`, run the binary once, return its output.
 
-    A failed compile with -fopenmp is retried once without it, so parallel
-    kernels degrade to serial rather than fail on toolchains without OpenMP.
+    The compiler is $UNROLL_TUNER_TOOLCHAIN, else `cc`, with DEFAULT_FLAGS
+    plus -fopenmp for a parallel kernel.  A failed compile with -fopenmp is
+    retried once without it, so parallel kernels degrade to serial rather
+    than fail on toolchains without OpenMP.
     """
-    cmd = _resolve_toolchain(toolchain)
+    cmd = os.environ.get(TOOLCHAIN_ENV_VAR) or DEFAULT_TOOLCHAIN
     if shutil.which(cmd) is None:
         raise ToolchainMissing(f"toolchain {cmd!r} not found on PATH")
-    use_flags = list(flags if flags is not None else DEFAULT_FLAGS)
-    if "#pragma omp" in source and "-fopenmp" not in use_flags and flags is None:
-        use_flags.append("-fopenmp")
+    openmp = "#pragma omp" in source
 
     with tempfile.TemporaryDirectory(prefix="unroll_tuner_") as tmp:
         src_path = os.path.join(tmp, "kernel.c")
@@ -343,17 +338,17 @@ def _compile_and_run(source: str, runs: int, toolchain: str | None,
         with open(src_path, "w") as fh:
             fh.write(source)
 
-        def compile_with(fl: list[str]) -> subprocess.CompletedProcess:
+        def compile_with(*extra: str) -> subprocess.CompletedProcess:
             return subprocess.run(
-                [cmd, *fl, f"-DRUNS={runs}", src_path, "-o", bin_path],
+                [cmd, *DEFAULT_FLAGS, *extra, f"-DRUNS={runs}", src_path, "-o", bin_path],
                 capture_output=True, text=True, timeout=DEFAULT_TIMEOUT_S,
             )
 
-        proc = compile_with(use_flags)
+        proc = compile_with("-fopenmp") if openmp else compile_with()
         if proc.returncode != 0:
-            if "-fopenmp" not in use_flags:
+            if not openmp:
                 raise CompileError(proc.stderr)
-            retry = compile_with([f for f in use_flags if f != "-fopenmp"])
+            retry = compile_with()
             if retry.returncode != 0:
                 raise CompileError(proc.stderr + "\n--- retry ---\n" + retry.stderr)
 
@@ -404,22 +399,19 @@ def _parse_sweep_output(run: subprocess.CompletedProcess,
     return {u: ExecResult(per_run_ms=times[u], checksum=sums[u]) for u in checksums}
 
 
-def native_sweep(source: str, factors: tuple[int, ...], runs: int = DEFAULT_RUNS, *,
-                 toolchain: str | None = None,
-                 flags: tuple[str, ...] | None = None) -> dict[int, ExecResult]:
+def native_sweep(source: str, factors: tuple[int, ...],
+                 runs: int = DEFAULT_RUNS) -> dict[int, ExecResult]:
     """Compile and run a unit from `emit_sweep_source` once; one result per factor."""
-    run = _compile_and_run(source, runs, toolchain, flags)
+    run = _compile_and_run(source, runs)
     results = _parse_sweep_output(run, runs)
     if set(results) != set(factors):
         raise _unexpected_output(run)
     return {u: results[u] for u in factors}
 
 
-def native_measure(source: str, runs: int = DEFAULT_RUNS, *,
-                   toolchain: str | None = None,
-                   flags: tuple[str, ...] | None = None) -> ExecResult:
+def native_measure(source: str, runs: int = DEFAULT_RUNS) -> ExecResult:
     """Compile and run a one-variant unit from `emit_kernel_source`."""
-    run = _compile_and_run(source, runs, toolchain, flags)
+    run = _compile_and_run(source, runs)
     results = _parse_sweep_output(run, runs)
     if len(results) != 1:
         raise _unexpected_output(run)
@@ -442,16 +434,8 @@ class CostModelBackend:
         return {u: self.measure(sp, u, runs) for u in factors}
 
 
-@dataclass
 class NativeBackend:
-    """Compiles emitted kernels with the system toolchain and times them.
-
-    `toolchain.cmd` / `toolchain.flags` config keys (or the
-    UNROLL_TUNER_TOOLCHAIN environment variable) select the compiler.
-    """
-
-    toolchain: str | None = None
-    flags: tuple[str, ...] | None = None
+    """Compiles emitted kernels with the system toolchain and times them."""
 
     def measure(self, sp: ScheduledProgram, u: int, runs: int = DEFAULT_RUNS) -> ExecResult:
         return self.sweep(sp, (u,), runs)[u]
@@ -472,6 +456,5 @@ class NativeBackend:
                 unrolled = apply_unroll(sp, u)
                 effective[u] = unrolled.unroll
                 variants.setdefault(unrolled.unroll, unrolled)
-        results = native_sweep(emit_sweep_source(variants, runs=runs), tuple(variants), runs,
-                               toolchain=self.toolchain, flags=self.flags)
+        results = native_sweep(emit_sweep_source(variants, runs=runs), tuple(variants), runs)
         return {u: results[effective[u]] for u in factors}

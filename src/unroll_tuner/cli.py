@@ -1,8 +1,11 @@
 """Command-line pipeline: gen -> label -> train -> predict / baselines / bench.
 
 Every subcommand is deterministic for a fixed seed (native timing values
-aside).  Option precedence is flags > config file > built-in defaults; the
-config file is flat `key = value` lines with '#' comments.
+aside).  Each setting has one route: run options are flags, whose argparse
+declarations hold their defaults; the generator's settings are the `gen.*`
+keys of the file that `gen --config` names (flat `key = value` lines with
+'#' comments); the native backend's compiler is the environment variable
+UNROLL_TUNER_TOOLCHAIN.
 
 Exit codes: 0 success, 1 usage error, 2 pipeline error.
 """
@@ -19,7 +22,7 @@ from .backend import DEFAULT_RUNS, CostModelBackend, NativeBackend
 from .baselines import KnnConfig, TreeConfig, accuracy_table, knn_predict, tree_fit, tree_predict
 from .benchmarks import SIZE_CLASSES, benchmark_suite
 from .dataset import balance_classes, label_sample, load_csv, save_csv, split_dataset
-from .errors import UnrollTunerError
+from .errors import ModelNotTrained, UnrollTunerError
 from .evaluation import accuracy, hit_rate, report_csv, report_table, run_benchmarks
 from .featurize import ScalerMode, extract_features, fit_scaler
 from .generator import GenConfig, gen_program, gen_schedules
@@ -43,25 +46,6 @@ def load_config(path: str) -> dict[str, str]:
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out
-
-
-def _pick(flag_value, config: dict[str, str], key: str, default, cast=str, minimum=None):
-    """Flag, else config value through `cast`, else default.  A config value
-    that does not cast, or a value below `minimum`, is an error naming its
-    flag or key."""
-    if flag_value is not None:
-        value, source = flag_value, "--" + key.replace("_", "-")
-    elif key in config:
-        source = f"config key {key!r}"
-        try:
-            value = cast(config[key])
-        except ValueError as exc:
-            raise UnrollTunerError(f"{source}: {exc}") from None
-    else:
-        return default
-    if minimum is not None and value < minimum:
-        raise UnrollTunerError(f"{source} must be >= {minimum}, got {value}")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,24 +72,53 @@ def _list_of(cast):
     return lambda text: tuple(cast(v.strip()) for v in text.split(",") if v.strip())
 
 
-def _gen_config(args, config: dict[str, str]) -> GenConfig:
+# The `gen --config` file's keys, each with the cast of its value.
+_GEN_KEYS = {
+    "gen.depth_min": int,
+    "gen.depth_max": int,
+    "gen.extents": _list_of(int),
+    "gen.max_inputs": int,
+    "gen.dtypes": _list_of(DataType.from_name),
+    "gen.schedules_per_program": int,
+    "gen.transforms": _list_of(str),
+}
+
+
+def _gen_config(seed: int, path: str | None) -> GenConfig:
+    """The generator settings: `seed`, plus the `gen.*` keys of the file at
+    `path`; a key the file does not set keeps GenConfig's default."""
+    values = {}
+    for key, text in (load_config(path) if path else {}).items():
+        if key not in _GEN_KEYS:
+            raise UnrollTunerError(f"config key {key!r} is not a generator setting "
+                                   f"(the file takes only {', '.join(_GEN_KEYS)})")
+        try:
+            values[key] = _GEN_KEYS[key](text)
+        except ValueError as exc:
+            raise UnrollTunerError(f"config key {key!r}: {exc}") from None
     d = GenConfig()
     try:
         return GenConfig(
-            seed=_pick(args.seed, config, "seed", d.seed, int),
-            depth_range=(_pick(None, config, "gen.depth_min", d.depth_range[0], int),
-                         _pick(None, config, "gen.depth_max", d.depth_range[1], int)),
-            extent_choices=_pick(None, config, "gen.extents", d.extent_choices, _list_of(int)),
-            max_inputs=_pick(None, config, "gen.max_inputs", d.max_inputs, int),
-            dtype_choices=_pick(None, config, "gen.dtypes", d.dtype_choices,
-                                _list_of(DataType.from_name)),
-            schedules_per_program=_pick(None, config, "gen.schedules_per_program",
-                                        d.schedules_per_program, int),
-            allowed_transforms=_pick(None, config, "gen.transforms", d.allowed_transforms,
-                                     _list_of(str)),
+            seed=seed,
+            depth_range=(values.get("gen.depth_min", d.depth_range[0]),
+                         values.get("gen.depth_max", d.depth_range[1])),
+            extent_choices=values.get("gen.extents", d.extent_choices),
+            max_inputs=values.get("gen.max_inputs", d.max_inputs),
+            dtype_choices=values.get("gen.dtypes", d.dtype_choices),
+            schedules_per_program=values.get("gen.schedules_per_program",
+                                             d.schedules_per_program),
+            allowed_transforms=values.get("gen.transforms", d.allowed_transforms),
         )
     except ValueError as exc:       # GenConfig's own range checks
         raise UnrollTunerError(f"gen config: {exc}") from None
+
+
+def _map(fn, payloads: list, jobs: int) -> list:
+    """`fn` over `payloads`, in order, on `jobs` worker processes."""
+    if jobs == 1:
+        return [fn(pl) for pl in payloads]
+    with multiprocessing.Pool(jobs) as pool:
+        return pool.map(fn, payloads)
 
 
 def _gen_worker(payload):
@@ -122,44 +135,21 @@ def _gen_worker(payload):
     return files
 
 
-def cmd_gen(args, config: dict[str, str]) -> int:
-    cfg = _gen_config(args, config)
-    count = _pick(args.count, config, "count", None, int)
-    if count is None or count < 1:
-        raise UnrollTunerError("gen needs --count >= 1")
-    out_dir = _pick(args.out, config, "out", "corpus")
-    os.makedirs(out_dir, exist_ok=True)
-    jobs = max(1, _pick(args.jobs, config, "jobs", 1, int))
-    payloads = [(cfg, index) for index in range(count)]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            batches = pool.map(_gen_worker, payloads)
-    else:
-        batches = [_gen_worker(pl) for pl in payloads]
+def cmd_gen(args) -> int:
+    cfg = _gen_config(args.seed, args.config)
+    os.makedirs(args.out, exist_ok=True)
+    batches = _map(_gen_worker, [(cfg, index) for index in range(args.count)], args.jobs)
     n_files = 0
     for files in batches:
         for filename, content in files:
-            with open(os.path.join(out_dir, filename), "w") as fh:
+            with open(os.path.join(args.out, filename), "w") as fh:
                 fh.write(content)
             n_files += 1
-    print(f"wrote {n_files} scheduled programs to {out_dir}")
+    print(f"wrote {n_files} scheduled programs to {args.out}")
     return 0
 
 
-def _make_backend(name: str, config: dict[str, str]):
-    if name == "cost":
-        return CostModelBackend()
-    if name == "native":
-        return NativeBackend(
-            toolchain=config.get("toolchain.cmd"),
-            flags=tuple(config["toolchain.flags"].split()) if "toolchain.flags" in config else None,
-        )
-    raise UnrollTunerError(f"unknown backend {name!r} (use cost|native)")
-
-
-def _runs(args, config: dict[str, str], backend) -> int:
-    default = DEFAULT_RUNS if isinstance(backend, NativeBackend) else 1
-    return _pick(args.runs, config, "runs", default, int, minimum=1)
+_BACKENDS = {"cost": CostModelBackend, "native": NativeBackend}
 
 
 def _label_worker(payload):
@@ -172,69 +162,56 @@ def _label_worker(payload):
         raise UnrollTunerError(f"{path}: {exc}") from exc
 
 
-def cmd_label(args, config: dict[str, str]) -> int:
-    backend = _make_backend(_pick(args.backend, config, "backend", "cost"), config)
-    factors = _parse_classes(_pick(args.classes, config, "classes",
-                                   ",".join(str(u) for u in UNROLL_FACTORS)))
+def cmd_label(args) -> int:
+    backend = _BACKENDS[args.backend]()
+    factors = _parse_classes(args.classes)
     in_dir = args.programs
     files = sorted(f for f in os.listdir(in_dir) if f.endswith(".prog"))
     if not files:
         raise UnrollTunerError(f"no .prog files under {in_dir}")
-    runs = _runs(args, config, backend)
     payloads = []
     for name in files:
         path = os.path.join(in_dir, name)
         with open(path) as fh:
-            payloads.append((path, fh.read(), backend, runs, factors))
-    jobs = max(1, _pick(args.jobs, config, "jobs", 1, int))
-    if jobs > 1 and not isinstance(backend, NativeBackend):   # timed executions must not overlap
-        with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(_label_worker, payloads)
-    else:
-        rows = [_label_worker(pl) for pl in payloads]
+            payloads.append((path, fh.read(), backend, args.runs, factors))
+    # timed executions must not overlap
+    jobs = 1 if isinstance(backend, NativeBackend) else args.jobs
+    rows = _map(_label_worker, payloads, jobs)
 
-    out_path = _pick(args.out, config, "out", "corpus.csv")
-    save_csv(rows, out_path)
+    save_csv(rows, args.out)
     counts: dict[int, int] = {}
     for row in rows:
         counts[row.label] = counts.get(row.label, 0) + 1
-    print(f"labeled {len(rows)} samples -> {out_path} "
+    print(f"labeled {len(rows)} samples -> {args.out} "
           f"(label counts: {dict(sorted(counts.items()))})")
     return 0
 
 
-def _prepare_data(args, config: dict[str, str], seed: int):
+def _prepare_data(args, mode: ScalerMode):
     """Corpus CSV -> class-balanced rows -> split, plus a scaler fitted on
     the training rows (shared by `train` and `baselines`)."""
-    rows = load_csv(args.data)
-    min_per_class = _pick(args.min_per_class, config, "min_per_class", 5, int)
-    rows = balance_classes(rows, min_per_class, seed=seed)
-    split = split_dataset(rows, seed=seed)
-    mode = ScalerMode(_pick(args.scaler, config, "scaler", "standardize", ScalerMode))
+    rows = balance_classes(load_csv(args.data), args.min_per_class, seed=args.seed)
+    split = split_dataset(rows, seed=args.seed)
     return split, fit_scaler([r.features.to_list() for r in split.train], mode)
 
 
-def cmd_train(args, config: dict[str, str]) -> int:
-    seed = _pick(args.seed, config, "seed", 0, int)
-    classes = _parse_classes(_pick(args.classes, config, "classes",
-                                   ",".join(str(u) for u in UNROLL_FACTORS)))
-    split, scaler = _prepare_data(args, config, seed)
-    model = init_model(scaler.output_width, seed=seed, n_classes=len(classes))
+def cmd_train(args) -> int:
+    classes = _parse_classes(args.classes)
+    split, scaler = _prepare_data(args, ScalerMode(args.scaler))
+    model = init_model(scaler.output_width, seed=args.seed, n_classes=len(classes))
     model.scaler = scaler
     model.classes = classes
-    cfg = TrainConfig(seed=seed, max_epochs=_pick(args.max_epochs, config, "max_epochs",
-                                                  500, int, minimum=1))
-    model, history = train(model, split, cfg)
-    out_path = _pick(args.out, config, "out", "model.json")
-    save_model(model, out_path)
+    model, history = train(model, split, TrainConfig(seed=args.seed,
+                                                     max_epochs=args.max_epochs))
+    save_model(model, args.out)
     test_acc = accuracy(model, split.test)
     best = min(h["valid_loss"] for h in history)
     print(f"trained {len(history)} epochs (best valid loss {best:.4f}); "
-          f"test accuracy {test_acc:.3f}; model -> {out_path}")
+          f"test accuracy {test_acc:.3f}; model -> {args.out}")
     return 0
 
 
-def cmd_predict(args, config: dict[str, str]) -> int:
+def cmd_predict(args) -> int:
     with open(args.program_file) as fh:
         text = fh.read()
     try:
@@ -250,14 +227,21 @@ def cmd_predict(args, config: dict[str, str]) -> int:
     return 0
 
 
-def cmd_baselines(args, config: dict[str, str]) -> int:
-    seed = _pick(args.seed, config, "seed", 0, int)
-    split, scaler = _prepare_data(args, config, seed)
+def cmd_baselines(args) -> int:
+    model = load_model(args.model)
+    if model.scaler is None:
+        raise ModelNotTrained(f"{args.model} has no fitted scaler")
+    split, scaler = _prepare_data(args, model.scaler.mode)
+    if scaler != model.scaler:
+        raise UnrollTunerError(
+            f"{args.model} was trained on another split of {args.data}; pass the "
+            f"--seed and --min-per-class that `train` was given")
+    neural = accuracy(model, split.test)
+    del model       # the weights need not stay resident while the baselines fit
     x_train = scaler.transform_matrix([r.features.to_list() for r in split.train])
     y_train = [r.label for r in split.train]
-    knn_cfg = KnnConfig(k=min(_pick(args.k, config, "k", 5, int, minimum=1), len(y_train)))
-    tree = tree_fit(x_train, y_train, TreeConfig(
-        max_depth=_pick(args.max_depth, config, "max_depth", 12, int, minimum=1)))
+    knn_cfg = KnnConfig(k=min(args.k, len(y_train)))
+    tree = tree_fit(x_train, y_train, TreeConfig(max_depth=args.max_depth))
 
     x_test = scaler.transform_matrix([r.features.to_list() for r in split.test])
     # blocks of test rows whose (rows, train rows, features) difference
@@ -268,7 +252,7 @@ def cmd_baselines(args, config: dict[str, str]) -> int:
         by_knn += knn_predict(x_train, y_train, knn_cfg, x_test[start:start + block])
 
     entries = [
-        ("neural network", accuracy(load_model(args.model), split.test)),
+        ("neural network", neural),
         ("knn", hit_rate(by_knn, split.test)),
         ("decision tree", hit_rate([tree_predict(tree, q) for q in x_test], split.test)),
     ]
@@ -293,35 +277,39 @@ def _parse_sizes(text: str) -> dict[str, int]:
     return sizes
 
 
-def cmd_bench(args, config: dict[str, str]) -> int:
+def cmd_bench(args) -> int:
     model = load_model(args.model)
-    backend = _make_backend(_pick(args.backend, config, "backend", "cost"), config)
-    runs = _runs(args, config, backend)
     sizes = _parse_sizes(args.sizes) if args.sizes else None
-    reports = run_benchmarks(model, backend, benchmark_suite(sizes), runs=runs)
-    out_path = _pick(args.out, config, "out", None)
-    if out_path:
-        with open(out_path, "w") as fh:
+    reports = run_benchmarks(model, _BACKENDS[args.backend](), benchmark_suite(sizes),
+                             runs=args.runs)
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(report_csv(reports))
     print(report_table(reports))
     return 0
 
 
 _SHARED_FLAGS = {
-    "--seed": {"type": int},
-    "--jobs": {"type": int},
-    "--backend": {"choices": ("cost", "native")},
-    "--config": {},
-    "--out": {},
-    "--runs": {"type": int, "help": "timed repetitions per measurement (native default 30)"},
-    "--classes": {"help": 'factor class set, default "0,2,4,8,16,32,64"'},
+    "--seed": {"type": int, "default": 0},
+    "--jobs": {"type": int, "default": 1, "help": "worker processes (cost backend only)"},
+    "--backend": {"choices": tuple(_BACKENDS), "default": "cost"},
+    "--runs": {"type": int, "default": DEFAULT_RUNS,
+               "help": "timed rounds per native measurement (default %(default)s)"},
+    "--classes": {"default": ",".join(map(str, UNROLL_FACTORS)),
+                  "help": "factor class set (default %(default)s)"},
+    "--min-per-class": {"type": int, "default": 5,
+                        "help": "drop classes with fewer rows (default %(default)s)"},
 }
+
+# flags whose value must be at least 1; checked after parsing so that a bad
+# value is a pipeline error, like every other malformed value
+_POSITIVE = ("count", "jobs", "runs", "max_epochs", "k", "max_depth")
 
 
 def _add_shared(sub: argparse.ArgumentParser, *flags: str) -> None:
     """Register the named shared flags; a subcommand takes only those it reads."""
     for flag in flags:
-        sub.add_argument(flag, default=None, **_SHARED_FLAGS[flag])
+        sub.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,21 +318,25 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("gen", help="generate random programs + schedules")
-    p.add_argument("--count", type=int, default=None)
-    _add_shared(p, "--seed", "--jobs", "--config", "--out")
+    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--config", help="file of gen.* generator settings")
+    p.add_argument("--out", default="corpus")
+    _add_shared(p, "--seed", "--jobs")
     p.set_defaults(func=cmd_gen)
 
     p = commands.add_parser("label", help="label programs by exhaustive timing over U")
     p.add_argument("--programs", required=True, help="directory of .prog files")
-    _add_shared(p, "--jobs", "--backend", "--config", "--out", "--runs", "--classes")
+    p.add_argument("--out", default="corpus.csv")
+    _add_shared(p, "--jobs", "--backend", "--runs", "--classes")
     p.set_defaults(func=cmd_label)
 
     p = commands.add_parser("train", help="fit the MLP on a labeled corpus")
     p.add_argument("--data", required=True, help="corpus CSV")
-    p.add_argument("--min-per-class", type=int, default=None)
-    p.add_argument("--max-epochs", type=int, default=None)
-    p.add_argument("--scaler", choices=("standardize", "normalize"), default=None)
-    _add_shared(p, "--seed", "--config", "--out", "--classes")
+    p.add_argument("--max-epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--scaler", choices=[m.value for m in ScalerMode],
+                   default=ScalerMode.Standardize.value)
+    p.add_argument("--out", default="model.json")
+    _add_shared(p, "--seed", "--min-per-class", "--classes")
     p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("predict", help="predict the factor for one program file")
@@ -355,32 +347,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("baselines", help="KNN / decision-tree / MLP accuracy table")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True, help="trained MLP from `train`")
-    p.add_argument("--min-per-class", type=int, default=None)
-    p.add_argument("--scaler", choices=("standardize", "normalize"), default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--max-depth", type=int, default=None)
-    _add_shared(p, "--seed", "--config")
+    p.add_argument("--k", type=int, default=KnnConfig.k)
+    p.add_argument("--max-depth", type=int, default=TreeConfig.max_depth)
+    _add_shared(p, "--seed", "--min-per-class")
     p.set_defaults(func=cmd_baselines)
 
     p = commands.add_parser("bench", help="run the benchmark suite end to end")
     p.add_argument("--model", required=True)
     p.add_argument("--sizes", default=None,
                    help='override sizes, e.g. "small:16,medium:32,large:64"')
-    _add_shared(p, "--backend", "--config", "--out", "--runs")
+    p.add_argument("--out", help="also write the report as CSV")
+    _add_shared(p, "--backend", "--runs")
     p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if getattr(args, "config", None) else {}
-        return args.func(args, config)
-    except UnrollTunerError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+        for name in _POSITIVE:
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise UnrollTunerError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+        return args.func(args)
+    except (UnrollTunerError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

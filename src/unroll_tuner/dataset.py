@@ -8,7 +8,6 @@ schedule *before* unrolling so the label never leaks into the vector.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -123,12 +122,14 @@ def save_csv(rows: list[LabeledSample], path: str) -> None:
 
 
 def load_csv(path: str) -> list[LabeledSample]:
-    """Load a corpus CSV, validating the header and every row."""
+    """Load a corpus CSV, validating the header and every row.
+
+    The timings sidecar is not read: no command uses a loaded row's timing.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise HeaderMismatch(f"{path}: header does not match the corpus schema")
-    timings = _load_timings(path + ".timings.csv")
     rows: list[LabeledSample] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -137,23 +138,6 @@ def load_csv(path: str) -> list[LabeledSample]:
             fv, label = parse_csv_row(line)
         except (ValueError, UnrollTunerError) as exc:
             raise MalformedRow(line_no, str(exc)) from exc
-        rows.append(LabeledSample(fv, label, timing=timings.get(len(rows))))
+        rows.append(LabeledSample(fv, label))
     return rows
 
-
-def _load_timings(path: str) -> dict[int, dict[int, float]]:
-    if not os.path.exists(path):
-        return {}
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != TIMINGS_HEADER:
-        raise HeaderMismatch(f"{path}: bad timings header")
-    out: dict[int, dict[int, float]] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(UNROLL_FACTORS) + 1:
-            raise MalformedRow(line_no, f"expected {len(UNROLL_FACTORS) + 1} fields")
-        out[int(parts[0])] = {u: float(v) for u, v in zip(UNROLL_FACTORS, parts[1:])}
-    return out

@@ -49,8 +49,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.batch_size, self.max_epochs) <= 0:
-            raise ValueError("training hyperparameters must be positive")
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2: batchnorm needs two rows")
+        if self.max_epochs <= 0:
+            raise ValueError("max_epochs must be positive")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
 
@@ -159,8 +161,9 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
     """Propagate a (rows x input_width) batch; returns (probs, cache).
 
     Train mode uses batch statistics for batchnorm (updating the running
-    stats) and applies inverted dropout; infer mode uses running statistics
-    and no dropout, so repeated calls are identical.
+    stats), applies inverted dropout and caches what backpropagation reads;
+    infer mode uses running statistics and no dropout, so repeated calls are
+    identical, and its cache holds only the output layer's input.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 1:
@@ -170,9 +173,9 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
     cache = {"inputs": [], "xhat": [], "std": [], "relu": [], "mask": []}
     a = x
     for k, layer in enumerate(m.layers[:-1]):
-        cache["inputs"].append(a)
         z = a @ layer.w + layer.b
         if train:
+            cache["inputs"].append(a)
             mu = z.mean(axis=0)
             var = z.var(axis=0)
             layer.running_mean = m.bn_momentum * layer.running_mean + (1 - m.bn_momentum) * mu
@@ -182,10 +185,11 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
         std = np.sqrt(var + m.bn_eps)
         xhat = (z - mu) / std
         h = layer.gamma * xhat + layer.beta
-        relu_in = h
         a = np.maximum(h, 0.0)
+        if not train:
+            continue
         rate = m.dropout_rates[k]
-        if train and rate > 0.0:
+        if rate > 0.0:
             if dropout_rng is None:
                 raise ValueError("train-mode forward with dropout needs a generator")
             mask = (dropout_rng.random(a.shape) >= rate) / (1.0 - rate)
@@ -194,7 +198,7 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
             mask = None
         cache["xhat"].append(xhat)
         cache["std"].append(std)
-        cache["relu"].append(relu_in)
+        cache["relu"].append(h)
         cache["mask"].append(mask)
     cache["inputs"].append(a)
     logits = a @ m.layers[-1].w + m.layers[-1].b

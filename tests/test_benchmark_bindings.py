@@ -59,3 +59,37 @@ def test_split_points_are_called(workloads, tmp_path, monkeypatch, capsys):
                  ["baselines", "--data", csv, "--model", model, "--seed", 5]):
         assert cli.main([str(a) for a in argv]) == 0, capsys.readouterr()
     assert calls and all(n >= 1 for n in calls.values()), calls
+
+
+def test_benchmark_argv_parses(workloads, tmp_path, monkeypatch):
+    """Every CLI call of the cost pipeline and the native workload's `gen
+    --config` call parse, and the generator accepts that call's config
+    file, so a flag or config key the benchmark uses cannot be removed."""
+    from unroll_tuner import cli
+
+    argvs = list(workloads.CostPipeline(str(tmp_path), 7, "tiny").stages(
+        str(tmp_path), 7, 3, 1))
+    captured = []
+
+    def refuse(argv, tracer=None):
+        captured.append([str(a) for a in argv])
+        return 1, "", 0.0
+
+    # NativeLabel's set-up writes its config file and calls `gen`; a failed
+    # call ends the set-up there, before anything is compiled
+    monkeypatch.setattr(workloads, "run_cli", refuse)
+    monkeypatch.setattr(workloads.NativeLabel, "make_probe", lambda self: None)
+    with pytest.raises(RuntimeError, match="gen failed"):
+        workloads.NativeLabel(str(tmp_path), 7, "tiny").setup(0, None)
+    assert len(captured) == 1 and captured[0][0] == "gen"
+    argvs += captured
+
+    parser = cli.build_parser()
+    for argv in argvs:
+        parser.parse_args([str(a) for a in argv])
+    args = parser.parse_args(captured[0])
+    with open(args.config) as fh:
+        assert fh.read() == workloads.NATIVE_GEN_CONFIG
+    cfg = cli._gen_config(args.seed, args.config)
+    assert cfg.depth_range[1] == 3 and cfg.extent_choices == (16, 32, 64)
+    assert cfg.schedules_per_program == 2

@@ -20,6 +20,13 @@ def read(path) -> str:
         return fh.read()
 
 
+def test_gen_needs_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("gen", "--seed", "1")
+    assert exc.value.code == 1
+    assert "--count" in capsys.readouterr().err
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("label")          # missing required --programs
@@ -40,14 +47,21 @@ def test_unknown_backend_exits_2(tmp_path, capsys):
 
 
 def test_unknown_backend_in_config_exits_2(pipeline, tmp_path, capsys):
+    """The backend is a flag only: `gen` rejects the key, and `label` and
+    `bench` take no config file."""
     _, progs, _, model = pipeline
     config = tmp_path / "run.cfg"
     config.write_text("backend = gpu\n")
-    assert run_cli("label", "--programs", str(progs), "--config", str(config),
-                   "--out", str(tmp_path / "c.csv")) == 2
-    assert "unknown backend 'gpu'" in capsys.readouterr().err
-    assert run_cli("bench", "--model", str(model), "--config", str(config)) == 2
-    assert "unknown backend 'gpu'" in capsys.readouterr().err
+    assert run_cli("gen", "--count", "1", "--config", str(config),
+                   "--out", str(tmp_path / "g")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config key 'backend' is not a "
+                                                "generator setting"), err
+    for argv in (["label", "--programs", str(progs)], ["bench", "--model", str(model)]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--config", str(config))
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 ILLEGAL_SCHEDULES = {
@@ -121,6 +135,8 @@ def test_label_replays_each_schedule_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["predict", "x.prog", "--model", "m.json", "--backend", "native"],
     ["baselines", "--data", "c.csv", "--model", "m.json", "--out", "x"],
+    ["baselines", "--data", "c.csv", "--model", "m.json", "--scaler", "normalize"],
+    ["train", "--data", "c.csv", "--config", "run.cfg"],
 ])
 def test_unread_flag_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -181,15 +197,18 @@ def test_second_label_reparses_every_program(tmp_path):
         assert after.hits - before.hits == count * 9     # 10 sibling files per program
 
 
-def test_config_file_and_flag_precedence(tmp_path):
+def test_config_file_and_flag_precedence(tmp_path, capsys):
+    """No precedence to resolve: the file sets only gen.* keys, flags set
+    the rest, and a flag's setting in the file is an error."""
     cfg = tmp_path / "tuner.cfg"
-    cfg.write_text("seed = 3\ncount = 2\ngen.schedules_per_program = 4\n")
+    cfg.write_text("gen.schedules_per_program = 4\n")
     out = tmp_path / "gen"
-    assert run_cli("gen", "--config", str(cfg), "--out", str(out)) == 0
+    assert run_cli("gen", "--config", str(cfg), "--count", "2", "--seed", "3",
+                   "--out", str(out)) == 0
     assert len(os.listdir(out)) == 8
-    out2 = tmp_path / "gen2"
-    assert run_cli("gen", "--config", str(cfg), "--count", "1", "--out", str(out2)) == 0
-    assert len(os.listdir(out2)) == 4          # flag wins over file
+    cfg.write_text("gen.schedules_per_program = 4\ncount = 2\n")
+    assert run_cli("gen", "--config", str(cfg), "--count", "1", "--out", str(out)) == 2
+    assert "config key 'count'" in capsys.readouterr().err
 
 
 def test_load_config_rejects_garbage(tmp_path):
@@ -219,7 +238,9 @@ def test_label_output_loads(pipeline):
     _, progs, corpus, _ = pipeline
     rows = load_csv(str(corpus))
     assert len(rows) == len(os.listdir(progs))
-    assert all(row.timing is not None for row in rows)
+    # one timings-sidecar row per sample, in corpus order
+    timings = read(f"{corpus}.timings.csv").splitlines()[1:]
+    assert [line.split(",")[0] for line in timings] == [str(i) for i in range(len(rows))]
 
 
 def test_predict_prints_factor(pipeline, capsys):
@@ -229,6 +250,25 @@ def test_predict_prints_factor(pipeline, capsys):
     out = capsys.readouterr().out.strip()
     assert out.startswith("unroll_factor=")
     assert int(out.split("=")[1]) in (0, 2, 4, 8, 16, 32, 64)
+
+
+def test_baselines_refuses_model_of_another_split(pipeline, capsys):
+    _, _, corpus, model = pipeline
+    assert run_cli("baselines", "--data", str(corpus), "--model", str(model),
+                   "--seed", "12", "--min-per-class", "2") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "trained on another split" in err[0], err
+    assert "--seed" in err[0] and "--min-per-class" in err[0]
+
+
+def test_baselines_rejects_model_without_scaler(pipeline, tmp_path, capsys):
+    from unroll_tuner.mlp import init_model, save_model
+
+    _, _, corpus, _ = pipeline
+    bare = tmp_path / "bare.json"
+    save_model(init_model(4, seed=0), str(bare))
+    assert run_cli("baselines", "--data", str(corpus), "--model", str(bare)) == 2
+    assert capsys.readouterr().err == f"error: {bare} has no fitted scaler\n"
 
 
 def test_baselines_table(pipeline, capsys):
@@ -276,8 +316,9 @@ def test_label_parallel_jobs_deterministic(tmp_path):
     ("label --programs {progs} --runs 0 --out {tmp}/c.csv", "", "--runs must be >= 1"),
     ("train --data {corpus} --max-epochs 0 --out {tmp}/m.json", "",
      "--max-epochs must be >= 1"),
-    ("baselines --data {corpus} --model {model} --config {cfg}", "k = 0",
-     "config key 'k' must be >= 1"),
+    ("baselines --data {corpus} --model {model} --k 0", "", "--k must be >= 1, got 0"),
+    ("gen --count 1 --jobs 0 --out {tmp}/g", "", "--jobs must be >= 1, got 0"),
+    ("label --programs {progs} --jobs -2 --out {tmp}/c.csv", "", "--jobs must be >= 1, got -2"),
 ])
 def test_malformed_value_is_pipeline_error(pipeline, tmp_path, capsys, argv, config_text,
                                            named):

@@ -6,6 +6,7 @@ import pytest
 
 from unroll_tuner.backend import CostModelBackend, cost_model_evaluate
 from unroll_tuner.dataset import (
+    TIMINGS_HEADER,
     LabeledSample,
     balance_classes,
     label_sample,
@@ -146,7 +147,21 @@ def test_csv_roundtrip(tmp_path):
     save_csv(rows, path)
     loaded = load_csv(path)
     assert [(r.features, r.label) for r in loaded] == [(r.features, r.label) for r in rows]
-    assert all(loaded[i].timing == rows[i].timing for i in range(len(rows)))
+    # timings go only to the sidecar, one row per sample, which load_csv does not read
+    with open(path + ".timings.csv") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == TIMINGS_HEADER
+    assert lines[1:] == [f"{i},{','.join(repr(r.timing[u]) for u in UNROLL_FACTORS)}"
+                         for i, r in enumerate(rows)]
+    assert all(r.timing is None for r in loaded)
+
+
+def test_load_csv_ignores_timings_sidecar(tmp_path):
+    path = str(tmp_path / "corpus.csv")
+    save_csv([sample(0), sample(2)], path)
+    with open(path + ".timings.csv", "w") as fh:
+        fh.write(TIMINGS_HEADER + "\n0,abc\n")      # a bad cell and a short row
+    assert [r.label for r in load_csv(path)] == [0, 2]
 
 
 def test_csv_bad_label_rejected(tmp_path):
