@@ -9,9 +9,10 @@ factor and `sweep(sp, factors, runs)` for a set of factors:
   outgrows the modeled capacity.
 * `NativeBackend` — emits C for the scheduled nest, compiles it with
   $UNROLL_TUNER_TOOLCHAIN (else `cc`) and the fixed DEFAULT_FLAGS, and
-  parses the timing output.  A sweep emits one function per distinct
-  effective factor into a single translation unit, so a sample costs one
-  compile and one process.
+  parses the timing output.  A sweep emits one program with one function
+  per distinct effective factor.  Its kernels are compiled in parts at the
+  same time, one part per usable CPU, and the parts are linked into one
+  binary, so a sample costs one parallel build and one process.
 
 There is one binary format (`emit_sweep_source`): it prints
 `checksum_<u>=<hex>` on stdout for every variant u and one
@@ -21,17 +22,21 @@ There is one binary format (`emit_sweep_source`): it prints
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import tempfile
+import time
 import warnings
 from dataclasses import dataclass
 
 from .errors import (
     CompileError,
+    CompileTimeout,
     DepthExceedsMax,
     InvalidFactor,
     KernelMismatch,
@@ -57,6 +62,15 @@ DEFAULT_TOOLCHAIN = "cc"
 # so the measured effect is our transformation's, not the vendor's.
 DEFAULT_FLAGS = ("-O1", "-fno-unroll-loops")
 TOOLCHAIN_ENV_VAR = "UNROLL_TUNER_TOOLCHAIN"
+
+# The sections of an emitted program, which a split build compiles in parts:
+# `#if IN_PART(<section>)` guards each kernel and the harness, and a part
+# is compiled with -D<_SPLIT_MACRO> and -D<_SECTION_MACRO><section> for each
+# of its sections.
+_SPLIT_MACRO = "SPLIT_PART"
+_SECTION_MACRO = "WITH_"
+_PART_GUARD = "#if IN_PART({})"
+_HARNESS = "harness"
 
 
 @dataclass(frozen=True)
@@ -165,14 +179,21 @@ def _expr_text(sp: ScheduledProgram, node, strides) -> str:
 
 def emit_sweep_source(variants: dict[int, ScheduledProgram],
                       runs: int = DEFAULT_RUNS) -> str:
-    """One translation unit timing several unrolled variants of one schedule.
+    """One C program timing several unrolled variants of one schedule.
 
     `variants` maps each effective unroll factor u to its schedule, emitted
-    as `static void kernel_<u>(void)`.  Each variant runs once untimed and
-    prints `checksum_<u>=<hex>` on stdout; then RUNS rounds time every
-    variant once per round, printing `run_ms_<u>=<float>` on stderr.
-    Interleaving the rounds spreads machine noise over all variants alike.
-    RUNS is a macro so `native_sweep` can override it at compile time.
+    as `void kernel_<u>(void)`.  Each variant runs once untimed and prints
+    `checksum_<u>=<hex>` on stdout; then RUNS rounds time every variant once
+    per round, printing `run_ms_<u>=<float>` on stderr.  Interleaving the
+    rounds spreads machine noise over all variants alike.  RUNS is a macro
+    so `native_sweep` can override it at compile time.
+
+    The text is the whole program, and also every part of a split build:
+    each kernel and the harness (`main`, fill, checksum, timer) is a section
+    under `#if IN_PART(<section>)`, which is always true unless SPLIT_PART
+    is defined.  A part defines SPLIT_PART and `WITH_<section>` for each of
+    its sections (see `_split_plan`).  Every part keeps its own static
+    buffer pointers; the harness binds them through `bind_kernel_<u>`.
 
     Padded split iterations are masked by guards; the unrolled body is
     literally replicated with an epilogue loop for the remainder.
@@ -185,6 +206,8 @@ def emit_sweep_source(variants: dict[int, ScheduledProgram],
     strides = {name: row_major_strides(shape) for name, shape in shapes.items()}
     sizes = {name: math.prod(shape) for name, shape in shapes.items()}
     out = p.output.buffer
+    buf_params = ", ".join(f"elem_t *p_{name}" for name in sizes)
+    buf_args = ", ".join(f"buf_{name}" for name in sizes)
 
     lines: list[str] = []
     emit = lines.append
@@ -199,16 +222,62 @@ def emit_sweep_source(variants: dict[int, ScheduledProgram],
     emit(f"#define RUNS {runs}")
     emit("#endif")
     emit("")
+    emit(f"#ifdef {_SPLIT_MACRO}")
+    emit(f"#define IN_PART(section) {_SECTION_MACRO}##section")
+    emit("#else")
+    emit("#define IN_PART(section) 1")
+    emit("#endif")
+    emit("")
     emit(f"typedef {_C_TYPES[p.dtype]} elem_t;")
+    emit("")
+    for name in sizes:
+        emit(f"static elem_t *buf_{name};")
+    emit("")
+    # A program with several kernels calls it out of line; a part with one
+    # kernel would inline it and so compile that kernel differently.
+    emit(f"#ifdef {_SPLIT_MACRO}")
+    emit("__attribute__((noinline))")
+    emit("#endif")
+    emit("static void reset_output(void) {")
+    emit(f"    for (int64_t q = 0; q < {sizes[out]}; ++q) buf_{out}[q] = (elem_t)0;")
+    emit("}")
+    emit("")
+    for u, sp in variants.items():
+        emit(_PART_GUARD.format(f"kernel_{u}"))
+        _emit_kernel(sp, f"kernel_{u}", strides, emit)
+        emit(f"#ifdef {_SPLIT_MACRO}")
+        emit(f"void bind_kernel_{u}({buf_params}) {{")
+        for name in sizes:
+            emit(f"    buf_{name} = p_{name};")
+        emit("}")
+        emit("#endif")
+        emit("#endif")
+        emit("")
+    emit(_PART_GUARD.format(_HARNESS))
+    emit(f"#ifdef {_SPLIT_MACRO}")
+    for u in variants:
+        emit(f"void kernel_{u}(void);")
+        emit(f"void bind_kernel_{u}({buf_params});")
+    emit("#endif")
+    emit("")
+    emit("static uint64_t out_checksum(void) {")
+    emit("    uint64_t h = 0xCBF29CE484222325ULL;")
+    emit(f"    for (int64_t q = 0; q < {sizes[out]}; ++q) {{")
+    emit("        unsigned char bytes[sizeof(elem_t)];")
+    emit(f"        memcpy(bytes, &buf_{out}[q], sizeof(elem_t));")
+    emit("        for (size_t b = 0; b < sizeof(elem_t); ++b) {")
+    emit("            h ^= (uint64_t)bytes[b];")
+    emit("            h *= 0x100000001B3ULL;")
+    emit("        }")
+    emit("    }")
+    emit("    return h;")
+    emit("}")
     emit("")
     emit("static double now_ms(void) {")
     emit("    struct timespec ts;")
     emit("    clock_gettime(CLOCK_MONOTONIC, &ts);")
     emit("    return (double)ts.tv_sec * 1000.0 + (double)ts.tv_nsec / 1.0e6;")
     emit("}")
-    emit("")
-    for name, size in sizes.items():
-        emit(f"static elem_t *buf_{name};")
     emit("")
     emit("static void alloc_and_fill(void) {")
     for name, size in sizes.items():
@@ -230,26 +299,10 @@ def emit_sweep_source(variants: dict[int, ScheduledProgram],
                           for d in range(len(shape)))
         emit(f"{indent}buf_{name}[{flat}] = "
              f"(elem_t)(({' + '.join(fill_terms)}) % {FILL_MODULUS} - {FILL_SHIFT});")
-    emit("}")
-    emit("")
-    emit("static void reset_output(void) {")
-    emit(f"    for (int64_t q = 0; q < {sizes[out]}; ++q) buf_{out}[q] = (elem_t)0;")
-    emit("}")
-    emit("")
-    for u, sp in variants.items():
-        _emit_kernel(sp, f"kernel_{u}", strides, emit)
-        emit("")
-    emit("static uint64_t out_checksum(void) {")
-    emit("    uint64_t h = 0xCBF29CE484222325ULL;")
-    emit(f"    for (int64_t q = 0; q < {sizes[out]}; ++q) {{")
-    emit("        unsigned char bytes[sizeof(elem_t)];")
-    emit(f"        memcpy(bytes, &buf_{out}[q], sizeof(elem_t));")
-    emit("        for (size_t b = 0; b < sizeof(elem_t); ++b) {")
-    emit("            h ^= (uint64_t)bytes[b];")
-    emit("            h *= 0x100000001B3ULL;")
-    emit("        }")
-    emit("    }")
-    emit("    return h;")
+    emit(f"#ifdef {_SPLIT_MACRO}")
+    for u in variants:
+        emit(f"    bind_kernel_{u}({buf_args});")
+    emit("#endif")
     emit("}")
     emit("")
     emit("int main(void) {")
@@ -265,6 +318,7 @@ def emit_sweep_source(variants: dict[int, ScheduledProgram],
     emit("    }")
     emit("    return 0;")
     emit("}")
+    emit("#endif")
     return "\n".join(lines) + "\n"
 
 
@@ -280,7 +334,7 @@ def _emit_kernel(sp: ScheduledProgram, fn_name: str, strides, emit) -> None:
     store = f"{_access_text(sp, p.output, strides)} = {_expr_text(sp, p.body, strides)};"
     body_stmt = f"if ({' && '.join(guard_terms)}) {store}" if guard_terms else store
 
-    emit(f"static void {fn_name}(void) {{")
+    emit(f"void {fn_name}(void) {{")
     emit("    reset_output();")
     indent = "    "
     inner = sp.loops[-1]
@@ -319,18 +373,94 @@ def emit_kernel_source(sp: ScheduledProgram, runs: int = DEFAULT_RUNS,
     return emit_sweep_source({sp.unroll: sp}, runs)
 
 
+def _split_plan(source: str) -> list[list[str]] | None:
+    """The sections of each part of a split build of `source`, or None to
+    compile it whole.
+
+    There is one part per usable CPU, but at most one per kernel, and a
+    source without part guards is compiled whole.  Sections go heaviest
+    first to the lightest part.  A section weighs the length of its text:
+    a kernel's compile time grows with its body copies, but a kernel of one
+    copy, or the harness, still takes about as long as 16 copies do.
+    """
+    prefix, suffix = _PART_GUARD.split("{}")
+    weights: dict[str, int] = {}
+    section = None
+    for line in source.splitlines():
+        if line.startswith(prefix) and line.endswith(suffix):
+            section = line[len(prefix):-len(suffix)]
+            weights[section] = 0
+        elif section is not None:
+            weights[section] += len(line) + 1
+    n_parts = min(len(os.sched_getaffinity(0)), len(weights) - 1)
+    if n_parts < 2 or _HARNESS not in weights:
+        return None
+    parts: list[list[str]] = [[] for _ in range(n_parts)]
+    load = [0] * n_parts
+    for section in sorted(weights, key=weights.get, reverse=True):
+        k = load.index(min(load))
+        parts[k].append(section)
+        load[k] += weights[section]
+    return parts
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    """Kill `proc` and the processes it started, unless it has been reaped
+    (then its id may belong to another process)."""
+    if proc.returncode is None:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
+def _run_compilers(argvs: list[list[str]]) -> str | None:
+    """Run the compiler calls `argvs` at the same time.
+
+    Returns None when every call succeeds, else the diagnostics of the first
+    failed call.  Raises `CompileTimeout` when the calls outlast
+    DEFAULT_TIMEOUT_S.  No compiler outlives the call: after a failure or a
+    timeout the others are killed with their children, and all are reaped.
+    """
+    with contextlib.ExitStack() as stack:
+        procs = []
+        for argv in argvs:
+            # a session of its own, so a kill reaches the compiler's children
+            proc = stack.enter_context(subprocess.Popen(
+                argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                start_new_session=True))
+            stack.callback(_kill_group, proc)
+            procs.append(proc)
+        deadline = time.monotonic() + DEFAULT_TIMEOUT_S
+        # Each reads its own pipe to the end, so a compiler blocked on a full
+        # pipe only waits for its turn.
+        for proc in procs:
+            try:
+                _, diagnostics = proc.communicate(
+                    timeout=max(deadline - time.monotonic(), 0.0))
+            except subprocess.TimeoutExpired:
+                raise CompileTimeout(f"compiler {proc.args[0]!r} exceeded "
+                                     f"{DEFAULT_TIMEOUT_S} s") from None
+            if proc.returncode != 0:
+                return diagnostics
+    return None
+
+
 def _compile_and_run(source: str, runs: int) -> subprocess.CompletedProcess:
     """Compile `source` with -DRUNS=`runs`, run the binary once, return its output.
 
     The compiler is $UNROLL_TUNER_TOOLCHAIN, else `cc`, with DEFAULT_FLAGS
-    plus -fopenmp for a parallel kernel.  A failed compile with -fopenmp is
-    retried once without it, so parallel kernels degrade to serial rather
-    than fail on toolchains without OpenMP.
+    plus -fopenmp for a parallel kernel.  A source with several kernels is
+    compiled in parts at the same time, one per usable CPU, and the parts
+    are linked (`_split_plan`); otherwise one call compiles and links it.
+    A failed build with -fopenmp is retried once without it, so parallel
+    kernels degrade to serial rather than fail on toolchains without OpenMP.
     """
     cmd = os.environ.get(TOOLCHAIN_ENV_VAR) or DEFAULT_TOOLCHAIN
     if shutil.which(cmd) is None:
         raise ToolchainMissing(f"toolchain {cmd!r} not found on PATH")
     openmp = "#pragma omp" in source
+    plan = _split_plan(source)
 
     with tempfile.TemporaryDirectory(prefix="unroll_tuner_") as tmp:
         src_path = os.path.join(tmp, "kernel.c")
@@ -338,19 +468,28 @@ def _compile_and_run(source: str, runs: int) -> subprocess.CompletedProcess:
         with open(src_path, "w") as fh:
             fh.write(source)
 
-        def compile_with(*extra: str) -> subprocess.CompletedProcess:
-            return subprocess.run(
-                [cmd, *DEFAULT_FLAGS, *extra, f"-DRUNS={runs}", src_path, "-o", bin_path],
-                capture_output=True, text=True, timeout=DEFAULT_TIMEOUT_S,
-            )
+        def build(*extra: str) -> str | None:
+            """Diagnostics of the first failed compiler call, else None."""
+            compile_cmd = [cmd, *DEFAULT_FLAGS, *extra, f"-DRUNS={runs}"]
+            if plan is None:
+                return _run_compilers([[*compile_cmd, src_path, "-o", bin_path]])
+            objects = [os.path.join(tmp, f"part{k}.o") for k in range(len(plan))]
+            failed = _run_compilers([
+                [*compile_cmd, f"-D{_SPLIT_MACRO}",
+                 *(f"-D{_SECTION_MACRO}{section}" for section in part),
+                 "-c", src_path, "-o", obj]
+                for part, obj in zip(plan, objects)])
+            if failed is not None:
+                return failed
+            return _run_compilers([[cmd, *DEFAULT_FLAGS, *extra, *objects, "-o", bin_path]])
 
-        proc = compile_with("-fopenmp") if openmp else compile_with()
-        if proc.returncode != 0:
+        failed = build("-fopenmp") if openmp else build()
+        if failed is not None:
             if not openmp:
-                raise CompileError(proc.stderr)
-            retry = compile_with()
-            if retry.returncode != 0:
-                raise CompileError(proc.stderr + "\n--- retry ---\n" + retry.stderr)
+                raise CompileError(failed)
+            retry = build()
+            if retry is not None:
+                raise CompileError(failed + "\n--- retry ---\n" + retry)
 
         try:
             run = subprocess.run([bin_path], capture_output=True, text=True,

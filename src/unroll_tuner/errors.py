@@ -69,6 +69,10 @@ class CompileError(UnrollTunerError):
         self.diagnostics = diagnostics
 
 
+class CompileTimeout(UnrollTunerError):
+    pass
+
+
 class RunTimeout(UnrollTunerError):
     pass
 

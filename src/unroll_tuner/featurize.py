@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -184,24 +185,29 @@ class Scaler:
     def output_width(self) -> int:
         return len(self.stat_a) - len(self.dropped_columns)
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """stat_a, the divisor (with zeros replaced by 1), the kept columns
+        and the rescaled columns, as arrays built once."""
+        a = np.asarray(self.stat_a)
+        b = np.asarray(self.stat_b)
+        spread = b if self.mode is ScalerMode.Standardize else b - a
+        dropped = set(self.dropped_columns)
+        keep = np.array([c for c in range(len(a)) if c not in dropped], dtype=np.intp)
+        rescaled = np.array(self.rescaled_columns, dtype=np.intp)
+        return a, np.where(spread == 0.0, 1.0, spread), keep, rescaled
+
     def transform_matrix(self, rows) -> np.ndarray:
-        x = np.asarray(rows, dtype=np.float64)
+        x = np.array(rows, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
         if x.shape[1] != len(self.stat_a):
             raise ValueError(f"expected {len(self.stat_a)} columns, got {x.shape[1]}")
-        x = x.copy()
-        x[:, self.rescaled_columns] /= RESCALE_DIVISOR
-        a = np.asarray(self.stat_a)
-        b = np.asarray(self.stat_b)
-        if self.mode is ScalerMode.Standardize:
-            scaled = (x - a) / np.where(b == 0.0, 1.0, b)
-        else:
-            span = b - a
-            scaled = (x - a) / np.where(span == 0.0, 1.0, span)
-        dropped = set(self.dropped_columns)
-        keep = [c for c in range(x.shape[1]) if c not in dropped]
-        return scaled[:, keep]
+        a, divisor, keep, rescaled = self._arrays
+        x[:, rescaled] /= RESCALE_DIVISOR
+        x -= a
+        x /= divisor
+        return x[:, keep]
 
     def transform(self, row) -> np.ndarray:
         return self.transform_matrix([row])[0]

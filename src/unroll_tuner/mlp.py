@@ -170,24 +170,32 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
         x = x[None, :]
     if x.shape[1] != m.input_width:
         raise DimensionMismatch(f"batch width {x.shape[1]} != input width {m.input_width}")
+    if not train:
+        a = x
+        for layer in m.layers[:-1]:
+            # the train-mode arithmetic, in the same order, in place
+            z = a @ layer.w
+            z += layer.b
+            z -= layer.running_mean
+            z /= np.sqrt(layer.running_var + m.bn_eps)
+            a = layer.gamma * z
+            a += layer.beta
+            np.maximum(a, 0.0, out=a)
+        logits = a @ m.layers[-1].w + m.layers[-1].b
+        return softmax(logits), {"inputs": [a]}
     cache = {"inputs": [], "xhat": [], "std": [], "relu": [], "mask": []}
     a = x
     for k, layer in enumerate(m.layers[:-1]):
         z = a @ layer.w + layer.b
-        if train:
-            cache["inputs"].append(a)
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)
-            layer.running_mean = m.bn_momentum * layer.running_mean + (1 - m.bn_momentum) * mu
-            layer.running_var = m.bn_momentum * layer.running_var + (1 - m.bn_momentum) * var
-        else:
-            mu, var = layer.running_mean, layer.running_var
+        cache["inputs"].append(a)
+        mu = z.mean(axis=0)
+        var = z.var(axis=0)
+        layer.running_mean = m.bn_momentum * layer.running_mean + (1 - m.bn_momentum) * mu
+        layer.running_var = m.bn_momentum * layer.running_var + (1 - m.bn_momentum) * var
         std = np.sqrt(var + m.bn_eps)
         xhat = (z - mu) / std
         h = layer.gamma * xhat + layer.beta
         a = np.maximum(h, 0.0)
-        if not train:
-            continue
         rate = m.dropout_rates[k]
         if rate > 0.0:
             if dropout_rng is None:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import os
 import re
 import shutil
+import subprocess
+import time
 
 import pytest
 
@@ -19,7 +22,13 @@ from unroll_tuner.backend import (
     native_sweep,
 )
 from unroll_tuner.dataset import label_sample
-from unroll_tuner.errors import CompileError, InvalidFactor, KernelMismatch, KernelRunError
+from unroll_tuner.errors import (
+    CompileError,
+    CompileTimeout,
+    InvalidFactor,
+    KernelMismatch,
+    KernelRunError,
+)
 from unroll_tuner.interp import interpret, output_checksum
 from unroll_tuner.ir import BinOp, BinOpKind, Constant, DataType
 from unroll_tuner.schedule import (
@@ -32,6 +41,20 @@ from unroll_tuner.schedule import (
 )
 
 HAVE_CC = shutil.which("cc") is not None
+HAVE_OBJDUMP = shutil.which("objdump") is not None
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    """Make the native backend see `n` usable CPUs."""
+    monkeypatch.setattr(backend_mod.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def fake_toolchain(monkeypatch, tmp_path, script: str) -> None:
+    """Point the native backend at a shell script as its compiler."""
+    fake = tmp_path / "fake-cc"
+    fake.write_text("#!/bin/sh\n" + script)
+    fake.chmod(0o755)
+    monkeypatch.setenv(backend_mod.TOOLCHAIN_ENV_VAR, str(fake))
 
 
 def ops_program(total_ops: int):
@@ -118,7 +141,7 @@ def test_cost_invalid_factor(vecadd):
 # --- emission -------------------------------------------------------------------
 
 def kernel_section(source: str) -> str:
-    start = re.search(r"static void kernel_\d+\(void\)", source).start()
+    start = re.search(r"^void kernel_\d+\(void\) \{", source, re.M).start()
     end = source.index("static uint64_t out_checksum")
     return source[start:end]
 
@@ -248,7 +271,7 @@ class TestNativeSweep:
         results = NativeBackend().sweep(sp, UNROLL_FACTORS, runs=2)
         assert len(sources) == 1
         # innermost extent 2: factors 4..64 clamp to 2, so two kernels in all
-        assert re.findall(r"static void (kernel_\d+)\(void\)", sources[0]) == \
+        assert re.findall(r"^void (kernel_\d+)\(void\) \{", sources[0], re.M) == \
             ["kernel_0", "kernel_2"]
         assert list(results) == list(UNROLL_FACTORS)
         assert all(results[u] == results[2] for u in (4, 8, 16, 32, 64))
@@ -258,36 +281,121 @@ class TestNativeSweep:
         assert row.label in (0, 2)
         assert all(row.timing[u] == row.timing[2] for u in (4, 8, 16, 32, 64))
 
-    def test_sweep_checksum_matches_interpreter(self):
-        for dtype in (DataType.Int32, DataType.Float64):
-            for transforms in ([], [Tile2(0, 1, 2, 2)]):
-                sp = schedule_program(checksum_program(dtype), transforms)
-                expected = output_checksum(interpret(sp).output, dtype)
-                results = NativeBackend().sweep(sp, UNROLL_FACTORS, runs=1)
-                assert {r.checksum for r in results.values()} == {expected}
+    def test_sweep_checksum_matches_interpreter(self, monkeypatch):
+        for cpus in (1, 2):       # one unit, then parts compiled apart and linked
+            set_cpus(monkeypatch, cpus)
+            for dtype in (DataType.Int32, DataType.Float64):
+                for transforms in ([], [Tile2(0, 1, 2, 2)]):
+                    sp = schedule_program(checksum_program(dtype), transforms)
+                    expected = output_checksum(interpret(sp).output, dtype)
+                    results = NativeBackend().sweep(sp, UNROLL_FACTORS, runs=1)
+                    assert {r.checksum for r in results.values()} == {expected}
 
     def test_differing_variant_raises_mismatch(self, monkeypatch, matmul4):
         real_emit = backend_mod.emit_sweep_source
 
         def corrupt(variants, runs):
             source = real_emit(variants, runs)
-            start = source.index("static void kernel_4(void)")
+            start = source.index("\nvoid kernel_4(void) {")
             end = source.index("\n}\n", start)
             return source[:end] + "\n    buf_out[0] += (elem_t)1;" + source[end:]
 
         monkeypatch.setattr(backend_mod, "emit_sweep_source", corrupt)
-        with pytest.raises(KernelMismatch, match="u=4"):
-            NativeBackend().sweep(new_schedule(matmul4), UNROLL_FACTORS, runs=1)
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            with pytest.raises(KernelMismatch, match="u=4"):
+                NativeBackend().sweep(new_schedule(matmul4), UNROLL_FACTORS, runs=1)
+
+    def test_split_build_compiler_calls(self, monkeypatch, tmp_path):
+        """One call with one CPU or one kernel; else one call per part and a link."""
+        log = tmp_path / "argv.log"
+        fake_toolchain(monkeypatch, tmp_path, f'echo "$@" >> "{log}"\nexec cc "$@"\n')
+        sp = new_schedule(checksum_program(DataType.Float64))   # kernels 0, 2 and 4
+        for cpus, factors, compiles in ((1, UNROLL_FACTORS, 1), (2, (4,), 1),
+                                        (2, UNROLL_FACTORS, 2), (3, UNROLL_FACTORS, 3),
+                                        (8, UNROLL_FACTORS, 3)):
+            set_cpus(monkeypatch, cpus)
+            log.write_text("")
+            NativeBackend().sweep(sp, factors, runs=1)
+            argvs = [line.split() for line in log.read_text().splitlines()]
+            if compiles == 1:
+                assert len(argvs) == 1 and "-c" not in argvs[0]
+                continue
+            parts, link = argvs[:-1], argvs[-1]
+            assert len(parts) == compiles and all("-c" in argv for argv in parts)
+            assert "-c" not in link and sum(arg.endswith(".o") for arg in link) == compiles
+            sections = sorted(arg for argv in parts for arg in argv if arg.startswith("-DWITH_"))
+            assert sections == ["-DWITH_harness", "-DWITH_kernel_0", "-DWITH_kernel_2",
+                                "-DWITH_kernel_4"]
+
+    @pytest.mark.skipif(not HAVE_OBJDUMP, reason="no objdump on PATH")
+    def test_split_build_same_instructions(self, monkeypatch, tmp_path):
+        """Every kernel compiles to the same instructions whole and in parts."""
+        kept = []
+        real_run = subprocess.run
+
+        def keep_binary(argv, *args, **kwargs):
+            kept.append(shutil.copy(argv[0], tmp_path / f"build{len(kept)}"))
+            return real_run(argv, *args, **kwargs)
+
+        p = make_program("wide", [("i0", 12), ("i1", 64)],
+                         BinOp(BinOpKind.Mul, load("a", "i0", "i1"), load("b", ("i1", 1))),
+                         ("i0", "i1"), [("a", 2), ("b", 1)])
+        schedules = ([], [Parallelize(0)])
+        monkeypatch.setattr(subprocess, "run", keep_binary)
+        cpu_counts = (1, 2, 8)      # whole; two parts; one part per kernel
+        for transforms in schedules:
+            for cpus in cpu_counts:
+                set_cpus(monkeypatch, cpus)
+                NativeBackend().sweep(schedule_program(p, transforms), UNROLL_FACTORS, runs=1)
+        monkeypatch.setattr(subprocess, "run", real_run)
+
+        builds = iter(kept)
+        for transforms in schedules:
+            whole, *splits = (kernel_instructions(next(builds)) for _ in cpu_counts)
+            assert len([name for name in whole if "omp_fn" not in name]) == len(UNROLL_FACTORS)
+            assert any("omp_fn" in name for name in whole) == bool(transforms)
+            for split in splits:
+                assert sorted(whole) == sorted(split)
+                for name, instructions in whole.items():
+                    assert instructions and split[name] == instructions, name
+
+
+def kernel_instructions(binary: str) -> dict[str, list[str]]:
+    """The instructions of each `kernel_*` function of `binary` (with the
+    outlined OpenMP bodies), without addresses and symbol offsets."""
+    text = subprocess.run(["objdump", "-d", "--no-show-raw-insn", binary],
+                          capture_output=True, text=True, check=True).stdout
+    functions: dict[str, list[str]] = {}
+    current = None
+    for line in text.splitlines():
+        line = re.sub(r"\._omp_fn\.\d+", "._omp_fn", line)   # numbered per unit
+        header = re.match(r"^[0-9a-f]+ <(.+)>:$", line)
+        if header:
+            current = header.group(1) if header.group(1).startswith("kernel_") else None
+            if current:
+                functions[current] = []
+        elif current and "\t" in line:
+            insn = line.split("\t", 1)[1]
+            insn = re.sub(r"-?0x[0-9a-f]+\(%rip\)", "(%rip)", insn)
+            insn = re.sub(r"\b[0-9a-f]+ <([^>+]+)(\+0x[0-9a-f]+)?>", r"<\1>", insn)
+            functions[current].append(insn.strip())
+    return functions
 
 
 def test_failed_compile_retried_only_without_openmp(monkeypatch, tmp_path):
-    from unroll_tuner.backend import TOOLCHAIN_ENV_VAR
-
     log = tmp_path / "argv.log"
-    fake = tmp_path / "fake-cc"
-    fake.write_text(f'#!/bin/sh\necho "$@" >> "{log}"\necho broken >&2\nexit 1\n')
-    fake.chmod(0o755)
-    monkeypatch.setenv(TOOLCHAIN_ENV_VAR, str(fake))
+    set_cpus(monkeypatch, 2)
+    variants = {u: apply_unroll(schedule_program(checksum_program(DataType.Float64),
+                                                 [Parallelize(0)]), u) for u in (0, 2, 4)}
+    split_source = emit_sweep_source(variants, runs=1)
+    # A section of the part compiled last: the parts before it compile (so
+    # none is killed before it logs), that one fails.
+    failing = backend_mod._split_plan(split_source)[-1][0]
+    fake_toolchain(monkeypatch, tmp_path,
+                   f'echo "$@" >> "{log}"\n'
+                   f'case " $* " in *" -DWITH_{failing} "*) ;; *" -c "*) exit 0;; esac\n'
+                   'echo broken >&2\nexit 1\n')
     serial = "int main(void) { return 0; }\n"
     parallel = "#pragma omp parallel\n" + serial
     for source, compiles in ((serial, 1), (parallel, 2)):
@@ -299,6 +407,48 @@ def test_failed_compile_retried_only_without_openmp(monkeypatch, tmp_path):
         assert err.value.diagnostics.count("broken") == compiles
         assert "-fopenmp" not in argvs[-1].split()
     assert "-fopenmp" in argvs[0].split()
+
+    # a split build: one part fails, so every part is compiled again without -fopenmp
+    log.write_text("")
+    with pytest.raises(CompileError) as err:
+        native_sweep(split_source, (0, 2, 4), runs=1)
+    argvs = log.read_text().splitlines()
+    assert len(argvs) == 4
+    first, retry = argvs[:2], argvs[2:]
+    assert all("-fopenmp" in argv.split() and "-c" in argv.split() for argv in first)
+    assert sorted(argv.replace(" -fopenmp", "") for argv in first) == sorted(retry)
+    assert err.value.diagnostics.count("broken") == 2
+    assert "--- retry ---" in err.value.diagnostics
+
+
+def process_gone(pid: int) -> bool:
+    """Whether `pid` has exited (a zombie awaiting its reaper counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_compile_timeout_kills_every_compiler(monkeypatch, tmp_path):
+    pids = tmp_path / "pids"
+    # each compiler is a shell waiting on a child of its own
+    fake_toolchain(monkeypatch, tmp_path, f'sleep 30 &\necho $$ $! >> "{pids}"\nwait\n')
+    monkeypatch.setattr(backend_mod, "DEFAULT_TIMEOUT_S", 1.0)
+    source = emit_sweep_source({u: apply_unroll(new_schedule(checksum_program(F64)), u)
+                                for u in (0, 2, 4)}, runs=1)
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        pids.write_text("")
+        with pytest.raises(CompileTimeout, match="exceeded 1.0 s"):
+            native_sweep(source, (0, 2, 4), runs=1)
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert len(started) == 2 * cpus
+        deadline = time.monotonic() + 10.0
+        while not all(map(process_gone, started)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(process_gone, started))
 
 
 def test_toolchain_env_var_overrides(monkeypatch, vecadd):

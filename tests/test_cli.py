@@ -95,6 +95,23 @@ def test_label_rejects_illegal_schedules(tmp_path, monkeypatch, capsys):
             assert capsys.readouterr().err == f"error: {progs / 't.prog'}: {message}\n"
 
 
+def test_native_compile_timeout_is_error_line(tmp_path, monkeypatch, capsys):
+    from unroll_tuner import backend
+
+    fake = tmp_path / "fake-cc"
+    fake.write_text("#!/bin/sh\nexec sleep 30\n")
+    fake.chmod(0o755)
+    monkeypatch.setenv(backend.TOOLCHAIN_ENV_VAR, str(fake))
+    monkeypatch.setattr(backend, "DEFAULT_TIMEOUT_S", 0.5)
+    progs = tmp_path / "p"
+    progs.mkdir()
+    (progs / "t.prog").write_text(PROGRAM_TEXT)
+    assert run_cli("label", "--programs", str(progs), "--backend", "native",
+                   "--out", str(tmp_path / "c.csv")) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {progs / 't.prog'}: compiler {str(fake)!r} exceeded 0.5 s\n"
+
+
 @pytest.mark.parametrize("body, message", [
     ("a[i0, k] + 1.0", "dangling iterator 'k' in body access to a"),
     ("b[i0, i1] + 1.0", "undeclared buffer 'b'"),

@@ -15,7 +15,13 @@ from unroll_tuner.errors import (
     FormatVersionMismatch,
     ModelNotTrained,
 )
-from unroll_tuner.featurize import Scaler, ScalerMode, fit_scaler
+from unroll_tuner.featurize import (
+    FEATURE_COLUMNS,
+    RESCALE_DIVISOR,
+    Scaler,
+    ScalerMode,
+    fit_scaler,
+)
 from unroll_tuner.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -517,6 +523,56 @@ def test_predict_argmax_scale_invariance():
     m.layers[-1].b *= 3.0
     rescaled = predict_probs(m, [[0.5, 1.0]])
     assert int(probs.argmax()) == int(rescaled.argmax())
+
+
+def _reference_transform(scaler: Scaler, rows) -> np.ndarray:
+    """`Scaler.transform_matrix` as first written: every array rebuilt per call."""
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    x = x.copy()
+    x[:, scaler.rescaled_columns] /= RESCALE_DIVISOR
+    a = np.asarray(scaler.stat_a)
+    b = np.asarray(scaler.stat_b)
+    if scaler.mode is ScalerMode.Standardize:
+        scaled = (x - a) / np.where(b == 0.0, 1.0, b)
+    else:
+        span = b - a
+        scaled = (x - a) / np.where(span == 0.0, 1.0, span)
+    dropped = set(scaler.dropped_columns)
+    return scaled[:, [c for c in range(x.shape[1]) if c not in dropped]]
+
+
+def _reference_infer(m, x: np.ndarray) -> np.ndarray:
+    """Infer-mode `forward` as first written, with a new array per operation."""
+    a = x
+    for layer in m.layers[:-1]:
+        z = a @ layer.w + layer.b
+        xhat = (z - layer.running_mean) / np.sqrt(layer.running_var + m.bn_eps)
+        a = np.maximum(layer.gamma * xhat + layer.beta, 0.0)
+    return softmax(a @ m.layers[-1].w + m.layers[-1].b)
+
+
+@pytest.mark.parametrize("mode", list(ScalerMode))
+def test_predict_probs_bit_identical_to_reference(mode):
+    rng = np.random.default_rng(99)
+    rows = rng.integers(0, 3000, size=(300, len(FEATURE_COLUMNS))).astype(float)
+    rows[:, 5] = 7.0                               # a constant column is dropped
+    scaler = fit_scaler(rows[:200].tolist(), mode)
+    assert scaler.dropped_columns
+    m = init_model(scaler.output_width, seed=5)
+    for layer in m.layers[:-1]:
+        layer.running_mean = rng.normal(size=layer.b.shape)
+        layer.running_var = rng.uniform(0.1, 4.0, size=layer.b.shape)
+        layer.gamma = rng.normal(size=layer.b.shape)
+        layer.beta = rng.normal(size=layer.b.shape)
+    m.scaler, m.trained = scaler, True
+    expected = _reference_infer(m, _reference_transform(scaler, rows))
+    for _ in range(2):                             # the second call reuses the scaler's arrays
+        assert predict_probs(m, rows).tobytes() == expected.tobytes()
+    for row in rows[::15].tolist():     # one row multiplies in another order than a batch
+        one = _reference_infer(m, _reference_transform(scaler, [row]))
+        assert predict_probs(m, [row]).tobytes() == one.tobytes()
 
 
 def test_predict_requires_training():
