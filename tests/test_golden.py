@@ -1,0 +1,75 @@
+"""The pipeline's artifacts, pinned by their SHA-256 digests.
+
+At seeds 99 and 61, one subprocess runs `gen --count 100`, cost `label`,
+`train --max-epochs 3` and `bench --backend cost --out`, and the digests of
+the `.prog` files (one combined digest), `corpus.csv`, `model.json` and
+`report.csv` must equal those in `data/pipeline_digests.json`.  A change
+that alters an artifact on purpose updates that file in the same commit;
+the failure message prints the digests to paste.
+
+BLAS runs single-threaded (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS are 1 before numpy is imported): a threaded BLAS may sum
+in another order and move the last bits of the weights.  Even so,
+`model.json` and `report.csv` are float64 arithmetic through numpy and its
+BLAS, so a numpy or OpenBLAS upgrade, or another CPU kernel (a machine on
+which the BLAS dispatches to other SIMD code), resets their digests.  The
+`.prog` and `corpus.csv` digests depend on this package alone.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).parent / "data" / "pipeline_digests.json"
+SRC = Path(__file__).parents[1] / "src"
+SEEDS = ("99", "61")
+
+_PIPELINE = """
+import sys
+from unroll_tuner.cli import main
+
+root = sys.argv[1]
+for seed in sys.argv[2:]:
+    d = f"{root}/{seed}"
+    for argv in (
+        ["gen", "--count", "100", "--seed", seed, "--out", f"{d}/progs"],
+        ["label", "--programs", f"{d}/progs", "--backend", "cost",
+         "--out", f"{d}/corpus.csv"],
+        ["train", "--data", f"{d}/corpus.csv", "--max-epochs", "3", "--seed", seed,
+         "--out", f"{d}/model.json"],
+        ["bench", "--model", f"{d}/model.json", "--backend", "cost",
+         "--out", f"{d}/report.csv"],
+    ):
+        if main(argv) != 0:
+            sys.exit(f"{argv[0]} failed at seed {seed}")
+"""
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests(seed_dir: Path) -> dict[str, str]:
+    progs = hashlib.sha256()
+    for path in sorted((seed_dir / "progs").iterdir()):
+        progs.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    out = {"progs": progs.hexdigest()}
+    for name in ("corpus.csv", "model.json", "report.csv"):
+        out[name] = _sha256((seed_dir / name).read_bytes())
+    return out
+
+
+def test_pipeline_artifacts_match_golden_digests(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", _PIPELINE, str(tmp_path), *SEEDS],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    got = {seed: _digests(tmp_path / seed) for seed in SEEDS}
+    assert got == json.loads(GOLDEN.read_text()), json.dumps(got, indent=2)
