@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .ir import (
     Access,
-    AccessMode,
     BinOp,
     BinOpKind,
     BufferAccess,
@@ -22,7 +21,6 @@ from .ir import (
     DataType,
     Iterator,
     Program,
-    Subscript,
     subs,
 )
 from .schedule import Interchange, Parallelize, Tile2, Transform
@@ -38,12 +36,12 @@ def _iters(*pairs) -> tuple[Iterator, ...]:
 
 
 def _load(buffer: str, *dims) -> Access:
-    return Access(BufferAccess(buffer, F64, subs(*dims), AccessMode.Load))
+    return Access(BufferAccess(buffer, subs(*dims)))
 
 
 def mmxm(msize: int) -> Program:
     """Square matrix product: out[i0,i1] accumulates M1[i0,i2]*M2[i2,i1]."""
-    out = BufferAccess("mul", F64, subs("i0", "i1"), AccessMode.Store)
+    out = BufferAccess("mul", subs("i0", "i1"))
     body = BinOp(
         BinOpKind.Add,
         _load("mul", "i0", "i1"),
@@ -54,7 +52,7 @@ def mmxm(msize: int) -> Program:
         iterators=_iters(("i0", msize), ("i1", msize), ("i2", msize)),
         body=body,
         output=out,
-        inputs=(BufferDecl("M1", 2, F64), BufferDecl("M2", 2, F64)),
+        inputs=(BufferDecl("M1", 2), BufferDecl("M2", 2)),
         dtype=F64,
     )
 
@@ -63,15 +61,15 @@ def smm(msize: int, alpha: float = 2.0, beta: float = 3.0) -> Program:
     """Scaled matrix sum alpha*M1 + beta*M2."""
     body = BinOp(
         BinOpKind.Add,
-        BinOp(BinOpKind.Mul, Constant(alpha, F64), _load("M1", "i0", "i1")),
-        BinOp(BinOpKind.Mul, Constant(beta, F64), _load("M2", "i0", "i1")),
+        BinOp(BinOpKind.Mul, Constant(alpha), _load("M1", "i0", "i1")),
+        BinOp(BinOpKind.Mul, Constant(beta), _load("M2", "i0", "i1")),
     )
     return Program(
         name="smm",
         iterators=_iters(("i0", msize), ("i1", msize)),
         body=body,
-        output=BufferAccess("add", F64, subs("i0", "i1"), AccessMode.Store),
-        inputs=(BufferDecl("M1", 2, F64), BufferDecl("M2", 2, F64)),
+        output=BufferAccess("add", subs("i0", "i1")),
+        inputs=(BufferDecl("M1", 2), BufferDecl("M2", 2)),
         dtype=F64,
     )
 
@@ -82,20 +80,20 @@ def rgb_gray(isize: int) -> Program:
         BinOpKind.Add,
         BinOp(
             BinOpKind.Add,
-            BinOp(BinOpKind.Mul, Constant(0.299, F64), _load("r_input", "x", "y")),
-            BinOp(BinOpKind.Mul, Constant(0.587, F64), _load("g_input", "x", "y")),
+            BinOp(BinOpKind.Mul, Constant(0.299), _load("r_input", "x", "y")),
+            BinOp(BinOpKind.Mul, Constant(0.587), _load("g_input", "x", "y")),
         ),
-        BinOp(BinOpKind.Mul, Constant(0.114, F64), _load("b_input", "x", "y")),
+        BinOp(BinOpKind.Mul, Constant(0.114), _load("b_input", "x", "y")),
     )
     return Program(
         name="rgb_gray",
         iterators=_iters(("x", isize), ("y", isize)),
         body=body,
-        output=BufferAccess("griser", F64, subs("x", "y"), AccessMode.Store),
+        output=BufferAccess("griser", subs("x", "y")),
         inputs=(
-            BufferDecl("r_input", 2, F64),
-            BufferDecl("g_input", 2, F64),
-            BufferDecl("b_input", 2, F64),
+            BufferDecl("r_input", 2),
+            BufferDecl("g_input", 2),
+            BufferDecl("b_input", 2),
         ),
         dtype=F64,
     )
@@ -114,14 +112,14 @@ def blur(isize: int) -> Program:
             ),
             _load("b_input", ("x", 2), "y", "c"),
         ),
-        Constant(3.0, F64),
+        Constant(3.0),
     )
     return Program(
         name="blur",
         iterators=_iters(("x", isize), ("y", isize), ("c", isize)),
         body=body,
-        output=BufferAccess("blur_x", F64, subs("x", "y", "c"), AccessMode.Store),
-        inputs=(BufferDecl("b_input", 3, F64),),
+        output=BufferAccess("blur_x", subs("x", "y", "c")),
+        inputs=(BufferDecl("b_input", 3),),
         dtype=F64,
     )
 
@@ -129,19 +127,14 @@ def blur(isize: int) -> Program:
 def conv_layer(batch: int, cin: int = 4, height: int = 32, width: int = 32,
                cout: int = 16, kh: int = 3, kw: int = 3) -> Program:
     """Direct convolution: out[n,z,y1,x1] += filter[z,kz,ky,kx]*in[n,kz,y1+ky,x1+kx]."""
-    out = BufferAccess("conv", F64, subs("n", "z", "y1", "x1"), AccessMode.Store)
+    out = BufferAccess("conv", subs("n", "z", "y1", "x1"))
     body = BinOp(
         BinOpKind.Add,
         _load("conv", "n", "z", "y1", "x1"),
         BinOp(
             BinOpKind.Mul,
             _load("filter", "z", "kz", "ky", "kx"),
-            Access(BufferAccess(
-                "c_input", F64,
-                (Subscript.of("n"), Subscript.of("kz"),
-                 Subscript(("y1", "ky")), Subscript(("x1", "kx"))),
-                AccessMode.Load,
-            )),
+            _load("c_input", "n", "kz", ("y1", "ky"), ("x1", "kx")),
         ),
     )
     return Program(
@@ -150,7 +143,7 @@ def conv_layer(batch: int, cin: int = 4, height: int = 32, width: int = 32,
                          ("kz", cin), ("ky", kh), ("kx", kw)),
         body=body,
         output=out,
-        inputs=(BufferDecl("c_input", 4, F64), BufferDecl("filter", 4, F64)),
+        inputs=(BufferDecl("c_input", 4), BufferDecl("filter", 4)),
         dtype=F64,
     )
 

@@ -34,8 +34,9 @@ from .textfmt import format_transform, parse_program_text, program_to_text
 
 
 def load_config(path: str) -> dict[str, str]:
-    """Flat `key = value` file; '#' starts a comment."""
+    """Flat `key = value` file; '#' starts a comment; a key is set once."""
     out: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -43,8 +44,12 @@ def load_config(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise UnrollTunerError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in set_on:
+                raise UnrollTunerError(
+                    f"{path}:{line_no}: key {key!r} is already set on line {set_on[key]}")
+            set_on[key] = line_no
+            out[key] = value
     return out
 
 
@@ -78,7 +83,7 @@ _GEN_KEYS = {
     "gen.depth_max": int,
     "gen.extents": _list_of(int),
     "gen.max_inputs": int,
-    "gen.dtypes": _list_of(DataType.from_name),
+    "gen.dtypes": _list_of(DataType),
     "gen.schedules_per_program": int,
     "gen.transforms": _list_of(str),
 }

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DepthExceedsMax, EmptyTrainingSet, LabelNotInClassSet
-from .ir import AccessMode, BinOpKind, DataType, Program, load_iterator_sets, op_histogram
+from .ir import BinOpKind, DataType, Program, load_iterator_sets, op_histogram
 from .schedule import UNROLL_FACTORS, ScheduledProgram, new_schedule
 
 MAX_DEPTH = 7
@@ -143,14 +143,14 @@ def extract_features(sp: ScheduledProgram | Program) -> FeatureVector:
         depth=sp.depth,
         span=_pad(it.extent for it in sp.loops),
         data_loaded=tuple(data_loaded_per_level(sp)),
-        load_count=hist.count(AccessMode.Load),
+        load_count=hist.loads,
         store_count=1,
         # every BinOp has two children, so a tree has one more leaf than ops
-        leaf_count=sum(hist.count(k) for k in BinOpKind) + 1,
-        add_count=hist.count(BinOpKind.Add),
-        sub_count=hist.count(BinOpKind.Sub),
-        mul_count=hist.count(BinOpKind.Mul),
-        div_count=hist.count(BinOpKind.Div),
+        leaf_count=sum(hist.ops.values()) + 1,
+        add_count=hist.ops[BinOpKind.Add],
+        sub_count=hist.ops[BinOpKind.Sub],
+        mul_count=hist.ops[BinOpKind.Mul],
+        div_count=hist.ops[BinOpKind.Div],
         dtype_flag=DTYPE_CODES[p.dtype],
         tile_applied=tuple(tile_applied),
         tile_factor=tuple(tile_factor),

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .ir import (
     Access,
-    AccessMode,
     BinOp,
     BinOpKind,
     BufferAccess,
@@ -84,29 +83,29 @@ class GenConfig:
 
 def _random_constant(rng: SplitMix64, dtype: DataType) -> Constant:
     value = rng.randint(-8, 8)
-    return Constant(float(value) if dtype.is_float else value, dtype)
+    return Constant(float(value) if dtype.is_float else value)
 
 
 def _nonzero_constant(rng: SplitMix64, dtype: DataType) -> Constant:
     value = rng.choice((2, 3, 5, 7))
-    return Constant(float(value) if dtype.is_float else value, dtype)
+    return Constant(float(value) if dtype.is_float else value)
 
 
-def _random_access(rng: SplitMix64, decls, iterators, dtype: DataType) -> Access:
+def _random_access(rng: SplitMix64, decls, iterators) -> Access:
     decl = rng.choice(decls)
     picked = rng.sample_indices(len(iterators), decl.rank)
     dims = []
     for level in picked:
         offset = rng.choice((1, 2)) if rng.random() < 0.15 else 0
         dims.append(Subscript.of(iterators[level].name, offset))
-    return Access(BufferAccess(decl.name, dtype, tuple(dims), AccessMode.Load))
+    return Access(BufferAccess(decl.name, tuple(dims)))
 
 
 def _random_expr(rng: SplitMix64, n_leaves: int, decls, iterators,
                  dtype: DataType) -> Expr:
     if n_leaves <= 1:
         if decls and rng.random() < _LOAD_BIAS:
-            return _random_access(rng, decls, iterators, dtype)
+            return _random_access(rng, decls, iterators)
         return _random_constant(rng, dtype)
     roll = rng.random()
     if roll < 0.40:
@@ -137,16 +136,11 @@ def gen_program(cfg: GenConfig, index: int) -> Program:
     dtype = rng.choice(cfg.dtype_choices)
     n_inputs = rng.randint(1, cfg.max_inputs)
     decls = tuple(
-        BufferDecl(f"in{k}", rng.randint(1, depth), dtype) for k in range(n_inputs)
+        BufferDecl(f"in{k}", rng.randint(1, depth)) for k in range(n_inputs)
     )
     n_leaves = rng.randint(2, cfg.max_leaves)
     body = _random_expr(rng, n_leaves, decls, iterators, dtype)
-    output = BufferAccess(
-        buffer="out",
-        dtype=dtype,
-        index_iterators=tuple(Subscript.of(it.name) for it in iterators),
-        mode=AccessMode.Store,
-    )
+    output = BufferAccess("out", tuple(Subscript.of(it.name) for it in iterators))
     return Program(
         name=f"gen_{index:05d}",
         iterators=iterators,

@@ -14,14 +14,7 @@ import struct
 from dataclasses import dataclass
 
 from .errors import UnrollTunerError
-from .ir import (
-    Access,
-    BinOpKind,
-    Constant,
-    DataType,
-    Program,
-    walk_expr,
-)
+from .ir import Access, BinOpKind, Constant, DataType, Program, load_accesses
 from .schedule import ScheduledProgram, new_schedule
 
 # Per-dimension multipliers of the input fill pattern; the kernel emitter
@@ -72,9 +65,7 @@ def _trunc_div(a: int, b: int) -> int:
 def buffer_shapes(p: Program) -> dict[str, tuple[int, ...]]:
     """Allocation extents per buffer, covering every constant access offset."""
     shapes: dict[str, list[int]] = {}
-    accesses = [n.access for n in walk_expr(p.body) if isinstance(n, Access)]
-    accesses.append(p.output)
-    for acc in accesses:
+    for acc in [*load_accesses(p), p.output]:
         dims = shapes.setdefault(acc.buffer, [0] * len(acc.index_iterators))
         for d, dim in enumerate(acc.index_iterators):
             lo = sum(p.iterator(n).lower for n in dim.iterators) + dim.offset

@@ -9,6 +9,10 @@ affine with constant parameters.
 The accumulator idiom (matmul-style reductions) is expressed by letting the
 body load from the output buffer, provided the load uses exactly the output
 subscript.  Everything else must load from declared input buffers.
+
+Each fact is stated once.  A program has one element type, `Program.dtype`,
+which every buffer and constant shares.  An access's role is its position:
+`Program.output` is the store, and every `Access` in the body is a load.
 """
 
 from __future__ import annotations
@@ -29,13 +33,6 @@ class DataType(enum.Enum):
     def is_float(self) -> bool:
         return self in (DataType.Float32, DataType.Float64)
 
-    @classmethod
-    def from_name(cls, name: str) -> "DataType":
-        for dt in cls:
-            if dt.value == name:
-                return dt
-        raise ValueError(f"unknown dtype {name!r}")
-
 
 class BinOpKind(enum.Enum):
     """Binary operators; each value is its symbol in `.prog` text and in C."""
@@ -44,11 +41,6 @@ class BinOpKind(enum.Enum):
     Sub = "-"
     Mul = "*"
     Div = "/"
-
-
-class AccessMode(enum.Enum):
-    Load = "load"
-    Store = "store"
 
 
 @dataclass(frozen=True)
@@ -98,9 +90,7 @@ class BufferAccess:
     """Subscripted buffer reference, one Subscript per buffer dimension."""
 
     buffer: str
-    dtype: DataType
     index_iterators: tuple[Subscript, ...]
-    mode: AccessMode
 
     @property
     def iterator_names(self) -> tuple[str, ...]:
@@ -110,7 +100,6 @@ class BufferAccess:
 @dataclass(frozen=True)
 class Constant:
     value: float | int
-    dtype: DataType
 
 
 @dataclass(frozen=True)
@@ -132,7 +121,6 @@ Expr = Constant | Access | BinOp
 class BufferDecl:
     name: str
     rank: int
-    dtype: DataType
 
 
 @dataclass(frozen=True)
@@ -140,9 +128,9 @@ class Program:
     name: str
     iterators: tuple[Iterator, ...]          # outer -> inner
     body: Expr
-    output: BufferAccess                     # the single Store
+    output: BufferAccess                     # the single store
     inputs: tuple[BufferDecl, ...]
-    dtype: DataType = DataType.Float64       # declared element type
+    dtype: DataType                          # every buffer's element type
 
     def iterator(self, name: str) -> Iterator:
         for it in self.iterators:
@@ -186,7 +174,7 @@ def walk_expr(expr: Expr):
 
 
 def load_accesses(p: Program) -> list[BufferAccess]:
-    """All Load accesses of the body, in tree order."""
+    """All accesses of the body (each a load), in tree order."""
     return [n.access for n in walk_expr(p.body) if isinstance(n, Access)]
 
 
@@ -201,12 +189,10 @@ def validate_program(p: Program) -> ValidationReport:
             report.add(f"non-positive extent: iterator {it.name} [{it.lower}, {it.upper})")
 
     ranks = {decl.name: decl.rank for decl in p.inputs}
-    dtypes = {decl.name: decl.dtype for decl in p.inputs}
     if p.output.buffer in ranks:
         report.add(f"output buffer {p.output.buffer!r} shadows an input declaration")
     # The output buffer is addressable from the body only as an accumulator.
     ranks[p.output.buffer] = len(p.output.index_iterators)
-    dtypes[p.output.buffer] = p.output.dtype
 
     def check_access(acc: BufferAccess, where: str) -> None:
         for dim in acc.index_iterators:
@@ -223,16 +209,9 @@ def validate_program(p: Program) -> ValidationReport:
             )
 
     check_access(p.output, "output")
-    if p.output.mode is not AccessMode.Store:
-        report.add("output access must be a Store")
-    if p.output.dtype is not p.dtype:
-        report.add(f"output dtype {p.output.dtype.value} != program dtype {p.dtype.value}")
-
     for node in walk_expr(p.body):
         if isinstance(node, Access):
             acc = node.access
-            if acc.mode is not AccessMode.Load:
-                report.add(f"body access to {acc.buffer} must be a Load")
             check_access(acc, "body")
             if acc.buffer == p.output.buffer:
                 if acc.index_iterators != p.output.index_iterators:
@@ -242,13 +221,6 @@ def validate_program(p: Program) -> ValidationReport:
                     )
             elif acc.buffer not in {decl.name for decl in p.inputs}:
                 report.add(f"undeclared buffer {acc.buffer!r}")
-            if acc.buffer in dtypes and acc.dtype is not dtypes[acc.buffer]:
-                report.add(f"access dtype conflict on buffer {acc.buffer}")
-            if acc.dtype is not p.dtype:
-                report.add(f"dtype conflict: load of {acc.buffer} is {acc.dtype.value}")
-        elif isinstance(node, Constant):
-            if node.dtype is not p.dtype:
-                report.add(f"dtype conflict: constant {node.value} is {node.dtype.value}")
         elif isinstance(node, BinOp):
             if node.kind is BinOpKind.Div and isinstance(node.right, Constant) \
                     and node.right.value == 0:
@@ -256,23 +228,19 @@ def validate_program(p: Program) -> ValidationReport:
     return report
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpHistogram:
-    """Static op counts per single innermost iteration.
+    """Static op counts per single innermost iteration: binary ops by kind
+    (every kind present) and loads; each iteration also stores once.
 
-    Rows are op kinds (Add/Sub/Mul/Div/Load/Store), columns are data types.
     `op_histogram` shares one instance per `Program`: treat it as read-only.
     """
 
-    counts: dict[tuple[object, DataType], int]
-
-    def count(self, kind, dtype: DataType | None = None) -> int:
-        if dtype is not None:
-            return self.counts.get((kind, dtype), 0)
-        return sum(v for (k, _), v in self.counts.items() if k == kind)
+    ops: dict[BinOpKind, int]
+    loads: int
 
     def total(self) -> int:
-        return sum(self.counts.values())
+        return sum(self.ops.values()) + self.loads + 1
 
 
 def op_histogram(p: Program) -> OpHistogram:
@@ -281,22 +249,18 @@ def op_histogram(p: Program) -> OpHistogram:
 
 
 def load_iterator_sets(p: Program) -> tuple[tuple[frozenset[str], int], ...]:
-    """(iterator names, number of Load accesses subscripted by exactly those
+    """(iterator names, number of loads subscripted by exactly those
     names) per distinct name set, in order of first appearance; computed
     once per `Program` instance."""
     return p._load_iterator_sets
 
 
 def _count_ops(p: Program) -> OpHistogram:
-    counts: dict[tuple[object, DataType], int] = {}
-
-    def bump(kind, dtype: DataType) -> None:
-        counts[(kind, dtype)] = counts.get((kind, dtype), 0) + 1
-
+    ops = dict.fromkeys(BinOpKind, 0)
+    loads = 0
     for node in walk_expr(p.body):
         if isinstance(node, BinOp):
-            bump(node.kind, p.dtype)
+            ops[node.kind] += 1
         elif isinstance(node, Access):
-            bump(AccessMode.Load, node.access.dtype)
-    bump(AccessMode.Store, p.output.dtype)
-    return OpHistogram(counts)
+            loads += 1
+    return OpHistogram(ops, loads)

@@ -15,21 +15,20 @@
 A schedule directive is its transform's class name in lower case followed by
 its fields in declaration order.  The program's element type is the (single)
 dtype of its input declarations; programs without inputs default to float64.
-Unknown directives are rejected, and so is a program that fails
-`validate_program`.
+A literal must be a value of that type.  Unknown directives are rejected,
+and so is a program that fails `validate_program`.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import re
-from dataclasses import fields, replace
+import sys
+from dataclasses import fields
 
 from .errors import ParseError
 from .ir import (
     Access,
-    AccessMode,
     BinOp,
     BinOpKind,
     BufferAccess,
@@ -58,6 +57,14 @@ _TOKEN_RE = re.compile(
     r"|(?P<op>[+\-*/()\[\],]))"
 )
 
+# The values each element type holds; a literal outside them is rejected.
+_LITERAL_RANGE = {
+    DataType.Int32: (-2**31, 2**31 - 1),
+    DataType.Int64: (-2**63, 2**63 - 1),
+    DataType.Float32: (-3.4028234663852886e38, 3.4028234663852886e38),
+    DataType.Float64: (-sys.float_info.max, sys.float_info.max),
+}
+
 _TRANSFORMS = {cls.__name__.lower(): cls
                for cls in (Split, Interchange, Tile2, Tile3, Parallelize, Unroll)}
 
@@ -80,11 +87,8 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _ExprParser:
-    """Recursive-descent parser from expression text to IR nodes.
-
-    Every input shares the program's dtype, so every constant and access
-    takes `dtype`.
-    """
+    """Recursive-descent parser from expression text to IR nodes; each
+    literal must be a value of the program's element type `dtype`."""
 
     def __init__(self, text: str, dtype: DataType):
         self.tokens = _tokenize(text)
@@ -139,19 +143,24 @@ class _ExprParser:
         if kind == "ident":
             if self.peek()[1] != "[":
                 raise ParseError(f"bare identifier {val!r}; accesses need subscripts")
-            return Access(BufferAccess(val, self.dtype, self.subscripts(), AccessMode.Load))
+            return Access(BufferAccess(val, self.subscripts()))
         raise ParseError(f"unexpected token {val!r} in expression")
 
     def constant(self, text: str) -> Constant:
-        value = float(text)
         if self.dtype.is_float:
-            if not math.isfinite(value):           # a literal beyond the double range
-                raise ParseError(f"non-finite constant {text!r} in {self.dtype.value} program")
-        elif not value.is_integer():               # also false for an overflowed inf
-            raise ParseError(f"non-integer constant {text!r} in {self.dtype.value} program")
+            value = float(text)
+        elif text.lstrip("-").isdigit():
+            value = int(text)                      # exact, however many digits
         else:
+            value = float(text)
+            if not value.is_integer():             # also false for an overflowed inf
+                raise ParseError(f"non-integer constant {text!r} in {self.dtype.value} program")
             value = int(value)
-        return Constant(value, self.dtype)
+        lo, hi = _LITERAL_RANGE[self.dtype]
+        if not lo <= value <= hi:
+            what = "non-finite" if self.dtype.is_float else "out-of-range"
+            raise ParseError(f"{what} constant {text!r} in {self.dtype.value} program")
+        return Constant(value)
 
     def subscripts(self) -> tuple[Subscript, ...]:
         self.take("[")
@@ -201,6 +210,7 @@ def _program_fields(lines):
     name = None
     iterators: list[Iterator] = []
     inputs: list[BufferDecl] = []
+    dtypes: set[DataType] = set()
     body_src = None
     output_src = None
     for line_no, directive, rest in lines:
@@ -212,14 +222,15 @@ def _program_fields(lines):
                 iterators.append(Iterator(it_name, int(lo), int(hi)))
             elif directive == "input":
                 buf, rank, dtype = rest.split()
-                inputs.append(BufferDecl(buf, int(rank), DataType.from_name(dtype)))
+                inputs.append(BufferDecl(buf, int(rank)))
+                dtypes.add(DataType(dtype))
             elif directive == "body":
                 body_src = rest
             else:
                 output_src = rest
         except ValueError as exc:
             raise ParseError(f"line {line_no}: {exc}") from exc
-    return name, iterators, inputs, body_src, output_src
+    return name, iterators, inputs, dtypes, body_src, output_src
 
 
 # Sibling files of one program repeat its lines and differ only in their
@@ -227,7 +238,7 @@ def _program_fields(lines):
 # hit the cache.  The bound is small on purpose: a corpus cycles through it.
 @functools.lru_cache(maxsize=16)
 def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> Program:
-    name, iterators, inputs, body_src, output_src = _program_fields(lines)
+    name, iterators, inputs, dtypes, body_src, output_src = _program_fields(lines)
     if name is None:
         raise ParseError("missing 'program' line")
     if not iterators:
@@ -235,7 +246,6 @@ def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> Program:
     if body_src is None or output_src is None:
         raise ParseError("program needs 'body' and 'output' lines")
 
-    dtypes = {decl.dtype for decl in inputs}
     if len(dtypes) > 1:
         raise ParseError("all input declarations must share one dtype")
     dtype = dtypes.pop() if dtypes else DataType.Float64
@@ -243,14 +253,13 @@ def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> Program:
     out_node = _ExprParser(output_src, dtype).parse()
     if not isinstance(out_node, Access):
         raise ParseError("output line must be a single buffer subscript")
-    output = replace(out_node.access, mode=AccessMode.Store)
     body = _ExprParser(body_src, dtype).parse()
 
     program = Program(
         name=name,
         iterators=tuple(iterators),
         body=body,
-        output=output,
+        output=out_node.access,
         inputs=tuple(inputs),
         dtype=dtype,
     )
@@ -336,7 +345,7 @@ def program_to_text(p: Program, transforms=()) -> str:
     for it in p.iterators:
         lines.append(f"iter {it.name} {it.lower} {it.upper}")
     for decl in p.inputs:
-        lines.append(f"input {decl.name} {decl.rank} {decl.dtype.value}")
+        lines.append(f"input {decl.name} {decl.rank} {p.dtype.value}")
     lines.append(f"body {format_expr(p.body)}")
     lines.append(f"output {_format_subscripts(p.output)}")
     for t in transforms:

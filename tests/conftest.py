@@ -4,7 +4,6 @@ import pytest
 
 from unroll_tuner.ir import (
     Access,
-    AccessMode,
     BinOp,
     BinOpKind,
     BufferAccess,
@@ -18,8 +17,8 @@ from unroll_tuner.ir import (
 F64 = DataType.Float64
 
 
-def load(buffer: str, *dims, dtype=F64) -> Access:
-    return Access(BufferAccess(buffer, dtype, subs(*dims), AccessMode.Load))
+def load(buffer: str, *dims) -> Access:
+    return Access(BufferAccess(buffer, subs(*dims)))
 
 
 def make_program(name, iterators, body, out_dims, inputs, dtype=F64) -> Program:
@@ -29,8 +28,8 @@ def make_program(name, iterators, body, out_dims, inputs, dtype=F64) -> Program:
         name=name,
         iterators=its,
         body=body,
-        output=BufferAccess("out", dtype, subs(*out_dims), AccessMode.Store),
-        inputs=tuple(BufferDecl(n, r, dtype) for n, r in inputs),
+        output=BufferAccess("out", subs(*out_dims)),
+        inputs=tuple(BufferDecl(n, r) for n, r in inputs),
         dtype=dtype,
     )
 

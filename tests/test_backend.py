@@ -171,7 +171,7 @@ def test_emit_operator_symbols():
     body = BinOp(BinOpKind.Sub,
                  BinOp(BinOpKind.Add, load("a", "i0"),
                        BinOp(BinOpKind.Mul, load("a", "i0"), load("a", "i0"))),
-                 BinOp(BinOpKind.Div, load("a", "i0"), Constant(2.0, F64)))
+                 BinOp(BinOpKind.Div, load("a", "i0"), Constant(2.0)))
     p = make_program("ops", [("i0", 8)], body, ("i0",), [("a", 1)])
     src = emit_sweep_source({0: apply_unroll(new_schedule(p), 0)}, runs=1)
     assert "buf_out[(i0)] = ((buf_a[(i0)] + (buf_a[(i0)] * buf_a[(i0)]))" \
@@ -182,7 +182,7 @@ def test_emit_operator_symbols():
 class TestNative:
     def test_measure_runs_30(self):
         p = make_program("tiny", [("i0", 16), ("i1", 16)],
-                         BinOp(BinOpKind.Add, load("a", "i0", "i1"), Constant(1.0, F64)),
+                         BinOp(BinOpKind.Add, load("a", "i0", "i1"), Constant(1.0)),
                          ("i0", "i1"), [("a", 2)])
         res = native_measure(emit_kernel_source(new_schedule(p)), runs=30)
         assert res.runs == 30 and len(res.per_run_ms) == 30
@@ -218,9 +218,9 @@ class TestNative:
                 "chk",
                 [("i0", 6), ("i1", 5)],
                 BinOp(BinOpKind.Sub,
-                      BinOp(BinOpKind.Mul, load("a", "i0", "i1", dtype=dtype),
-                            load("b", ("i1", 1), dtype=dtype)),
-                      Constant(3.0 if dtype.is_float else 3, dtype)),
+                      BinOp(BinOpKind.Mul, load("a", "i0", "i1"),
+                            load("b", ("i1", 1))),
+                      Constant(3.0 if dtype.is_float else 3)),
                 ("i0", "i1"),
                 [("a", 2), ("b", 1)],
                 dtype=dtype,
@@ -244,9 +244,9 @@ def checksum_program(dtype: DataType):
         "chk",
         [("i0", 6), ("i1", 5)],
         BinOp(BinOpKind.Sub,
-              BinOp(BinOpKind.Mul, load("a", "i0", "i1", dtype=dtype),
-                    load("b", ("i1", 1), dtype=dtype)),
-              Constant(3.0 if dtype.is_float else 3, dtype)),
+              BinOp(BinOpKind.Mul, load("a", "i0", "i1"),
+                    load("b", ("i1", 1))),
+              Constant(3.0 if dtype.is_float else 3)),
         ("i0", "i1"),
         [("a", 2), ("b", 1)],
         dtype=dtype,
@@ -257,7 +257,7 @@ def checksum_program(dtype: DataType):
 class TestNativeSweep:
     def test_clamped_factors_compiled_once(self, monkeypatch):
         p = make_program("narrow", [("i0", 8), ("i1", 2)],
-                         BinOp(BinOpKind.Add, load("a", "i0", "i1"), Constant(1.0, F64)),
+                         BinOp(BinOpKind.Add, load("a", "i0", "i1"), Constant(1.0)),
                          ("i0", "i1"), [("a", 2)])
         sp = new_schedule(p)
         sources = []

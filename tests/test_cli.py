@@ -236,6 +236,16 @@ def test_load_config_rejects_garbage(tmp_path):
         load_config(str(bad))
 
 
+def test_repeated_config_key_is_error_line(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("gen.extents = 16, 32\n# wider\ngen.max_inputs = 2\ngen.extents = 64\n")
+    out = tmp_path / "gen"
+    assert run_cli("gen", "--config", str(cfg), "--count", "1", "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg}:4: key 'gen.extents' is already set on line 1"]
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """gen -> label -> train once; shared by the CLI behavior tests."""

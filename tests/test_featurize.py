@@ -50,7 +50,7 @@ def test_blur_formula(isize):
 
 
 def test_constant_body_loads_nothing():
-    p = make_program("konst", [("i0", 8), ("i1", 4)], Constant(1.0, F64),
+    p = make_program("konst", [("i0", 8), ("i1", 4)], Constant(1.0),
                      ("i0", "i1"), [])
     fv = extract_features(p)
     assert fv.data_loaded == (0,) * MAX_DEPTH
@@ -169,7 +169,7 @@ def test_features_reflect_schedule(matmul4):
 
 
 def test_depth_exceeds_max_rejected():
-    p = make_program("deep", [(f"i{k}", 2) for k in range(4)], Constant(1.0, F64),
+    p = make_program("deep", [(f"i{k}", 2) for k in range(4)], Constant(1.0),
                      tuple(f"i{k}" for k in range(4)), [])
     sp = schedule_program(p, [Tile2(0, 1, 2, 2), Tile2(2, 3, 2, 2)])
     with pytest.raises(DepthExceedsMax):

@@ -67,7 +67,7 @@ def test_interchange_is_involution(matmul4):
 
 
 def test_tile2_visits_same_points():
-    body = BinOp(BinOpKind.Add, load("a", "i0", "i1"), Constant(1.0, F64))
+    body = BinOp(BinOpKind.Add, load("a", "i0", "i1"), Constant(1.0))
     p = make_program("t", [("i0", 8), ("i1", 8)], body, ("i0", "i1"), [("a", 2)])
     base = interpret(p, trace_stores=True)
     tiled = interpret(schedule_program(p, [Tile2(0, 1, 4, 4)]), trace_stores=True)

@@ -269,3 +269,66 @@ def test_bad_literal_reported_before_later_syntax_error():
 def test_output_must_be_an_access():
     with pytest.raises(ParseError, match="output line must be a single buffer subscript"):
         parse_program_text(OPS_TEXT.replace("output o[i]", "output 1.0"))
+
+
+LITERAL_TEXT = """\
+program lits
+iter i 0 4
+input a 1 {dtype}
+body a[i] + {literal}
+output o[i]
+"""
+
+
+@pytest.mark.parametrize("dtype, literal", [
+    ("int32", "-2147483648"),
+    ("int32", "2147483647"),
+    ("int64", "-9223372036854775808"),
+    ("int64", "9223372036854775807"),
+    ("int64", "9007199254740993"),       # not a double: 2**53 + 1
+])
+def test_integer_literal_round_trips_exactly(dtype, literal):
+    program, _ = parse_program_text(LITERAL_TEXT.format(dtype=dtype, literal=literal))
+    assert program.body.right.value == int(literal)
+    assert f"body a[i] + {literal}\n" in program_to_text(program)
+
+
+def test_float32_literal_up_to_largest_finite_value():
+    text = LITERAL_TEXT.format(dtype="float32", literal="3.4028234663852886e38")
+    program, _ = parse_program_text(text)
+    assert program.body.right.value == 3.4028234663852886e38
+
+
+@pytest.mark.parametrize("dtype, literal", [
+    ("int32", "2147483648"),
+    ("int32", "2147483649"),
+    ("int32", "-2147483649"),
+    ("int32", "3e9"),
+    ("int64", str(2**63)),
+    ("int64", str(-2**63 - 1)),
+    ("float32", "3.5e38"),
+    ("float32", "-3.5e38"),
+])
+def test_literal_outside_dtype_range_rejected(dtype, literal):
+    what = "non-finite" if dtype.startswith("float") else "out-of-range"
+    with pytest.raises(ParseError, match=f"^{what} constant '{literal}' in {dtype} program$"):
+        parse_program_text(LITERAL_TEXT.format(dtype=dtype, literal=literal))
+
+
+def test_program_has_one_input_dtype():
+    text = """\
+program mix
+iter i 0 4
+input a 1 int32
+input b 1 float32
+body a[i] + b[i]
+output o[i]
+"""
+    with pytest.raises(ParseError, match="all input declarations must share one dtype"):
+        parse_program_text(text)
+    with pytest.raises(ParseError, match="^line 4: 'int16' is not a valid DataType$"):
+        parse_program_text(text.replace("float32", "int16"))
+    program, _ = parse_program_text(text.replace("float32", "int32"))
+    inputs = [line for line in program_to_text(program).splitlines()
+              if line.startswith("input ")]
+    assert inputs == ["input a 1 int32", "input b 1 int32"]
