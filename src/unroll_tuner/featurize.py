@@ -6,7 +6,7 @@ schedule commands touched which levels.  Levels are zero-padded to
 MAX_DEPTH=7 so every program maps to the same input width; the unroll factor
 itself is never a feature (it is the training label).
 
-data_loaded_per_level(L) = sum over Load accesses of the product of the
+data_loaded_per_level(L) = sum over the body's loads of the product of the
 extents of the loop variables the access uses at depth >= L; an access with
 no variable at depth >= L is loop-invariant there (hoistable above L) and
 contributes 0.  For a square matmul this gives (3M^2, M^2 + 2M, 2M) across

@@ -130,7 +130,7 @@ class Program:
     body: Expr
     output: BufferAccess                     # the single store
     inputs: tuple[BufferDecl, ...]
-    dtype: DataType                          # every buffer's element type
+    dtype: DataType                          # element type of all buffers and constants
 
     def iterator(self, name: str) -> Iterator:
         for it in self.iterators:

@@ -218,8 +218,7 @@ class TestNative:
                 "chk",
                 [("i0", 6), ("i1", 5)],
                 BinOp(BinOpKind.Sub,
-                      BinOp(BinOpKind.Mul, load("a", "i0", "i1"),
-                            load("b", ("i1", 1))),
+                      BinOp(BinOpKind.Mul, load("a", "i0", "i1"), load("b", ("i1", 1))),
                       Constant(3.0 if dtype.is_float else 3)),
                 ("i0", "i1"),
                 [("a", 2), ("b", 1)],
@@ -244,8 +243,7 @@ def checksum_program(dtype: DataType):
         "chk",
         [("i0", 6), ("i1", 5)],
         BinOp(BinOpKind.Sub,
-              BinOp(BinOpKind.Mul, load("a", "i0", "i1"),
-                    load("b", ("i1", 1))),
+              BinOp(BinOpKind.Mul, load("a", "i0", "i1"), load("b", ("i1", 1))),
               Constant(3.0 if dtype.is_float else 3)),
         ("i0", "i1"),
         [("a", 2), ("b", 1)],

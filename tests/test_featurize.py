@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import F64, make_program
+from conftest import make_program
 from unroll_tuner.benchmarks import blur, mmxm, rgb_gray, smm
 from unroll_tuner.errors import DepthExceedsMax, EmptyTrainingSet, LabelNotInClassSet
 from unroll_tuner.featurize import (

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import F64, load, make_program
+from conftest import load, make_program
 from unroll_tuner.errors import (
     FactorNotPowerOfTwo,
     FactorOutOfRange,

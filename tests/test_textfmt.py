@@ -108,6 +108,9 @@ output o[i]
 """
     with pytest.raises(ParseError, match="one dtype"):
         parse_program_text(text)
+    with pytest.raises(ParseError, match="all input declarations must share one dtype"):
+        parse_program_text(text.replace("a 1 float64", "a 1 int32")
+                           .replace("b 1 int32", "b 1 float32"))
 
 
 def test_int_program_constants():
@@ -315,20 +318,18 @@ def test_literal_outside_dtype_range_rejected(dtype, literal):
         parse_program_text(LITERAL_TEXT.format(dtype=dtype, literal=literal))
 
 
-def test_program_has_one_input_dtype():
+def test_input_lines_carry_the_program_dtype():
     text = """\
-program mix
+program ints
 iter i 0 4
 input a 1 int32
-input b 1 float32
+input b 1 int32
 body a[i] + b[i]
 output o[i]
 """
-    with pytest.raises(ParseError, match="all input declarations must share one dtype"):
-        parse_program_text(text)
-    with pytest.raises(ParseError, match="^line 4: 'int16' is not a valid DataType$"):
-        parse_program_text(text.replace("float32", "int16"))
-    program, _ = parse_program_text(text.replace("float32", "int32"))
+    program, _ = parse_program_text(text)
     inputs = [line for line in program_to_text(program).splitlines()
               if line.startswith("input ")]
     assert inputs == ["input a 1 int32", "input b 1 int32"]
+    with pytest.raises(ParseError, match="^line 4: 'int16' is not a valid DataType$"):
+        parse_program_text(text.replace("b 1 int32", "b 1 int16"))
