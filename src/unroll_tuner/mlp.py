@@ -10,8 +10,9 @@ lives here.
 
 from __future__ import annotations
 
-import base64
 import json
+import math
+import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -28,7 +29,7 @@ from .featurize import FeatureVector, Scaler, ScalerMode
 from .rng import SplitMix64
 from .schedule import UNROLL_FACTORS
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 DEFAULT_HIDDEN = (500, 400, 250, 100)
 DEFAULT_DROPOUT = (0.12, 0.10, 0.04, 0.07)
 N_CLASSES = len(UNROLL_FACTORS)
@@ -430,24 +431,31 @@ def _scaler_from_obj(obj) -> Scaler | None:
     return Scaler(mode=ScalerMode(obj["mode"]), **values)
 
 
-_BN_ARRAYS = ("gamma", "beta", "running_mean", "running_var")
+_STORED = (*_TRAINED, "running_mean", "running_var")
 
 
-def _encode_array(a: np.ndarray) -> str:
-    return base64.b64encode(np.ascontiguousarray(a, "<f8").tobytes()).decode("ascii")
-
-
-def _decode_array(text: str, shape: tuple[int, ...]) -> np.ndarray:
-    # binascii.Error and numpy's size errors are ValueErrors; astype copies
-    # out of the read-only buffer
-    raw = base64.b64decode(text, validate=True)
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+def _stored_shapes(dims: list[int]) -> list[dict[str, tuple[int, ...]]]:
+    """Per layer, stored array name -> shape, in payload order: layer by
+    layer, w, b, then gamma, beta, running_mean and running_var on hidden
+    layers."""
+    shapes = []
+    for k in range(len(dims) - 1):
+        names = _STORED if k < len(dims) - 2 else ("w", "b")
+        shapes.append({name: (dims[k], dims[k + 1]) if name == "w" else (dims[k + 1],)
+                       for name in names})
+    return shapes
 
 
 def save_model(m: MlpModel, path: str) -> None:
-    """Versioned JSON envelope; every parameter array is one base64 string of
-    its little-endian float64 bytes, so weights round-trip bit for bit."""
-    payload = {
+    """Model file format 3: one line of compact JSON (the header), then the
+    payload, every stored array's little-endian float64 bytes in payload
+    order, so weights round-trip bit for bit.  The header holds no offsets:
+    the arrays' shapes follow from `layer_dims`.
+
+    The file is written beside `path` and renamed over it, so a failed save
+    leaves any previous model intact.
+    """
+    header = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "mlp",
         "classes": list(m.classes),
@@ -457,48 +465,67 @@ def save_model(m: MlpModel, path: str) -> None:
         "bn_eps": m.bn_eps,
         "trained": m.trained,
         "scaler": _scaler_to_obj(m.scaler),
-        "layers": [
-            {name: _encode_array(getattr(layer, name))
-             for name in ("w", "b", *_BN_ARRAYS) if getattr(layer, name) is not None}
-            for layer in m.layers
-        ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            # compact JSON escapes every newline inside a string
+            fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
+            for layer, named in zip(m.layers, _stored_shapes(m.layer_dims)):
+                for name in named:
+                    fh.write(np.ascontiguousarray(getattr(layer, name), "<f8"))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_model(path: str) -> MlpModel:
+    """Read a file written by `save_model`.  Another format version (a
+    format-2 file is one JSON document, so it reads as a header) raises
+    FormatVersionMismatch; a malformed header or a payload of the wrong
+    length raises CorruptFile."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head, _, payload = data.partition(b"\n")
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        header = json.loads(head.decode("utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CorruptFile(f"{path}: not a model file ({exc})") from exc
-    if payload.get("format_version") != MODEL_FORMAT_VERSION:
+    if not isinstance(header, dict):
+        raise CorruptFile(f"{path}: not a model file (header is not a JSON object)")
+    if header.get("format_version") != MODEL_FORMAT_VERSION:
         raise FormatVersionMismatch(
-            f"{path}: format {payload.get('format_version')!r}, "
+            f"{path}: format {header.get('format_version')!r}, "
             f"expected {MODEL_FORMAT_VERSION}")
     try:
-        dims = [int(d) for d in payload["layer_dims"]]
-        if min(dims, default=0) < 1 or len(payload["layers"]) != len(dims) - 1:
-            raise ValueError(f"layer_dims {dims} do not match {len(payload['layers'])} layers")
-        layers = []
-        for k, obj in enumerate(payload["layers"]):
-            width = (dims[k + 1],)
-            layer = Layer(w=_decode_array(obj["w"], (dims[k], dims[k + 1])),
-                          b=_decode_array(obj["b"], width))
-            if k < len(dims) - 2:
-                layer.gamma, layer.beta, layer.running_mean, layer.running_var = (
-                    _decode_array(obj[name], width) for name in _BN_ARRAYS)
-            layers.append(layer)
+        dims = [int(d) for d in header["layer_dims"]]
+        if len(dims) < 2 or min(dims) < 1:
+            raise ValueError(f"layer_dims {dims} name no layers")
+        shapes = _stored_shapes(dims)
+        size = sum(math.prod(shape) for named in shapes for shape in named.values())
+        if len(payload) != 8 * size:
+            raise ValueError(f"payload of {len(payload)} bytes, layer_dims {dims} "
+                             f"need {8 * size}")
+        # one aligned, writable copy; each array is a view of it
+        flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        layers, start = [], 0
+        for named in shapes:
+            arrays = {}
+            for name, shape in named.items():
+                arrays[name] = flat[start:start + math.prod(shape)].reshape(shape)
+                start += math.prod(shape)
+            layers.append(Layer(**arrays))
         model = MlpModel(
             layer_dims=dims,
             layers=layers,
-            dropout_rates=tuple(payload["dropout_rates"]),
-            bn_momentum=payload["bn_momentum"],
-            bn_eps=payload["bn_eps"],
-            scaler=_scaler_from_obj(payload.get("scaler")),
-            classes=tuple(payload["classes"]),
-            trained=bool(payload.get("trained")),
+            dropout_rates=tuple(header["dropout_rates"]),
+            bn_momentum=header["bn_momentum"],
+            bn_eps=header["bn_eps"],
+            scaler=_scaler_from_obj(header.get("scaler")),
+            classes=tuple(header["classes"]),
+            trained=bool(header.get("trained")),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise CorruptFile(f"{path}: {exc}") from exc

@@ -3,9 +3,12 @@
 At seeds 99 and 61, one subprocess runs `gen --count 100`, cost `label`,
 `train --max-epochs 3` and `bench --backend cost --out`, and the digests of
 the `.prog` files (one combined digest), `corpus.csv`, `model.json` and
-`report.csv` must equal those in `data/pipeline_digests.json`.  A change
-that alters an artifact on purpose updates that file in the same commit;
-the failure message prints the digests to paste.
+`report.csv` must equal those in `data/pipeline_digests.json`.  So must
+`weights`, the digest of `model.json`'s payload (the raw float64 bytes after
+its header line): a change of model file format moves the `model.json`
+digest alone, a change of the trained weights moves both.  A change that
+alters an artifact on purpose updates that file in the same commit; the
+failure message prints the digests to paste.
 
 BLAS runs single-threaded (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS are 1 before numpy is imported): a threaded BLAS may sum
@@ -61,6 +64,7 @@ def _digests(seed_dir: Path) -> dict[str, str]:
     out = {"progs": progs.hexdigest()}
     for name in ("corpus.csv", "model.json", "report.csv"):
         out[name] = _sha256((seed_dir / name).read_bytes())
+    out["weights"] = _sha256((seed_dir / "model.json").read_bytes().partition(b"\n")[2])
     return out
 
 

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-import base64
+import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -591,6 +592,9 @@ def test_save_load_roundtrip(tmp_path):
     save_model(m, path)
     loaded = load_model(path)
     assert loaded.scaler == scaler
+    for array in (a for layer in loaded.layers for a in vars(layer).values() if a is not None):
+        # copies, not views of the read buffer at the header's arbitrary offset
+        assert array.flags.c_contiguous and array.flags.aligned and array.flags.writeable
     rng = np.random.default_rng(9)
     queries = rng.normal(size=(100, 2)) * 10
     for q in queries:
@@ -598,32 +602,44 @@ def test_save_load_roundtrip(tmp_path):
         assert predict_class(loaded, fv) == predict_class(m, fv)
 
 
+def _read_model_file(path):
+    """(header dict, payload bytes) of a format-3 model file."""
+    with open(path, "rb") as fh:
+        head, sep, payload = fh.read().partition(b"\n")
+    assert sep == b"\n"
+    return json.loads(head), payload
+
+
+def _write_model_file(path, header, payload):
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n" + payload)
+
+
 def test_model_file_lists_architecture(tmp_path):
-    import json
     m = init_model(40, seed=0)
     m.scaler = identity_scaler(40)
     path = str(tmp_path / "arch.json")
     save_model(m, path)
-    payload = json.load(open(path))
-    assert payload["layer_dims"] == [40, 500, 400, 250, 100, 7]
+    header, payload = _read_model_file(path)
+    assert header["format_version"] == MODEL_FORMAT_VERSION == 3
+    assert header["layer_dims"] == [40, 500, 400, 250, 100, 7]
+    assert "layers" not in header
+    assert payload == b"".join(_layer_bytes(m))      # w, b, then batchnorm, layer by layer
 
 
 def test_tampered_model_rejected(tmp_path):
-    import json
     m = toy_model(3)
     m.scaler = identity_scaler(3)
     path = str(tmp_path / "m.json")
     save_model(m, path)
-    payload = json.load(open(path))
-    payload["layer_dims"][1] = 99
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    header, payload = _read_model_file(path)
+    header["layer_dims"][1] = 99
+    _write_model_file(path, header, payload)
     with pytest.raises(CorruptFile):
         load_model(path)
 
-    payload["format_version"] = MODEL_FORMAT_VERSION + 1
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    header["format_version"] = MODEL_FORMAT_VERSION + 1
+    _write_model_file(path, header, payload)
     with pytest.raises(FormatVersionMismatch):
         load_model(path)
 
@@ -654,15 +670,14 @@ def test_save_load_bit_exact_with_special_values(tmp_path):
 
 
 def _write_payload(tmp_path, mutate):
-    import json
+    """Save a toy model, apply `mutate` to its header and write it back."""
     m = toy_model(3)
     m.scaler = identity_scaler(3)
     path = str(tmp_path / "m.json")
     save_model(m, path)
-    payload = json.load(open(path))
-    mutate(payload)
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
+    header, payload = _read_model_file(path)
+    mutate(header)
+    _write_model_file(path, header, payload)
     return path
 
 
@@ -674,18 +689,63 @@ def test_v1_model_file_rejected(tmp_path):
         load_model(_write_payload(tmp_path, to_v1))
 
 
+def test_v2_model_file_rejected(tmp_path):
+    """A format-2 file is one JSON document with base64 arrays and no newline:
+    it parses as a header of version 2."""
+    m = toy_model(3)
+    m.scaler = identity_scaler(3)
+    path = str(tmp_path / "m.json")
+    save_model(m, path)
+    header, _ = _read_model_file(path)
+    header["format_version"] = 2
+    header["layers"] = [{name: "AAAAAAAAAAA=" for name in ("w", "b")}]
+    with open(path, "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(FormatVersionMismatch, match=r"format 2\b.*expected 3\b"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("bad", [
-    lambda text: text[:-1],                   # cut inside a base64 quantum
-    lambda text: text[:-16],                  # 36 bytes: not whole float64s
-    lambda text: base64.b64encode(base64.b64decode(text)[:-8]).decode(),   # one float short
-    lambda text: "!!" + text[2:],             # not base64
-    lambda text: [0.0] * 6,                   # a v1-style list
+    lambda head, body: head + b"\n" + body[:-8],             # one float short
+    lambda head, body: head + b"\n" + body + bytes(8),       # one extra float
+    lambda head, body: head + b"\n" + body + b"\0" * 7,      # 7 stray bytes
+    lambda head, body: b"{not json" + b"\n" + body,          # a header that is not JSON
+    lambda head, body: b"\xff" + head + b"\n" + body,        # a non-UTF-8 header
+    lambda head, body: b"",                                 # an empty file
 ])
 def test_bad_weight_string_is_corrupt_file(tmp_path, bad):
-    def mutate(payload):
-        payload["layers"][0]["w"] = bad(payload["layers"][0]["w"])
+    """`bad` rewrites the whole file from its header line and its payload."""
+    m = toy_model(3)
+    m.scaler = identity_scaler(3)
+    path = str(tmp_path / "m.json")
+    save_model(m, path)
+    with open(path, "rb") as fh:
+        head, _, body = fh.read().partition(b"\n")
+    with open(path, "wb") as fh:
+        fh.write(bad(head, body))
     with pytest.raises(CorruptFile):
-        load_model(_write_payload(tmp_path, mutate))
+        load_model(path)
+
+
+def test_failed_save_keeps_previous_model(tmp_path):
+    class Unwritable:
+        """An array that fails to convert: the save raises after writing the
+        header and the first layer's arrays."""
+        def __array__(self, dtype=None, copy=None):
+            raise OSError("disk full")
+
+    path = tmp_path / "model.json"
+    old = toy_model(3, seed=1)
+    old.scaler = identity_scaler(3)
+    save_model(old, str(path))
+    before = path.read_bytes()
+    m = toy_model(3, seed=2)
+    m.scaler = identity_scaler(3)
+    m.layers[1].w = Unwritable()
+    with pytest.raises(OSError, match="disk full"):
+        save_model(m, str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.json"]
 
 
 def test_init_model_matches_scalar_draws():
