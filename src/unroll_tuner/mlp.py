@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -58,8 +58,9 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Layer:
+    """One layer's arrays, each a view of its model's store."""
     w: np.ndarray
     b: np.ndarray
     gamma: np.ndarray | None = None          # batchnorm params; None on the output layer
@@ -68,16 +69,52 @@ class Layer:
     running_var: np.ndarray | None = None
 
 
+_STORED = tuple(f.name for f in fields(Layer))
+
+
+def _layout(dims: list[int]):
+    """The store's layout, which is also the model file's payload: (layer
+    index, array name, shape) in store order, layer by layer, w, b, then
+    gamma, beta, running_mean and running_var on hidden layers."""
+    for k in range(len(dims) - 1):
+        for name in _STORED if k < len(dims) - 2 else ("w", "b"):
+            yield k, name, (dims[k], dims[k + 1]) if name == "w" else (dims[k + 1],)
+
+
+def _store_size(dims: list[int]) -> int:
+    return sum(math.prod(shape) for _, _, shape in _layout(dims))
+
+
+def _views(dims: list[int], flat: np.ndarray) -> list[dict[str, np.ndarray]]:
+    """Per layer, name -> the view of `flat`, a buffer laid out like the
+    store, that holds that array."""
+    views, start = [{} for _ in dims[1:]], 0
+    for k, name, shape in _layout(dims):
+        views[k][name] = flat[start:start + math.prod(shape)].reshape(shape)
+        start += math.prod(shape)
+    return views
+
+
 @dataclass
 class MlpModel:
+    """`store` is one flat float64 array laid out like the model file's
+    payload (`_layout`); every array of `layers` is a view of it."""
     layer_dims: list[int]
-    layers: list[Layer]
+    store: np.ndarray
     dropout_rates: tuple[float, ...]
     bn_momentum: float = 0.9
     bn_eps: float = 1e-5
     scaler: Scaler | None = None
     classes: tuple[int, ...] = UNROLL_FACTORS
     trained: bool = False
+    layers: tuple[Layer, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = _store_size(self.layer_dims)
+        if self.store.shape != (size,):
+            raise ValueError(f"a store of shape {self.store.shape}, layer_dims "
+                             f"{self.layer_dims} need {size} floats")
+        self.layers = tuple(Layer(**named) for named in _views(self.layer_dims, self.store))
 
     @property
     def input_width(self) -> int:
@@ -86,41 +123,6 @@ class MlpModel:
     @property
     def n_hidden(self) -> int:
         return len(self.layer_dims) - 2
-
-
-_TRAINED = ("w", "b", "gamma", "beta")
-
-
-def _trained_arrays(m: MlpModel) -> list[np.ndarray]:
-    """Every array ADAM updates, in the flat layout's order: layer by layer,
-    w, b, then gamma and beta on the hidden layers."""
-    return [getattr(layer, name) for layer in m.layers for name in _TRAINED
-            if getattr(layer, name) is not None]
-
-
-def param_views(m: MlpModel, flat: np.ndarray) -> list[dict[str, np.ndarray]]:
-    """Per layer, name -> the view of `flat` that holds that trained array in
-    the flat layout, shaped like the array."""
-    views, start = [], 0
-    for layer in m.layers:
-        named = {}
-        for name in _TRAINED:
-            array = getattr(layer, name)
-            if array is not None:
-                named[name] = flat[start:start + array.size].reshape(array.shape)
-                start += array.size
-        views.append(named)
-    return views
-
-
-def _flatten(m: MlpModel) -> np.ndarray:
-    """Copy the trained arrays into one flat buffer and rebind each layer's
-    arrays to their views of it; returns the buffer."""
-    flat = np.concatenate([array.ravel() for array in _trained_arrays(m)])
-    for layer, named in zip(m.layers, param_views(m, flat)):
-        for name, view in named.items():
-            setattr(layer, name, view)
-    return flat
 
 
 def init_model(input_width: int, seed: int,
@@ -135,20 +137,17 @@ def init_model(input_width: int, seed: int,
     if any(not 0.0 <= r < 1.0 for r in dropout):
         raise ValueError("dropout rates must lie in [0, 1)")
     dims = [input_width, *hidden, n_classes]
+    m = MlpModel(layer_dims=dims, store=np.zeros(_store_size(dims)),
+                 dropout_rates=tuple(dropout))
     rng = SplitMix64.stream(seed, 0x11A9)
-    layers: list[Layer] = []
-    for k in range(len(dims) - 1):
-        fan_in, fan_out = dims[k], dims[k + 1]
+    for layer in m.layers:
+        fan_in, fan_out = layer.w.shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform_array(fan_in * fan_out, -limit, limit).reshape(fan_in, fan_out)
-        layer = Layer(w=w, b=np.zeros(fan_out))
-        if k < len(dims) - 2:
-            layer.gamma = np.ones(fan_out)
-            layer.beta = np.zeros(fan_out)
-            layer.running_mean = np.zeros(fan_out)
-            layer.running_var = np.ones(fan_out)
-        layers.append(layer)
-    return MlpModel(layer_dims=dims, layers=layers, dropout_rates=tuple(dropout))
+        layer.w[...] = rng.uniform_array(fan_in * fan_out, -limit, limit).reshape(fan_in, fan_out)
+        if layer.gamma is not None:
+            layer.gamma[...] = 1.0
+            layer.running_var[...] = 1.0
+    return m
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -191,8 +190,9 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
         cache["inputs"].append(a)
         mu = z.mean(axis=0)
         var = z.var(axis=0)
-        layer.running_mean = m.bn_momentum * layer.running_mean + (1 - m.bn_momentum) * mu
-        layer.running_var = m.bn_momentum * layer.running_var + (1 - m.bn_momentum) * var
+        for running, batch_stat in ((layer.running_mean, mu), (layer.running_var, var)):
+            running *= m.bn_momentum          # in place: the store keeps them
+            running += (1 - m.bn_momentum) * batch_stat
         std = np.sqrt(var + m.bn_eps)
         xhat = (z - mu) / std
         h = layer.gamma * xhat + layer.beta
@@ -214,28 +214,35 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
     return softmax(logits), cache
 
 
+def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
+    """Mean cross-entropy of the one-hot rows `y` under `probs`."""
+    return float(-(y * np.log(np.maximum(probs, LOG_CLAMP))).sum() / probs.shape[0])
+
+
 def loss_and_gradients(m: MlpModel, batch: np.ndarray, one_hot: np.ndarray,
                        dropout_rng: np.random.Generator | None = None,
                        grad: np.ndarray | None = None):
-    """Mean cross-entropy and its gradient with respect to every trained array.
+    """Mean cross-entropy and its gradient with respect to the store.
 
-    The gradient goes into `grad`, a flat buffer in the layout of
-    `param_views` (a new one when None); the returned per-layer dicts of W,
-    b, gamma and beta gradients are its views.
+    The gradient goes into `grad`, a flat buffer laid out like the store (a
+    new one when None); the returned per-layer dicts of gradients are its
+    views.  The running statistics are not trained: their slots get zeros,
+    which leave them unchanged under ADAM.
     """
     y = np.asarray(one_hot, dtype=np.float64)
     probs, cache = forward(m, batch, train=True, dropout_rng=dropout_rng)
     if y.shape != probs.shape:
         raise DimensionMismatch(f"labels {y.shape} vs probs {probs.shape}")
-    n = probs.shape[0]
-    loss = float(-(y * np.log(np.maximum(probs, LOG_CLAMP))).sum() / n)
+    loss = _cross_entropy(probs, y)
 
     if grad is None:
-        grad = np.empty(sum(array.size for array in _trained_arrays(m)))
-    grads = param_views(m, grad)
-    dz = (probs - y) / n                              # d loss / d logits
+        grad = np.empty_like(m.store)
+    grads = _views(m.layer_dims, grad)
+    dz = (probs - y) / probs.shape[0]                 # d loss / d logits
     for k in range(len(m.layers) - 1, -1, -1):
         if k < m.n_hidden:      # back through dropout, ReLU and batchnorm
+            grads[k]["running_mean"].fill(0.0)
+            grads[k]["running_var"].fill(0.0)
             da = dz @ m.layers[k + 1].w.T
             if cache["mask"][k] is not None:
                 da = da * cache["mask"][k]
@@ -252,7 +259,7 @@ def loss_and_gradients(m: MlpModel, batch: np.ndarray, one_hot: np.ndarray,
 
 @dataclass
 class AdamState:
-    grad: np.ndarray        # the step's gradient; these three are flat like the parameters
+    grad: np.ndarray        # the step's gradient; these three are laid out like the store
     m: np.ndarray           # first and second moments
     v: np.ndarray
     scratch: np.ndarray     # (2, ADAM_CHUNK or fewer): the temporaries of one chunk
@@ -288,8 +295,9 @@ def adam_update(param: np.ndarray, grad: np.ndarray, m1: np.ndarray, v1: np.ndar
 
 
 def adam_step(params: np.ndarray, state: AdamState, t: int) -> None:
-    """One ADAM step on the flat parameter buffer `params` (see `train`)
-    from the gradient in `state.grad`.
+    """One ADAM step on the flat buffer `params` (a model's store, see
+    `train`) from the gradient in `state.grad`.  A zero gradient leaves an
+    element's bits as they are.
 
     The flat buffers are updated in slices of ADAM_CHUNK elements, so the
     scratch arrays stay small and each slice's arrays stay in cache.
@@ -315,22 +323,9 @@ def one_hot(labels, classes: tuple[int, ...] = UNROLL_FACTORS) -> np.ndarray:
 
 def _evaluate(m: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     probs, _ = forward(m, x, train=False)
-    loss = float(-(y * np.log(np.maximum(probs, LOG_CLAMP))).sum() / x.shape[0])
+    loss = _cross_entropy(probs, y)
     acc = float((probs.argmax(axis=1) == y.argmax(axis=1)).mean())
     return loss, acc
-
-
-def _snapshot(m: MlpModel, params: np.ndarray):
-    """Copies of everything a training step changes."""
-    return params.copy(), [(l.running_mean.copy(), l.running_var.copy())
-                           for l in m.layers[:-1]]
-
-
-def _restore(m: MlpModel, params: np.ndarray, snapshot) -> None:
-    saved, stats = snapshot
-    params[...] = saved
-    for layer, (mean, var) in zip(m.layers, stats):
-        layer.running_mean, layer.running_var = mean, var
 
 
 def train(m: MlpModel, split, cfg: TrainConfig | None = None):
@@ -340,8 +335,8 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
     with the lowest validation loss, not the last one.  The scaler must
     already be attached and fitted on the training rows only.
 
-    Training first gathers the trained arrays (w, b, gamma, beta) into one
-    flat buffer; afterwards the model's arrays are views of it.
+    ADAM steps the whole store.  The running statistics get a zero
+    gradient, so only `forward` changes them.
 
     History holds one dict per epoch run: `epoch`, `train_loss` (the
     row-weighted mean of that epoch's mini-batch losses, each taken before
@@ -364,11 +359,10 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
 
     shuffle_rng = SplitMix64.stream(cfg.seed, 0x7A13)
     dropout_rng = np.random.Generator(np.random.PCG64(cfg.seed ^ 0xD20B0))
-    params = _flatten(m)
-    state = AdamState.for_params(params)
+    state = AdamState.for_params(m.store)
     history: list[dict] = []
     best_loss = float("inf")
-    best = _snapshot(m, params)
+    best = m.store.copy()
     stall = 0
     t = 0
     n = x_train.shape[0]
@@ -382,7 +376,7 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
                 continue      # batchnorm needs at least two rows
             t += 1
             loss, _ = loss_and_gradients(m, x_train[idx], y_train[idx], dropout_rng, state.grad)
-            adam_step(params, state, t)
+            adam_step(m.store, state, t)
             loss_sum += loss * len(idx)
             rows += len(idx)
         valid_loss, valid_acc = _evaluate(m, x_valid, y_valid)
@@ -391,13 +385,13 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
                         "valid_loss": valid_loss, "valid_acc": valid_acc})
         if valid_loss < best_loss:
             best_loss = valid_loss
-            best = _snapshot(m, params)
+            best[...] = m.store
             stall = 0
         else:
             stall += 1
             if stall >= cfg.patience:
                 break
-    _restore(m, params, best)
+    m.store[...] = best
     m.trained = True
     return m, history
 
@@ -431,26 +425,11 @@ def _scaler_from_obj(obj) -> Scaler | None:
     return Scaler(mode=ScalerMode(obj["mode"]), **values)
 
 
-_STORED = (*_TRAINED, "running_mean", "running_var")
-
-
-def _stored_shapes(dims: list[int]) -> list[dict[str, tuple[int, ...]]]:
-    """Per layer, stored array name -> shape, in payload order: layer by
-    layer, w, b, then gamma, beta, running_mean and running_var on hidden
-    layers."""
-    shapes = []
-    for k in range(len(dims) - 1):
-        names = _STORED if k < len(dims) - 2 else ("w", "b")
-        shapes.append({name: (dims[k], dims[k + 1]) if name == "w" else (dims[k + 1],)
-                       for name in names})
-    return shapes
-
-
 def save_model(m: MlpModel, path: str) -> None:
     """Model file format 3: one line of compact JSON (the header), then the
-    payload, every stored array's little-endian float64 bytes in payload
-    order, so weights round-trip bit for bit.  The header holds no offsets:
-    the arrays' shapes follow from `layer_dims`.
+    payload, the store's little-endian float64 bytes, so weights round-trip
+    bit for bit.  The header holds no offsets: the store's layout follows
+    from `layer_dims`.
 
     The file is written beside `path` and renamed over it, so a failed save
     leaves any previous model intact.
@@ -471,9 +450,7 @@ def save_model(m: MlpModel, path: str) -> None:
         with open(tmp, "wb") as fh:
             # compact JSON escapes every newline inside a string
             fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
-            for layer, named in zip(m.layers, _stored_shapes(m.layer_dims)):
-                for name in named:
-                    fh.write(np.ascontiguousarray(getattr(layer, name), "<f8"))
+            fh.write(np.ascontiguousarray(m.store, "<f8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -484,8 +461,10 @@ def save_model(m: MlpModel, path: str) -> None:
 def load_model(path: str) -> MlpModel:
     """Read a file written by `save_model`.  Another format version (a
     format-2 file is one JSON document, so it reads as a header) raises
-    FormatVersionMismatch; a malformed header or a payload of the wrong
-    length raises CorruptFile."""
+    FormatVersionMismatch; a malformed header, one that contradicts itself
+    (classes or dropout rates that do not fit `layer_dims`, classes that are
+    not distinct unrolling factors) or a payload of the wrong length raises
+    CorruptFile.  The payload's one copy becomes the model's store."""
     with open(path, "rb") as fh:
         data = fh.read()
     head, _, payload = data.partition(b"\n")
@@ -500,31 +479,30 @@ def load_model(path: str) -> MlpModel:
             f"{path}: format {header.get('format_version')!r}, "
             f"expected {MODEL_FORMAT_VERSION}")
     try:
-        dims = [int(d) for d in header["layer_dims"]]
-        if len(dims) < 2 or min(dims) < 1:
-            raise ValueError(f"layer_dims {dims} name no layers")
-        shapes = _stored_shapes(dims)
-        size = sum(math.prod(shape) for named in shapes for shape in named.values())
-        if len(payload) != 8 * size:
-            raise ValueError(f"payload of {len(payload)} bytes, layer_dims {dims} "
-                             f"need {8 * size}")
-        # one aligned, writable copy; each array is a view of it
-        flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        layers, start = [], 0
-        for named in shapes:
-            arrays = {}
-            for name, shape in named.items():
-                arrays[name] = flat[start:start + math.prod(shape)].reshape(shape)
-                start += math.prod(shape)
-            layers.append(Layer(**arrays))
+        dims = header["layer_dims"]
+        if (not isinstance(dims, list) or len(dims) < 2
+                or any(type(d) is not int or d < 1 for d in dims)):
+            raise ValueError(f"layer_dims {dims} are not two or more positive integers")
+        classes = tuple(header["classes"])
+        if len(classes) != dims[-1]:
+            raise ValueError(f"{len(classes)} classes for {dims[-1]} outputs")
+        if len(set(classes)) != len(classes) or any(
+                type(c) is not int or c not in UNROLL_FACTORS for c in classes):
+            raise ValueError(f"classes {list(classes)} are not distinct members of "
+                             f"{UNROLL_FACTORS}")
+        dropout_rates = tuple(header["dropout_rates"])
+        if len(dropout_rates) != len(dims) - 2:
+            raise ValueError(f"{len(dropout_rates)} dropout rates for "
+                             f"{len(dims) - 2} hidden layers")
         model = MlpModel(
             layer_dims=dims,
-            layers=layers,
-            dropout_rates=tuple(header["dropout_rates"]),
+            # one aligned, writable copy of the payload
+            store=np.frombuffer(payload, dtype="<f8").astype(np.float64),
+            dropout_rates=dropout_rates,
             bn_momentum=header["bn_momentum"],
             bn_eps=header["bn_eps"],
             scaler=_scaler_from_obj(header.get("scaler")),
-            classes=tuple(header["classes"]),
+            classes=classes,
             trained=bool(header.get("trained")),
         )
     except (KeyError, ValueError, TypeError) as exc:

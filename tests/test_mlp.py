@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from unroll_tuner.mlp import (
     MODEL_FORMAT_VERSION,
     AdamState,
     TrainConfig,
-    _flatten,
+    _views,
     adam_step,
     adam_update,
     forward,
@@ -42,7 +42,6 @@ from unroll_tuner.mlp import (
     load_model,
     loss_and_gradients,
     one_hot,
-    param_views,
     predict_class,
     predict_probs,
     save_model,
@@ -160,6 +159,22 @@ def test_batchnorm_train_mode_statistics():
     assert np.abs(xhat.var(axis=0) - 1.0).max() < 1e-4
 
 
+def test_forward_updates_running_statistics_in_place():
+    m = toy_model(3, hidden=(5, 4), seed=2)
+    rng = np.random.default_rng(4)
+    for _ in range(2):           # from the initial statistics, then from updated ones
+        before = [(l.running_mean.copy(), l.running_var.copy()) for l in m.layers[:-1]]
+        _, cache = forward(m, rng.normal(size=(16, 3)), train=True)
+        for k, (mean, var) in enumerate(before):
+            layer = m.layers[k]
+            z = cache["inputs"][k] @ layer.w + layer.b
+            want_mean = m.bn_momentum * mean + (1 - m.bn_momentum) * z.mean(axis=0)
+            want_var = m.bn_momentum * var + (1 - m.bn_momentum) * z.var(axis=0)
+            assert layer.running_mean.tobytes() == want_mean.tobytes()
+            assert layer.running_var.tobytes() == want_var.tobytes()
+            assert layer.running_mean.base is m.store and layer.running_var.base is m.store
+
+
 def test_dropout_train_expectation_matches_infer():
     """Inverted dropout: E[train-mode activation] == infer-mode activation."""
     m = toy_model(3, hidden=(16,), dropout=(0.3,))
@@ -242,59 +257,61 @@ def test_adam_single_scalar_step():
 
 
 def test_adam_zero_gradient_no_drift():
-    m = toy_model(2)
-    params = _flatten(m)
-    state = AdamState.for_params(params)
-    before = params.copy()
-    before_w = [l.w.copy() for l in m.layers]
+    """A zero gradient is an exact no-op, whatever bits the store holds."""
+    m = toy_model(2, hidden=(4, 2))
+    m.layers[0].running_mean[:] = [-0.0, 5e-324, np.inf, -np.inf]
+    m.layers[1].running_var[:] = [-0.0, 2.2250738585072014e-308 / 3]     # subnormal
+    before = m.store.tobytes()
+    state = AdamState.for_params(m.store)
     state.grad[:] = 0.0
-    adam_step(params, state, 1)
-    assert np.abs(params - before).max() < 1e-12
-    for b, l in zip(before_w, m.layers):
-        assert np.abs(l.w - b).max() < 1e-12
+    for t in (1, 2):
+        adam_step(m.store, state, t)
+        assert m.store.tobytes() == before
+    assert not state.m.any() and not state.v.any()
 
 
 def test_adam_deterministic():
     outs = []
     for _ in range(2):
         m = toy_model(2, seed=9)
-        params = _flatten(m)
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(m.store)
         state.grad[:] = 0.25
-        adam_step(params, state, 1)
-        outs.append([l.w.copy() for l in m.layers])
-    for a, b in zip(*outs):
-        assert np.array_equal(a, b)
+        adam_step(m.store, state, 1)
+        outs.append(m.store.tobytes())
+    assert outs[0] == outs[1]
 
 
-def test_flatten_makes_trained_arrays_views_of_one_buffer():
-    m = init_model(5, seed=1, hidden=(4, 3), dropout=(0.0, 0.0))
-    values = [[getattr(l, n).copy() for n in ("w", "b", "gamma", "beta")
-               if getattr(l, n) is not None] for l in m.layers]
-    params = _flatten(m)
-    assert params.size == sum(a.size for layer in values for a in layer)
-    start = 0
-    for layer, before in zip(m.layers, values):
-        arrays = [getattr(layer, n) for n in ("w", "b", "gamma", "beta")
-                  if getattr(layer, n) is not None]
-        for array, old in zip(arrays, before):      # layout: layer by layer, w, b, gamma, beta
-            assert array.base is params and array.shape == old.shape
-            assert np.array_equal(array, old)
-            assert np.array_equal(params[start:start + array.size], old.ravel())
-            start += array.size
-    params[:] = 7.0
-    assert all(np.all(l.w == 7.0) and np.all(l.b == 7.0) for l in m.layers)
-    assert m.layers[0].running_mean.base is None           # running stats stay apart
-
-
-def test_training_leaves_model_arrays_views_of_one_buffer():
+@pytest.mark.parametrize("made", ["init", "trained", "loaded"])
+def test_every_array_is_a_view_of_the_store(tmp_path, made):
     split, scaler = cluster_split(n_rows=60, seed=3)
-    m = init_model(scaler.output_width, seed=1, hidden=(8,), dropout=(0.0,))
+    m = init_model(scaler.output_width, seed=1, hidden=(8, 4), dropout=(0.0, 0.0))
     m.scaler = scaler
-    m, _ = train(m, split, TrainConfig(seed=1, max_epochs=2))
-    bases = {id(getattr(l, n).base) for l in m.layers for n in ("w", "b", "gamma", "beta")
-             if getattr(l, n) is not None}
-    assert len(bases) == 1
+    if made != "init":
+        m, _ = train(m, split, TrainConfig(seed=1, max_epochs=2))
+    if made == "loaded":
+        path = str(tmp_path / "m.json")
+        save_model(m, path)
+        assert _read_model_file(path)[1] == m.store.tobytes()
+        m = load_model(path)
+    arrays = [a for layer in m.layers for a in vars(layer).values() if a is not None]
+    start = 0
+    for array in arrays:    # layout: layer by layer, w, b, then the four of batchnorm
+        assert array.base is m.store
+        assert array.ctypes.data == m.store.ctypes.data + 8 * start
+        start += array.size
+    assert start == m.store.size
+    m.store[:] = 7.0
+    assert all(np.all(array == 7.0) for array in arrays)
+
+
+def test_layer_arrays_cannot_be_rebound():
+    m = toy_model(3)
+    with pytest.raises(FrozenInstanceError):
+        m.layers[0].running_mean = np.zeros(2)
+    with pytest.raises(FrozenInstanceError):
+        m.layers[-1].w = m.layers[-1].w.copy()
+    with pytest.raises(TypeError):
+        m.layers[0] = m.layers[1]
 
 
 def _reference_adam_update(param, grad, m1, v1, t):
@@ -309,32 +326,29 @@ def _reference_adam_update(param, grad, m1, v1, t):
 
 
 def test_flat_adam_matches_per_layer_updates():
-    names = ("w", "b", "gamma", "beta")
+    """ADAM over the whole store equals per-array updates of the trained
+    arrays, which leave the running statistics alone."""
     flat = init_model(38, seed=99)
     ref = init_model(38, seed=99)
-    ref_arrays = [{n: getattr(l, n) for n in names if getattr(l, n) is not None}
-                  for l in ref.layers]
-    ref_m = [{n: np.zeros_like(a) for n, a in layer.items()} for layer in ref_arrays]
-    ref_v = [{n: np.zeros_like(a) for n, a in layer.items()} for layer in ref_arrays]
-    params = _flatten(flat)
-    assert params.size > 5 * ADAM_CHUNK          # several slices and a partial one
-    state = AdamState.for_params(params)
+    assert flat.store.size > 5 * ADAM_CHUNK          # several slices and a partial one
+    state = AdamState.for_params(flat.store)
+    ref_m, ref_v = np.zeros_like(ref.store), np.zeros_like(ref.store)
     rng = np.random.default_rng(99)
     for t in range(1, 6):
         grad = state.grad
-        grad[:] = rng.normal(scale=10.0 ** -t, size=params.size)
+        grad[:] = rng.normal(scale=10.0 ** -t, size=grad.size)
         grad[::7] = 0.0
-        adam_step(params, state, t)
-        for k, layer in enumerate(param_views(flat, grad)):
-            for n, g in layer.items():
-                _reference_adam_update(ref_arrays[k][n], g, ref_m[k][n], ref_v[k][n], t)
-    for k, layer in enumerate(flat.layers):
-        for n in ref_arrays[k]:
-            assert getattr(layer, n).tobytes() == ref_arrays[k][n].tobytes()
-    moments = [np.concatenate([a.ravel() for layer in ms for a in layer.values()])
-               for ms in (ref_m, ref_v)]
-    assert state.m.tobytes() == moments[0].tobytes()
-    assert state.v.tobytes() == moments[1].tobytes()
+        for named in _views(flat.layer_dims, grad)[:-1]:
+            named["running_mean"][:] = named["running_var"][:] = 0.0
+        adam_step(flat.store, state, t)
+        views = [_views(ref.layer_dims, buf) for buf in (ref.store, grad, ref_m, ref_v)]
+        for params, grads, m1, v1 in zip(*views):
+            for n in ("w", "b", "gamma", "beta"):
+                if n in params:
+                    _reference_adam_update(params[n], grads[n], m1[n], v1[n], t)
+    assert flat.store.tobytes() == ref.store.tobytes()
+    assert state.m.tobytes() == ref_m.tobytes()
+    assert state.v.tobytes() == ref_v.tobytes()
 
 
 def _reference_loss_and_gradients(m, batch, one_hot, dropout_rng=None):
@@ -369,20 +383,19 @@ def test_flat_gradients_match_per_array_backprop():
     x = rng.normal(size=(100, 38))
     y = one_hot([UNROLL_FACTORS[i % 7] for i in range(100)])
     m, ref = init_model(38, seed=99), init_model(38, seed=99)
-    grad = np.full(sum(getattr(l, n).size for l in m.layers for n in ("w", "b", "gamma", "beta")
-                       if getattr(l, n) is not None), np.nan)
+    grad = np.full_like(m.store, np.nan)
     loss, grads = loss_and_gradients(m, x, y, np.random.default_rng(5), grad)
     ref_loss, ref_grads = _reference_loss_and_gradients(ref, x, y, np.random.default_rng(5))
     assert loss == ref_loss
     assert not np.isnan(grad).any()         # every slot of the buffer is written
     for got, want in zip(grads, ref_grads):
-        assert sorted(got) == sorted(want)
-        for name in want:
+        assert sorted(got) == sorted([*want, *(("running_mean", "running_var") if "gamma" in want
+                                               else ())])
+        for name in got:
             assert np.shares_memory(got[name], grad)
-            assert got[name].tobytes() == want[name].tobytes()
-    for a, b in zip(m.layers[:-1], ref.layers[:-1]):
-        assert a.running_mean.tobytes() == b.running_mean.tobytes()
-        assert a.running_var.tobytes() == b.running_var.tobytes()
+            expected = want.get(name, np.zeros_like(got[name]))    # +0.0 for the statistics
+            assert got[name].tobytes() == expected.tobytes()
+    assert m.store.tobytes() == ref.store.tobytes()
 
 
 # --- training ------------------------------------------------------------------------
@@ -520,8 +533,8 @@ def test_predict_argmax_scale_invariance():
     m.scaler = identity_scaler(2)
     m.trained = True
     probs = predict_probs(m, [[0.5, 1.0]])
-    m.layers[-1].w *= 3.0       # strictly increasing rescale of the logits
-    m.layers[-1].b *= 3.0
+    m.layers[-1].w[...] *= 3.0      # strictly increasing rescale of the logits
+    m.layers[-1].b[...] *= 3.0
     rescaled = predict_probs(m, [[0.5, 1.0]])
     assert int(probs.argmax()) == int(rescaled.argmax())
 
@@ -563,10 +576,10 @@ def test_predict_probs_bit_identical_to_reference(mode):
     assert scaler.dropped_columns
     m = init_model(scaler.output_width, seed=5)
     for layer in m.layers[:-1]:
-        layer.running_mean = rng.normal(size=layer.b.shape)
-        layer.running_var = rng.uniform(0.1, 4.0, size=layer.b.shape)
-        layer.gamma = rng.normal(size=layer.b.shape)
-        layer.beta = rng.normal(size=layer.b.shape)
+        layer.running_mean[...] = rng.normal(size=layer.b.shape)
+        layer.running_var[...] = rng.uniform(0.1, 4.0, size=layer.b.shape)
+        layer.gamma[...] = rng.normal(size=layer.b.shape)
+        layer.beta[...] = rng.normal(size=layer.b.shape)
     m.scaler, m.trained = scaler, True
     expected = _reference_infer(m, _reference_transform(scaler, rows))
     for _ in range(2):                             # the second call reuses the scaler's arrays
@@ -624,7 +637,7 @@ def test_model_file_lists_architecture(tmp_path):
     assert header["format_version"] == MODEL_FORMAT_VERSION == 3
     assert header["layer_dims"] == [40, 500, 400, 250, 100, 7]
     assert "layers" not in header
-    assert payload == b"".join(_layer_bytes(m))      # w, b, then batchnorm, layer by layer
+    assert payload == b"".join(_layer_bytes(m)) == m.store.tobytes()    # w, b, then batchnorm
 
 
 def test_tampered_model_rejected(tmp_path):
@@ -666,7 +679,7 @@ def test_save_load_bit_exact_with_special_values(tmp_path):
     loaded = load_model(path)
     assert _layer_bytes(loaded) == _layer_bytes(m)
     assert loaded.layer_dims == m.layer_dims and loaded.trained
-    loaded.layers[0].w += 1.0       # loaded arrays are writable, not views of the file buffer
+    loaded.layers[0].w[...] += 1.0      # loaded arrays are writable, not views of the file buffer
 
 
 def _write_payload(tmp_path, mutate):
@@ -679,6 +692,19 @@ def _write_payload(tmp_path, mutate):
     mutate(header)
     _write_model_file(path, header, payload)
     return path
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda header: header.update(layer_dims=[3, 2.5, 2, 7]),
+    lambda header: header.update(classes=[0, 2]),
+    lambda header: header.update(classes=[0] * 7),
+    lambda header: header.update(classes=[0, 2, 4, 8, 16, 32, 3]),
+    lambda header: header.update(dropout_rates=[0.0]),
+], ids=["fractional-dim", "too-few-classes", "repeated-class", "foreign-class",
+        "dropout-count"])
+def test_header_that_contradicts_itself_is_corrupt_file(tmp_path, mutate):
+    with pytest.raises(CorruptFile):
+        load_model(_write_payload(tmp_path, mutate))
 
 
 def test_v1_model_file_rejected(tmp_path):
@@ -729,8 +755,8 @@ def test_bad_weight_string_is_corrupt_file(tmp_path, bad):
 
 def test_failed_save_keeps_previous_model(tmp_path):
     class Unwritable:
-        """An array that fails to convert: the save raises after writing the
-        header and the first layer's arrays."""
+        """A store that fails to convert: the save raises after writing the
+        header."""
         def __array__(self, dtype=None, copy=None):
             raise OSError("disk full")
 
@@ -741,7 +767,7 @@ def test_failed_save_keeps_previous_model(tmp_path):
     before = path.read_bytes()
     m = toy_model(3, seed=2)
     m.scaler = identity_scaler(3)
-    m.layers[1].w = Unwritable()
+    m.store = Unwritable()
     with pytest.raises(OSError, match="disk full"):
         save_model(m, str(path))
     assert path.read_bytes() == before
