@@ -4,148 +4,93 @@ Kernels: matrix product (accumulator idiom), scaled matrix sum, RGB-to-gray
 conversion, a 3-tap horizontal blur, and a CNN convolution layer.  Sizes
 follow the small=256 / medium=1024 / large=2048 grid; the convolution
 instead varies its batch size over {64, 32, 8} with C=4 input channels,
-H=W=size/8 and 16 3x3 filters.
+H=W=size/8 and 16 3x3 filters.  Each kernel is written in `.prog` notation
+(see `textfmt`) and parsed, so it is validated like any program file.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ir import (
-    Access,
-    BinOp,
-    BinOpKind,
-    BufferAccess,
-    BufferDecl,
-    Constant,
-    DataType,
-    Iterator,
-    Program,
-    subs,
-)
+from .ir import Program
 from .schedule import Interchange, Parallelize, Tile2, Transform
+from .textfmt import parse_program_text
 
 SIZE_CLASSES = {"small": 256, "medium": 1024, "large": 2048}
 CONV_BATCH = {"small": 64, "medium": 32, "large": 8}
 
-F64 = DataType.Float64
-
-
-def _iters(*pairs) -> tuple[Iterator, ...]:
-    return tuple(Iterator(name, 0, extent) for name, extent in pairs)
-
-
-def _load(buffer: str, *dims) -> Access:
-    return Access(BufferAccess(buffer, subs(*dims)))
-
 
 def mmxm(msize: int) -> Program:
     """Square matrix product: out[i0,i1] accumulates M1[i0,i2]*M2[i2,i1]."""
-    out = BufferAccess("mul", subs("i0", "i1"))
-    body = BinOp(
-        BinOpKind.Add,
-        _load("mul", "i0", "i1"),
-        BinOp(BinOpKind.Mul, _load("M1", "i0", "i2"), _load("M2", "i2", "i1")),
-    )
-    return Program(
-        name="mmxm",
-        iterators=_iters(("i0", msize), ("i1", msize), ("i2", msize)),
-        body=body,
-        output=out,
-        inputs=(BufferDecl("M1", 2), BufferDecl("M2", 2)),
-        dtype=F64,
-    )
+    return parse_program_text(f"""
+        program mmxm
+        iter i0 0 {msize}
+        iter i1 0 {msize}
+        iter i2 0 {msize}
+        input M1 2 float64
+        input M2 2 float64
+        body mul[i0, i1] + M1[i0, i2] * M2[i2, i1]
+        output mul[i0, i1]
+    """)[0]
 
 
 def smm(msize: int, alpha: float = 2.0, beta: float = 3.0) -> Program:
     """Scaled matrix sum alpha*M1 + beta*M2."""
-    body = BinOp(
-        BinOpKind.Add,
-        BinOp(BinOpKind.Mul, Constant(alpha), _load("M1", "i0", "i1")),
-        BinOp(BinOpKind.Mul, Constant(beta), _load("M2", "i0", "i1")),
-    )
-    return Program(
-        name="smm",
-        iterators=_iters(("i0", msize), ("i1", msize)),
-        body=body,
-        output=BufferAccess("add", subs("i0", "i1")),
-        inputs=(BufferDecl("M1", 2), BufferDecl("M2", 2)),
-        dtype=F64,
-    )
+    return parse_program_text(f"""
+        program smm
+        iter i0 0 {msize}
+        iter i1 0 {msize}
+        input M1 2 float64
+        input M2 2 float64
+        body {alpha!r} * M1[i0, i1] + {beta!r} * M2[i0, i1]
+        output add[i0, i1]
+    """)[0]
 
 
 def rgb_gray(isize: int) -> Program:
     """Weighted sum of the three color planes (standard luma weights)."""
-    body = BinOp(
-        BinOpKind.Add,
-        BinOp(
-            BinOpKind.Add,
-            BinOp(BinOpKind.Mul, Constant(0.299), _load("r_input", "x", "y")),
-            BinOp(BinOpKind.Mul, Constant(0.587), _load("g_input", "x", "y")),
-        ),
-        BinOp(BinOpKind.Mul, Constant(0.114), _load("b_input", "x", "y")),
-    )
-    return Program(
-        name="rgb_gray",
-        iterators=_iters(("x", isize), ("y", isize)),
-        body=body,
-        output=BufferAccess("griser", subs("x", "y")),
-        inputs=(
-            BufferDecl("r_input", 2),
-            BufferDecl("g_input", 2),
-            BufferDecl("b_input", 2),
-        ),
-        dtype=F64,
-    )
+    return parse_program_text(f"""
+        program rgb_gray
+        iter x 0 {isize}
+        iter y 0 {isize}
+        input r_input 2 float64
+        input g_input 2 float64
+        input b_input 2 float64
+        body 0.299 * r_input[x, y] + 0.587 * g_input[x, y] + 0.114 * b_input[x, y]
+        output griser[x, y]
+    """)[0]
 
 
 def blur(isize: int) -> Program:
     """Horizontal 3-tap average over a 3-d image volume."""
-    body = BinOp(
-        BinOpKind.Div,
-        BinOp(
-            BinOpKind.Add,
-            BinOp(
-                BinOpKind.Add,
-                _load("b_input", "x", "y", "c"),
-                _load("b_input", ("x", 1), "y", "c"),
-            ),
-            _load("b_input", ("x", 2), "y", "c"),
-        ),
-        Constant(3.0),
-    )
-    return Program(
-        name="blur",
-        iterators=_iters(("x", isize), ("y", isize), ("c", isize)),
-        body=body,
-        output=BufferAccess("blur_x", subs("x", "y", "c")),
-        inputs=(BufferDecl("b_input", 3),),
-        dtype=F64,
-    )
+    return parse_program_text(f"""
+        program blur
+        iter x 0 {isize}
+        iter y 0 {isize}
+        iter c 0 {isize}
+        input b_input 3 float64
+        body (b_input[x, y, c] + b_input[x+1, y, c] + b_input[x+2, y, c]) / 3.0
+        output blur_x[x, y, c]
+    """)[0]
 
 
 def conv_layer(batch: int, cin: int = 4, height: int = 32, width: int = 32,
                cout: int = 16, kh: int = 3, kw: int = 3) -> Program:
     """Direct convolution: out[n,z,y1,x1] += filter[z,kz,ky,kx]*in[n,kz,y1+ky,x1+kx]."""
-    out = BufferAccess("conv", subs("n", "z", "y1", "x1"))
-    body = BinOp(
-        BinOpKind.Add,
-        _load("conv", "n", "z", "y1", "x1"),
-        BinOp(
-            BinOpKind.Mul,
-            _load("filter", "z", "kz", "ky", "kx"),
-            _load("c_input", "n", "kz", ("y1", "ky"), ("x1", "kx")),
-        ),
-    )
-    return Program(
-        name="conv_layer",
-        iterators=_iters(("n", batch), ("z", cout), ("y1", height), ("x1", width),
-                         ("kz", cin), ("ky", kh), ("kx", kw)),
-        body=body,
-        output=out,
-        inputs=(BufferDecl("c_input", 4), BufferDecl("filter", 4)),
-        dtype=F64,
-    )
+    return parse_program_text(f"""
+        program conv_layer
+        iter n 0 {batch}
+        iter z 0 {cout}
+        iter y1 0 {height}
+        iter x1 0 {width}
+        iter kz 0 {cin}
+        iter ky 0 {kh}
+        iter kx 0 {kw}
+        input c_input 4 float64
+        input filter 4 float64
+        body conv[n, z, y1, x1] + filter[z, kz, ky, kx] * c_input[n, kz, y1+ky, x1+kx]
+        output conv[n, z, y1, x1]
+    """)[0]
 
 
 @dataclass(frozen=True)

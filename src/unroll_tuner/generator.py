@@ -28,7 +28,7 @@ from .ir import (
     Program,
     Subscript,
 )
-from .rng import SplitMix64, mix64
+from .rng import SplitMix64, fnv1a64, mix64
 from .schedule import (
     Interchange,
     Parallelize,
@@ -151,14 +151,6 @@ def gen_program(cfg: GenConfig, index: int) -> Program:
     )
 
 
-def _fnv1a64(text: str) -> int:
-    h = 0xCBF29CE484222325
-    for byte in text.encode():
-        h ^= byte
-        h = (h * 0x100000001B3) & ((1 << 64) - 1)
-    return h
-
-
 def _factor_for(rng: SplitMix64, extent: int) -> int | None:
     pool = [f for f in _TILE_FACTOR_POOL if f <= extent]
     return rng.choice(pool) if pool else None
@@ -198,7 +190,8 @@ def _random_schedule(rng: SplitMix64, p: Program, allowed: set[str]) -> list[Tra
 
 def gen_schedules(cfg: GenConfig, p: Program) -> list[ScheduledProgram]:
     """schedules_per_program legal schedules; candidate 0 is always empty."""
-    rng = SplitMix64(mix64((cfg.seed & ((1 << 64) - 1)) ^ _fnv1a64(program_to_text(p))))
+    key = fnv1a64(program_to_text(p).encode())
+    rng = SplitMix64(mix64((cfg.seed & ((1 << 64) - 1)) ^ key))
     allowed = set(cfg.allowed_transforms)
     out = [new_schedule(p)]
     while len(out) < cfg.schedules_per_program:

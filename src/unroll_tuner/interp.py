@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import UnrollTunerError
 from .ir import Access, BinOpKind, Constant, DataType, Program, load_accesses
+from .rng import fnv1a64
 from .schedule import ScheduledProgram, new_schedule
 
 # Per-dimension multipliers of the input fill pattern; the kernel emitter
@@ -213,9 +214,4 @@ def outputs_equal(a: list, b: list, dtype: DataType, tol: float = 1e-12) -> bool
 def output_checksum(output: list, dtype: DataType) -> int:
     """FNV-1a 64-bit over the little-endian storage bytes of each element."""
     fmt = _PACK_FMT[dtype]
-    h = 0xCBF29CE484222325
-    for v in output:
-        for byte in struct.pack(fmt, v):
-            h ^= byte
-            h = (h * 0x100000001B3) & ((1 << 64) - 1)
-    return h
+    return fnv1a64(b"".join(struct.pack(fmt, v) for v in output))

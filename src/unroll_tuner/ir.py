@@ -72,19 +72,6 @@ class Subscript:
         return cls((name,), offset)
 
 
-def subs(*dims) -> tuple[Subscript, ...]:
-    """Subscript tuple from 'i0' / ('i1', 1) / ('y1', 'ky') style shorthands."""
-    out = []
-    for dim in dims:
-        if isinstance(dim, str):
-            out.append(Subscript.of(dim))
-        else:
-            names = tuple(d for d in dim if isinstance(d, str))
-            offsets = [d for d in dim if isinstance(d, int)]
-            out.append(Subscript(names, sum(offsets)))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BufferAccess:
     """Subscripted buffer reference, one Subscript per buffer dimension."""

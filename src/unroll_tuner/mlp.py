@@ -34,6 +34,9 @@ DEFAULT_HIDDEN = (500, 400, 250, 100)
 DEFAULT_DROPOUT = (0.12, 0.10, 0.04, 0.07)
 N_CLASSES = len(UNROLL_FACTORS)
 LOG_CLAMP = 1e-12
+# batchnorm: running statistics decay and the variance floor
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
 # ADAM hyperparameters (Kingma & Ba's defaults)
 ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
@@ -98,12 +101,11 @@ def _views(dims: list[int], flat: np.ndarray) -> list[dict[str, np.ndarray]]:
 @dataclass
 class MlpModel:
     """`store` is one flat float64 array laid out like the model file's
-    payload (`_layout`); every array of `layers` is a view of it."""
+    payload (`_layout`); every array of `layers` is a view of it, so
+    `layer_dims`, `store` and `layers` are fixed at construction."""
     layer_dims: list[int]
     store: np.ndarray
     dropout_rates: tuple[float, ...]
-    bn_momentum: float = 0.9
-    bn_eps: float = 1e-5
     scaler: Scaler | None = None
     classes: tuple[int, ...] = UNROLL_FACTORS
     trained: bool = False
@@ -115,6 +117,11 @@ class MlpModel:
             raise ValueError(f"a store of shape {self.store.shape}, layer_dims "
                              f"{self.layer_dims} need {size} floats")
         self.layers = tuple(Layer(**named) for named in _views(self.layer_dims, self.store))
+
+    def __setattr__(self, name, value):
+        if name in ("layer_dims", "store", "layers") and name in self.__dict__:
+            raise AttributeError(f"MlpModel.{name} is fixed at construction")
+        super().__setattr__(name, value)
 
     @property
     def input_width(self) -> int:
@@ -177,7 +184,7 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
             z = a @ layer.w
             z += layer.b
             z -= layer.running_mean
-            z /= np.sqrt(layer.running_var + m.bn_eps)
+            z /= np.sqrt(layer.running_var + BN_EPS)
             a = layer.gamma * z
             a += layer.beta
             np.maximum(a, 0.0, out=a)
@@ -191,9 +198,9 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
         mu = z.mean(axis=0)
         var = z.var(axis=0)
         for running, batch_stat in ((layer.running_mean, mu), (layer.running_var, var)):
-            running *= m.bn_momentum          # in place: the store keeps them
-            running += (1 - m.bn_momentum) * batch_stat
-        std = np.sqrt(var + m.bn_eps)
+            running *= BN_MOMENTUM          # in place: the store keeps them
+            running += (1 - BN_MOMENTUM) * batch_stat
+        std = np.sqrt(var + BN_EPS)
         xhat = (z - mu) / std
         h = layer.gamma * xhat + layer.beta
         a = np.maximum(h, 0.0)
@@ -440,8 +447,8 @@ def save_model(m: MlpModel, path: str) -> None:
         "classes": list(m.classes),
         "layer_dims": list(m.layer_dims),
         "dropout_rates": list(m.dropout_rates),
-        "bn_momentum": m.bn_momentum,
-        "bn_eps": m.bn_eps,
+        "bn_momentum": BN_MOMENTUM,
+        "bn_eps": BN_EPS,
         "trained": m.trained,
         "scaler": _scaler_to_obj(m.scaler),
     }
@@ -463,8 +470,9 @@ def load_model(path: str) -> MlpModel:
     format-2 file is one JSON document, so it reads as a header) raises
     FormatVersionMismatch; a malformed header, one that contradicts itself
     (classes or dropout rates that do not fit `layer_dims`, classes that are
-    not distinct unrolling factors) or a payload of the wrong length raises
-    CorruptFile.  The payload's one copy becomes the model's store."""
+    not distinct unrolling factors, a dropout rate outside [0, 1), batchnorm
+    values other than BN_MOMENTUM and BN_EPS) or a payload of the wrong
+    length raises CorruptFile.  The payload's one copy becomes the model's store."""
     with open(path, "rb") as fh:
         data = fh.read()
     head, _, payload = data.partition(b"\n")
@@ -494,13 +502,16 @@ def load_model(path: str) -> MlpModel:
         if len(dropout_rates) != len(dims) - 2:
             raise ValueError(f"{len(dropout_rates)} dropout rates for "
                              f"{len(dims) - 2} hidden layers")
+        if any(type(r) not in (int, float) or not 0.0 <= r < 1.0 for r in dropout_rates):
+            raise ValueError(f"dropout rates {list(dropout_rates)} do not all lie in [0, 1)")
+        for key, value in (("bn_momentum", BN_MOMENTUM), ("bn_eps", BN_EPS)):
+            if header[key] != value:
+                raise ValueError(f"{key} {header[key]!r} is not {value!r}")
         model = MlpModel(
             layer_dims=dims,
             # one aligned, writable copy of the payload
             store=np.frombuffer(payload, dtype="<f8").astype(np.float64),
             dropout_rates=dropout_rates,
-            bn_momentum=header["bn_momentum"],
-            bn_eps=header["bn_eps"],
             scaler=_scaler_from_obj(header.get("scaler")),
             classes=classes,
             trained=bool(header.get("trained")),

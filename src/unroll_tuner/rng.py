@@ -14,6 +14,8 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
 
 
 def mix64(z: int) -> int:
@@ -22,6 +24,15 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & MASK64
     return (z ^ (z >> 31)) & MASK64
+
+
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a hash of `data`."""
+    h = _FNV_OFFSET
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & MASK64
+    return h
 
 
 class SplitMix64:

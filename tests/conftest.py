@@ -11,10 +11,23 @@ from unroll_tuner.ir import (
     DataType,
     Iterator,
     Program,
-    subs,
+    Subscript,
 )
 
 F64 = DataType.Float64
+
+
+def subs(*dims) -> tuple[Subscript, ...]:
+    """Subscript tuple from 'i0' / ('i1', 1) / ('y1', 'ky') style shorthands."""
+    out = []
+    for dim in dims:
+        if isinstance(dim, str):
+            out.append(Subscript.of(dim))
+        else:
+            names = tuple(d for d in dim if isinstance(d, str))
+            offsets = [d for d in dim if isinstance(d, int)]
+            out.append(Subscript(names, sum(offsets)))
+    return tuple(out)
 
 
 def load(buffer: str, *dims) -> Access:

@@ -1,0 +1,50 @@
+"""Every public top-level function and class of the package has a caller.
+
+The check parses `src/unroll_tuner/*.py` and `perfbench/*.py`.  A public
+name (no leading underscore) defined at the top level of a package module
+must be referenced in either tree: as a name, as an attribute, or as a
+string constant in `perfbench/` (the traced benchmark wraps functions by
+name).  A definition or an import alone is no reference, so an API that only
+the tests call fails here.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "unroll_tuner"
+PERFBENCH = ROOT / "perfbench"
+
+# Kept for the acceptance tests, which pin their behaviour.
+ALLOWED = {"generate", "outputs_equal"}
+
+
+def _trees(directory: Path) -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(directory.glob("*.py"))}
+
+
+def _references(tree: ast.Module, strings: bool) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_definition_is_referenced():
+    package, perfbench = _trees(PACKAGE), _trees(PERFBENCH)
+    referenced = set().union(*(_references(t, strings=False) for t in package.values()),
+                             *(_references(t, strings=True) for t in perfbench.values()))
+    unused = [f"{module}.{node.name}"
+              for module, tree in package.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in referenced | ALLOWED]
+    assert not unused, f"public definitions that nothing in src/ or perfbench/ uses: {unused}"

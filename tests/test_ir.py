@@ -13,7 +13,6 @@ from unroll_tuner.ir import (
     Iterator,
     Program,
     op_histogram,
-    subs,
     validate_program,
 )
 from unroll_tuner.rng import SplitMix64

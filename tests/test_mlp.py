@@ -8,6 +8,7 @@ from dataclasses import FrozenInstanceError, dataclass
 import numpy as np
 import pytest
 
+from unroll_tuner import mlp
 from unroll_tuner.dataset import LabeledSample, SplitDataset
 from unroll_tuner.errors import (
     CorruptFile,
@@ -29,6 +30,8 @@ from unroll_tuner.mlp import (
     ADAM_CHUNK,
     ADAM_EPS,
     ADAM_LR,
+    BN_EPS,
+    BN_MOMENTUM,
     DEFAULT_DROPOUT,
     LOG_CLAMP,
     MODEL_FORMAT_VERSION,
@@ -168,17 +171,17 @@ def test_forward_updates_running_statistics_in_place():
         for k, (mean, var) in enumerate(before):
             layer = m.layers[k]
             z = cache["inputs"][k] @ layer.w + layer.b
-            want_mean = m.bn_momentum * mean + (1 - m.bn_momentum) * z.mean(axis=0)
-            want_var = m.bn_momentum * var + (1 - m.bn_momentum) * z.var(axis=0)
+            want_mean = BN_MOMENTUM * mean + (1 - BN_MOMENTUM) * z.mean(axis=0)
+            want_var = BN_MOMENTUM * var + (1 - BN_MOMENTUM) * z.var(axis=0)
             assert layer.running_mean.tobytes() == want_mean.tobytes()
             assert layer.running_var.tobytes() == want_var.tobytes()
             assert layer.running_mean.base is m.store and layer.running_var.base is m.store
 
 
-def test_dropout_train_expectation_matches_infer():
+def test_dropout_train_expectation_matches_infer(monkeypatch):
     """Inverted dropout: E[train-mode activation] == infer-mode activation."""
     m = toy_model(3, hidden=(16,), dropout=(0.3,))
-    m.bn_momentum = 0.0       # running stats mirror the last batch exactly
+    monkeypatch.setattr(mlp, "BN_MOMENTUM", 0.0)    # running stats mirror the last batch
     rng = np.random.default_rng(3)
     x = rng.normal(size=(32, 3))
     forward(m, x, train=True, dropout_rng=np.random.default_rng(0))
@@ -562,7 +565,7 @@ def _reference_infer(m, x: np.ndarray) -> np.ndarray:
     a = x
     for layer in m.layers[:-1]:
         z = a @ layer.w + layer.b
-        xhat = (z - layer.running_mean) / np.sqrt(layer.running_var + m.bn_eps)
+        xhat = (z - layer.running_mean) / np.sqrt(layer.running_var + BN_EPS)
         a = np.maximum(layer.gamma * xhat + layer.beta, 0.0)
     return softmax(a @ m.layers[-1].w + m.layers[-1].b)
 
@@ -700,8 +703,19 @@ def _write_payload(tmp_path, mutate):
     lambda header: header.update(classes=[0] * 7),
     lambda header: header.update(classes=[0, 2, 4, 8, 16, 32, 3]),
     lambda header: header.update(dropout_rates=[0.0]),
+    lambda header: header.update(dropout_rates=[0.1, 1.0]),
+    lambda header: header.update(dropout_rates=[-0.1, 0.0]),
+    lambda header: header.update(dropout_rates=[float("nan"), 0.0]),
+    lambda header: header.update(dropout_rates=["0.1", 0.0]),
+    lambda header: header.update(dropout_rates=[True, 0.0]),
+    lambda header: header.update(bn_eps=-1),
+    lambda header: header.update(bn_eps=0.0),
+    lambda header: header.update(bn_momentum=0.5),
+    lambda header: header.pop("bn_momentum"),
 ], ids=["fractional-dim", "too-few-classes", "repeated-class", "foreign-class",
-        "dropout-count"])
+        "dropout-count", "dropout-one", "dropout-negative", "dropout-nan", "dropout-string",
+        "dropout-bool", "bn-eps-negative", "bn-eps-zero", "bn-momentum-other",
+        "bn-momentum-missing"])
 def test_header_that_contradicts_itself_is_corrupt_file(tmp_path, mutate):
     with pytest.raises(CorruptFile):
         load_model(_write_payload(tmp_path, mutate))
@@ -753,13 +767,7 @@ def test_bad_weight_string_is_corrupt_file(tmp_path, bad):
         load_model(path)
 
 
-def test_failed_save_keeps_previous_model(tmp_path):
-    class Unwritable:
-        """A store that fails to convert: the save raises after writing the
-        header."""
-        def __array__(self, dtype=None, copy=None):
-            raise OSError("disk full")
-
+def test_failed_save_keeps_previous_model(tmp_path, monkeypatch):
     path = tmp_path / "model.json"
     old = toy_model(3, seed=1)
     old.scaler = identity_scaler(3)
@@ -767,11 +775,26 @@ def test_failed_save_keeps_previous_model(tmp_path):
     before = path.read_bytes()
     m = toy_model(3, seed=2)
     m.scaler = identity_scaler(3)
-    m.store = Unwritable()
+
+    def unwritable(array, dtype=None):
+        raise OSError("disk full")      # the save fails after writing the header
+    monkeypatch.setattr(mlp.np, "ascontiguousarray", unwritable)
     with pytest.raises(OSError, match="disk full"):
         save_model(m, str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["model.json"]
+
+
+def test_store_and_layer_dims_cannot_be_rebound():
+    m = toy_model(3)
+    store, layers = m.store, m.layers
+    for name, value in (("store", np.zeros_like(m.store)), ("layer_dims", [3, 4, 7]),
+                        ("layers", ())):
+        with pytest.raises(AttributeError, match=name):
+            setattr(m, name, value)
+    assert m.store is store and m.layers is layers and m.layer_dims == [3, 2, 2, 7]
+    m.trained = True                    # the other fields stay settable
+    assert m.trained
 
 
 def test_init_model_matches_scalar_draws():
