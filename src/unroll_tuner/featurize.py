@@ -16,7 +16,6 @@ the three levels.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -109,17 +108,19 @@ def data_loaded_per_level(sp: ScheduledProgram | Program) -> list[int]:
     if isinstance(sp, Program):
         sp = new_schedule(sp)
     level_by_name = {it.name: pos for pos, it in enumerate(sp.loops)}
-    extent_by_name = {it.name: it.extent for it in sp.loops}
     out = [0] * MAX_DEPTH
     for names, accesses in load_iterator_sets(sp.base):
-        used: set[str] = set()
-        for it_name in names:
-            used |= sp.index_exprs[it_name].variables()
-        levels = sorted(level_by_name[name] for name in used)
-        for lvl in range(sp.depth):
-            deeper = [sp.loops[k].name for k in levels if k >= lvl]
-            if deeper:
-                out[lvl] += accesses * math.prod(extent_by_name[name] for name in deeper)
+        levels = sorted({level_by_name[var] for it_name in names
+                         for var, _ in sp.index_exprs[it_name].terms})
+        # Deepest used level first: `words` becomes the product of the used
+        # extents at or below `level`, and it is what the loads move at
+        # every level from just below the next shallower used one to `level`.
+        words = accesses
+        for j in range(len(levels) - 1, -1, -1):
+            level = levels[j]
+            words *= sp.loops[level].extent
+            for lvl in range(levels[j - 1] + 1 if j else 0, level + 1):
+                out[lvl] += words
     return out
 
 
@@ -187,15 +188,17 @@ class Scaler:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """stat_a, the divisor (with zeros replaced by 1), the kept columns
-        and the rescaled columns, as arrays built once."""
+        """The per-column pre-divisor (RESCALE_DIVISOR on the rescaled
+        columns, an exact 1 elsewhere), stat_a, the divisor (with zeros
+        replaced by 1) and the kept columns, as arrays built once."""
         a = np.asarray(self.stat_a)
         b = np.asarray(self.stat_b)
         spread = b if self.mode is ScalerMode.Standardize else b - a
         dropped = set(self.dropped_columns)
         keep = np.array([c for c in range(len(a)) if c not in dropped], dtype=np.intp)
-        rescaled = np.array(self.rescaled_columns, dtype=np.intp)
-        return a, np.where(spread == 0.0, 1.0, spread), keep, rescaled
+        rescale = np.ones(len(a))
+        rescale[np.array(self.rescaled_columns, dtype=np.intp)] = RESCALE_DIVISOR
+        return rescale, a, np.where(spread == 0.0, 1.0, spread), keep
 
     def transform_matrix(self, rows) -> np.ndarray:
         x = np.array(rows, dtype=np.float64)
@@ -203,8 +206,8 @@ class Scaler:
             x = x[None, :]
         if x.shape[1] != len(self.stat_a):
             raise ValueError(f"expected {len(self.stat_a)} columns, got {x.shape[1]}")
-        a, divisor, keep, rescaled = self._arrays
-        x[:, rescaled] /= RESCALE_DIVISOR
+        rescale, a, divisor, keep = self._arrays
+        x /= rescale
         x -= a
         x /= divisor
         return x[:, keep]

@@ -75,7 +75,7 @@ class Layer:
 _STORED = tuple(f.name for f in fields(Layer))
 
 
-def _layout(dims: list[int]):
+def _layout(dims: tuple[int, ...]):
     """The store's layout, which is also the model file's payload: (layer
     index, array name, shape) in store order, layer by layer, w, b, then
     gamma, beta, running_mean and running_var on hidden layers."""
@@ -84,11 +84,11 @@ def _layout(dims: list[int]):
             yield k, name, (dims[k], dims[k + 1]) if name == "w" else (dims[k + 1],)
 
 
-def _store_size(dims: list[int]) -> int:
+def _store_size(dims: tuple[int, ...]) -> int:
     return sum(math.prod(shape) for _, _, shape in _layout(dims))
 
 
-def _views(dims: list[int], flat: np.ndarray) -> list[dict[str, np.ndarray]]:
+def _views(dims: tuple[int, ...], flat: np.ndarray) -> list[dict[str, np.ndarray]]:
     """Per layer, name -> the view of `flat`, a buffer laid out like the
     store, that holds that array."""
     views, start = [{} for _ in dims[1:]], 0
@@ -103,7 +103,7 @@ class MlpModel:
     """`store` is one flat float64 array laid out like the model file's
     payload (`_layout`); every array of `layers` is a view of it, so
     `layer_dims`, `store` and `layers` are fixed at construction."""
-    layer_dims: list[int]
+    layer_dims: tuple[int, ...]
     store: np.ndarray
     dropout_rates: tuple[float, ...]
     scaler: Scaler | None = None
@@ -143,7 +143,7 @@ def init_model(input_width: int, seed: int,
         raise ValueError("one dropout rate per hidden layer")
     if any(not 0.0 <= r < 1.0 for r in dropout):
         raise ValueError("dropout rates must lie in [0, 1)")
-    dims = [input_width, *hidden, n_classes]
+    dims = (input_width, *hidden, n_classes)
     m = MlpModel(layer_dims=dims, store=np.zeros(_store_size(dims)),
                  dropout_rates=tuple(dropout))
     rng = SplitMix64.stream(seed, 0x11A9)
@@ -472,50 +472,60 @@ def load_model(path: str) -> MlpModel:
     (classes or dropout rates that do not fit `layer_dims`, classes that are
     not distinct unrolling factors, a dropout rate outside [0, 1), batchnorm
     values other than BN_MOMENTUM and BN_EPS) or a payload of the wrong
-    length raises CorruptFile.  The payload's one copy becomes the model's store."""
+    length raises CorruptFile.  The payload is read once, straight into the
+    model's store."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    head, _, payload = data.partition(b"\n")
-    try:
-        header = json.loads(head.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CorruptFile(f"{path}: not a model file ({exc})") from exc
-    if not isinstance(header, dict):
-        raise CorruptFile(f"{path}: not a model file (header is not a JSON object)")
-    if header.get("format_version") != MODEL_FORMAT_VERSION:
-        raise FormatVersionMismatch(
-            f"{path}: format {header.get('format_version')!r}, "
-            f"expected {MODEL_FORMAT_VERSION}")
-    try:
-        dims = header["layer_dims"]
-        if (not isinstance(dims, list) or len(dims) < 2
-                or any(type(d) is not int or d < 1 for d in dims)):
-            raise ValueError(f"layer_dims {dims} are not two or more positive integers")
-        classes = tuple(header["classes"])
-        if len(classes) != dims[-1]:
-            raise ValueError(f"{len(classes)} classes for {dims[-1]} outputs")
-        if len(set(classes)) != len(classes) or any(
-                type(c) is not int or c not in UNROLL_FACTORS for c in classes):
-            raise ValueError(f"classes {list(classes)} are not distinct members of "
-                             f"{UNROLL_FACTORS}")
-        dropout_rates = tuple(header["dropout_rates"])
-        if len(dropout_rates) != len(dims) - 2:
-            raise ValueError(f"{len(dropout_rates)} dropout rates for "
-                             f"{len(dims) - 2} hidden layers")
-        if any(type(r) not in (int, float) or not 0.0 <= r < 1.0 for r in dropout_rates):
-            raise ValueError(f"dropout rates {list(dropout_rates)} do not all lie in [0, 1)")
-        for key, value in (("bn_momentum", BN_MOMENTUM), ("bn_eps", BN_EPS)):
-            if header[key] != value:
-                raise ValueError(f"{key} {header[key]!r} is not {value!r}")
-        model = MlpModel(
-            layer_dims=dims,
-            # one aligned, writable copy of the payload
-            store=np.frombuffer(payload, dtype="<f8").astype(np.float64),
-            dropout_rates=dropout_rates,
-            scaler=_scaler_from_obj(header.get("scaler")),
-            classes=classes,
-            trained=bool(header.get("trained")),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CorruptFile(f"{path}: {exc}") from exc
-    return model
+        head = fh.readline()
+        try:
+            header = json.loads(head.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CorruptFile(f"{path}: not a model file ({exc})") from exc
+        if not isinstance(header, dict):
+            raise CorruptFile(f"{path}: not a model file (header is not a JSON object)")
+        if header.get("format_version") != MODEL_FORMAT_VERSION:
+            raise FormatVersionMismatch(
+                f"{path}: format {header.get('format_version')!r}, "
+                f"expected {MODEL_FORMAT_VERSION}")
+        try:
+            dims = header["layer_dims"]
+            if (not isinstance(dims, list) or len(dims) < 2
+                    or any(type(d) is not int or d < 1 for d in dims)):
+                raise ValueError(f"layer_dims {dims} are not two or more positive integers")
+            dims = tuple(dims)
+            classes = tuple(header["classes"])
+            if len(classes) != dims[-1]:
+                raise ValueError(f"{len(classes)} classes for {dims[-1]} outputs")
+            if len(set(classes)) != len(classes) or any(
+                    type(c) is not int or c not in UNROLL_FACTORS for c in classes):
+                raise ValueError(f"classes {list(classes)} are not distinct members of "
+                                 f"{UNROLL_FACTORS}")
+            dropout_rates = tuple(header["dropout_rates"])
+            if len(dropout_rates) != len(dims) - 2:
+                raise ValueError(f"{len(dropout_rates)} dropout rates for "
+                                 f"{len(dims) - 2} hidden layers")
+            if any(type(r) not in (int, float) or not 0.0 <= r < 1.0 for r in dropout_rates):
+                raise ValueError(f"dropout rates {list(dropout_rates)} do not all lie in [0, 1)")
+            for key, value in (("bn_momentum", BN_MOMENTUM), ("bn_eps", BN_EPS)):
+                if header[key] != value:
+                    raise ValueError(f"{key} {header[key]!r} is not {value!r}")
+            scaler = _scaler_from_obj(header.get("scaler"))
+            # checked before allocating, so a header cannot ask for more
+            # memory than its file holds
+            size = _store_size(dims)
+            payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+            if payload_bytes != 8 * size:
+                raise ValueError(f"a payload of {payload_bytes} bytes, layer_dims "
+                                 f"{list(dims)} need {size} floats")
+            store = np.empty(size, dtype="<f8")
+            if fh.readinto(store) != store.nbytes:
+                raise ValueError("the payload ended early")
+        except (KeyError, ValueError, TypeError) as exc:
+            raise CorruptFile(f"{path}: {exc}") from exc
+    return MlpModel(
+        layer_dims=dims,
+        store=store.astype(np.float64, copy=False),    # no copy on little-endian hosts
+        dropout_rates=dropout_rates,
+        scaler=scaler,
+        classes=classes,
+        trained=bool(header.get("trained")),
+    )

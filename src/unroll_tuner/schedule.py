@@ -7,13 +7,14 @@ outer loop of extent ceil(N/s) and an inner loop of extent s, rewriting the
 original index as outer*s + inner; when s does not divide N the padded points
 are masked by a guard (epilogue semantics) instead of rejecting the factor.
 
-All operations are pure: they return a new ScheduledProgram.
+The public operations are pure: they return a new ScheduledProgram.  Each
+replays its transforms on one mutable `_Nest`, frozen once at the end.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     FactorNotPowerOfTwo,
@@ -99,16 +100,16 @@ class AffineExpr:
 
     def substitute(self, var: str, outer: str, inner: str, factor: int) -> "AffineExpr":
         """Replace `var` with factor*outer + inner."""
-        coefs = self.coefficients()
-        if var not in coefs:
+        for name, _ in self.terms:
+            if name == var:
+                break
+        else:
             return self
+        coefs = self.coefficients()
         k = coefs.pop(var)
         coefs[outer] = coefs.get(outer, 0) + k * factor
         coefs[inner] = coefs.get(inner, 0) + k
         return AffineExpr(terms=tuple(sorted(coefs.items())), const=self.const)
-
-    def variables(self) -> set[str]:
-        return {name for name, _ in self.terms}
 
 
 @dataclass(frozen=True)
@@ -174,128 +175,148 @@ def _check_tile_factor(f: int) -> None:
         raise FactorNotPowerOfTwo(f"factor {f} is not a power of two")
 
 
-def _fresh_names(sp: ScheduledProgram, target: str) -> tuple[str, str]:
-    taken = {it.name for it in sp.loops}
-    o = f"{target}_o"
-    i = f"{target}_i"
-    while o in taken:
-        o += "_"
-    taken.add(o)
-    while i in taken:
-        i += "_"
-    return o, i
+class _Nest:
+    """A schedule's state while transforms are applied to it, in place.
 
+    Each step below is the one implementation of its transform.  `loops`,
+    `guards` and `applied` are lists the nest owns; the two dicts are
+    rebound, never written, because frozen schedules share them.
+    """
 
-def _split(sp: ScheduledProgram, level: int, factor: int) -> ScheduledProgram:
-    if not 0 <= level < sp.depth:
-        raise UnknownLevel(f"no loop level {level} in a depth-{sp.depth} nest")
-    _check_tile_factor(factor)
-    target = sp.loops[level]
-    o_name, i_name = _fresh_names(sp, target.name)
-    n = target.extent
-    outer = Iterator(o_name, 0, -(-n // factor))
-    inner = Iterator(i_name, 0, factor)
+    __slots__ = ("base", "applied", "loops", "index_exprs", "guards", "unroll",
+                 "parallel_level", "tile_factors")
 
-    exprs = {
-        orig: e.substitute(target.name, o_name, i_name, factor)
-        for orig, e in sp.index_exprs.items()
-    }
-    guards = tuple(
-        Guard(g.expr.substitute(target.name, o_name, i_name, factor), g.bound)
-        for g in sp.guards
-    )
-    if n % factor != 0:
-        padded = AffineExpr(terms=((i_name, 1), (o_name, factor)))
-        guards = guards + (Guard(padded, n),)
+    def __init__(self, sp: ScheduledProgram):
+        self.base = sp.base
+        self.applied = list(sp.applied)
+        self.loops = list(sp.loops)
+        self.index_exprs = sp.index_exprs
+        self.guards = list(sp.guards)
+        self.unroll = sp.unroll
+        self.parallel_level = sp.parallel_level
+        self.tile_factors = sp.tile_factors
 
-    loops = list(sp.loops)
-    loops[level: level + 1] = [outer, inner]
-    tile_factors = {**sp.tile_factors, o_name: factor, i_name: factor}
-    return replace(sp, loops=tuple(loops), index_exprs=exprs, guards=guards,
-                   tile_factors=tile_factors)
+    def freeze(self) -> ScheduledProgram:
+        return ScheduledProgram(
+            base=self.base, applied=tuple(self.applied), loops=tuple(self.loops),
+            index_exprs=self.index_exprs, guards=tuple(self.guards), unroll=self.unroll,
+            parallel_level=self.parallel_level, tile_factors=self.tile_factors)
 
+    def check_level(self, level: int) -> None:
+        if not 0 <= level < len(self.loops):
+            raise UnknownLevel(f"no loop level {level} in a depth-{len(self.loops)} nest")
 
-def _interchange(sp: ScheduledProgram, a: int, b: int) -> ScheduledProgram:
-    for lvl in (a, b):
-        if not 0 <= lvl < sp.depth:
-            raise UnknownLevel(f"no loop level {lvl} in a depth-{sp.depth} nest")
-    loops = list(sp.loops)
-    loops[a], loops[b] = loops[b], loops[a]
-    return replace(sp, loops=tuple(loops))
+    def apply(self, t: Transform) -> None:
+        if self.unroll != 0 and not isinstance(t, (Unroll, Parallelize)):
+            raise UnrollTunerError("nest transforms cannot follow unroll")
+        if isinstance(t, Split):
+            self.split(t.level, t.factor)
+        elif isinstance(t, Interchange):
+            if t.level_a == t.level_b:
+                raise UnknownLevel("interchange needs two distinct levels")
+            for lvl in (t.level_a, t.level_b):
+                self.check_level(lvl)
+            loops = self.loops
+            loops[t.level_a], loops[t.level_b] = loops[t.level_b], loops[t.level_a]
+        elif isinstance(t, Tile2):
+            self.tile((t.level_a, t.level_b), (t.fa, t.fb))
+        elif isinstance(t, Tile3):
+            self.tile((t.level_a, t.level_b, t.level_c), (t.fa, t.fb, t.fc))
+        elif isinstance(t, Parallelize):
+            self.check_level(t.level)
+            if self.parallel_level is not None:
+                raise UnrollTunerError("at most one Parallelize per schedule")
+            self.parallel_level = t.level
+        elif isinstance(t, Unroll):
+            self.unroll_by(t.factor)
+            return
+        else:
+            raise UnrollTunerError(f"unknown transform {t!r}")
+        self.applied.append(t)
 
+    def split(self, level: int, factor: int) -> None:
+        self.check_level(level)
+        _check_tile_factor(factor)
+        target = self.loops[level]
+        taken = {it.name for it in self.loops}
+        o_name, i_name = f"{target.name}_o", f"{target.name}_i"
+        while o_name in taken:
+            o_name += "_"
+        taken.add(o_name)
+        while i_name in taken:
+            i_name += "_"
+        n = target.extent
+        self.index_exprs = {
+            orig: e.substitute(target.name, o_name, i_name, factor)
+            for orig, e in self.index_exprs.items()
+        }
+        self.guards = [Guard(g.expr.substitute(target.name, o_name, i_name, factor), g.bound)
+                       for g in self.guards]
+        if n % factor != 0:
+            self.guards.append(Guard(AffineExpr(terms=((i_name, 1), (o_name, factor))), n))
+        self.loops[level: level + 1] = [Iterator(o_name, 0, -(-n // factor)),
+                                        Iterator(i_name, 0, factor)]
+        self.tile_factors = {**self.tile_factors, o_name: factor, i_name: factor}
 
-def _tile(sp: ScheduledProgram, levels: tuple[int, ...], factors: tuple[int, ...]) -> ScheduledProgram:
-    k = len(levels)
-    if sorted(levels) != list(range(min(levels), min(levels) + k)):
-        raise UnrollTunerError(f"tile levels must be adjacent, got {levels}")
-    base = min(levels)
-    # Strip-mine each level (each split shifts the ones below it by one), then
-    # permute the 2k produced loops so all outer (block) loops come first.
-    for j, f in enumerate(factors):
-        sp = _split(sp, base + 2 * j, f)
-    produced = list(sp.loops[base: base + 2 * k])      # [o0, i0, o1, i1, ...]
-    blocked = produced[0::2] + produced[1::2]          # [o0, o1, ..., i0, i1, ...]
-    loops = list(sp.loops)
-    loops[base: base + 2 * k] = blocked
-    return replace(sp, loops=tuple(loops))
+    def tile(self, levels: tuple[int, ...], factors: tuple[int, ...]) -> None:
+        k = len(levels)
+        if sorted(levels) != list(range(min(levels), min(levels) + k)):
+            raise UnrollTunerError(f"tile levels must be adjacent, got {levels}")
+        base = min(levels)
+        # Strip-mine each level (each split shifts the ones below it by one), then
+        # permute the 2k produced loops so all outer (block) loops come first.
+        for j, f in enumerate(factors):
+            self.split(base + 2 * j, f)
+        produced = self.loops[base: base + 2 * k]          # [o0, i0, o1, i1, ...]
+        self.loops[base: base + 2 * k] = produced[0::2] + produced[1::2]
+
+    def unroll_by(self, u: int) -> None:
+        """Unroll the innermost loop by u; u=0 leaves the nest unchanged.
+
+        Factors above the innermost extent are clamped to the largest power
+        of two that fits (a clamp below 2 drops the unroll entirely).
+        """
+        if u not in UNROLL_FACTORS:
+            raise InvalidFactor(f"unroll factor {u} not in {UNROLL_FACTORS}")
+        if u == 0:
+            return
+        if self.unroll != 0:
+            raise UnrollTunerError("at most one Unroll per schedule")
+        n = self.loops[-1].extent
+        eff = u
+        if eff > n:
+            eff = 1 << (n.bit_length() - 1)
+            if eff < 2:
+                warnings.warn(f"unroll factor {u} dropped: innermost extent {n} too small")
+                eff = 0
+            else:
+                warnings.warn(f"unroll factor {u} clamped to {eff} (innermost extent {n})")
+        self.applied.append(Unroll(u))
+        self.unroll = eff
 
 
 def apply_transform(sp: ScheduledProgram, t: Transform) -> ScheduledProgram:
     """Apply one transform, returning the new schedule state."""
-    if sp.unroll != 0 and not isinstance(t, (Unroll, Parallelize)):
-        raise UnrollTunerError("nest transforms cannot follow unroll")
-    if isinstance(t, Split):
-        out = _split(sp, t.level, t.factor)
-    elif isinstance(t, Interchange):
-        if t.level_a == t.level_b:
-            raise UnknownLevel("interchange needs two distinct levels")
-        out = _interchange(sp, t.level_a, t.level_b)
-    elif isinstance(t, Tile2):
-        out = _tile(sp, (t.level_a, t.level_b), (t.fa, t.fb))
-    elif isinstance(t, Tile3):
-        out = _tile(sp, (t.level_a, t.level_b, t.level_c), (t.fa, t.fb, t.fc))
-    elif isinstance(t, Parallelize):
-        if not 0 <= t.level < sp.depth:
-            raise UnknownLevel(f"no loop level {t.level} in a depth-{sp.depth} nest")
-        if sp.parallel_level is not None:
-            raise UnrollTunerError("at most one Parallelize per schedule")
-        out = replace(sp, parallel_level=t.level)
-    elif isinstance(t, Unroll):
-        return apply_unroll(sp, t.factor)
-    else:
-        raise UnrollTunerError(f"unknown transform {t!r}")
-    return replace(out, applied=sp.applied + (t,))
+    nest = _Nest(sp)
+    nest.apply(t)
+    return nest.freeze()
 
 
 def apply_unroll(sp: ScheduledProgram, u: int) -> ScheduledProgram:
-    """Unroll the innermost loop by u; u=0 leaves the schedule unchanged.
-
-    Factors above the innermost extent are clamped to the largest power of
-    two that fits (a clamp below 2 drops the unroll entirely).
-    """
-    if u not in UNROLL_FACTORS:
-        raise InvalidFactor(f"unroll factor {u} not in {UNROLL_FACTORS}")
-    if u == 0:
-        return sp
-    if sp.unroll != 0:
-        raise UnrollTunerError("at most one Unroll per schedule")
-    n = sp.innermost_extent
-    eff = u
-    if eff > n:
-        eff = 1 << (n.bit_length() - 1)
-        if eff < 2:
-            warnings.warn(f"unroll factor {u} dropped: innermost extent {n} too small")
-            return replace(sp, applied=sp.applied + (Unroll(u),))
-        warnings.warn(f"unroll factor {u} clamped to {eff} (innermost extent {n})")
-    return replace(sp, applied=sp.applied + (Unroll(u),), unroll=eff)
+    """Unroll the innermost loop by u (see `_Nest.unroll_by`); u=0 returns
+    `sp` itself."""
+    nest = _Nest(sp)
+    nest.unroll_by(u)
+    return nest.freeze() if u else sp
 
 
 def schedule_program(p: Program, transforms=()) -> ScheduledProgram:
-    """Build a ScheduledProgram by folding `transforms` over the base nest."""
-    sp = new_schedule(p)
+    """Build a ScheduledProgram by folding `transforms` over the base nest,
+    in place on one `_Nest`, frozen once at the end."""
+    nest = _Nest(new_schedule(p))
     for t in transforms:
-        sp = apply_transform(sp, t)
-    return sp
+        nest.apply(t)
+    return nest.freeze()
 
 
 def validate_schedule(sp: ScheduledProgram) -> ValidationReport:

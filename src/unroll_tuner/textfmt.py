@@ -54,8 +54,11 @@ from .schedule import (
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_]\w*)"
-    r"|(?P<op>[+\-*/()\[\],]))"
+    r"|(?P<op>[+\-*/()\[\],])"
+    r"|(?P<bad>\S))"
 )
+_END = (None, None)         # the token after the last one
+_BINOPS = {kind.value: kind for kind in BinOpKind}
 
 # The values each element type holds; a literal outside them is rejected.
 _LITERAL_RANGE = {
@@ -67,22 +70,18 @@ _LITERAL_RANGE = {
 
 _TRANSFORMS = {cls.__name__.lower(): cls
                for cls in (Split, Interchange, Tile2, Tile3, Parallelize, Unroll)}
+_ARITY = {name: len(fields(cls)) for name, cls in _TRANSFORMS.items()}
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
+def _tokenize(text: str) -> list[tuple[str | None, str | None]]:
+    """The tokens of `text`, then `_END`."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError(f"bad expression syntax near {text[pos:]!r}")
-            break
-        pos = m.end()
-        for kind in ("num", "ident", "op"):
-            if m.group(kind) is not None:
-                tokens.append((kind, m.group(kind)))
-                break
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup          # the one named group that matched
+        if kind == "bad":
+            raise ParseError(f"bad expression syntax near {text[m.start():]!r}")
+        tokens.append((kind, m[kind]))
+    tokens.append(_END)
     return tokens
 
 
@@ -96,7 +95,7 @@ class _ExprParser:
         self.dtype = dtype
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+        return self.tokens[self.pos]
 
     def take(self, expect: str | None = None):
         kind, val = self.peek()
@@ -110,21 +109,21 @@ class _ExprParser:
     def parse(self) -> Expr:
         node = self.expr()
         if self.peek()[0] is not None:
-            raise ParseError(f"trailing tokens in expression: {self.tokens[self.pos:]}")
+            raise ParseError(f"trailing tokens in expression: {self.tokens[self.pos:-1]}")
         return node
 
     def expr(self) -> Expr:
         node = self.term()
         while self.peek()[1] in ("+", "-"):
             _, op = self.take()
-            node = BinOp(BinOpKind(op), node, self.term())
+            node = BinOp(_BINOPS[op], node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.factor()
         while self.peek()[1] in ("*", "/"):
             _, op = self.take()
-            node = BinOp(BinOpKind(op), node, self.factor())
+            node = BinOp(_BINOPS[op], node, self.factor())
         return node
 
     def factor(self) -> Expr:
@@ -198,7 +197,7 @@ def _parse_transform(directive: str, rest: str) -> Transform:
     if cls is None:
         raise ParseError(f"unknown directive {directive!r}")
     args = rest.split()
-    arity = len(fields(cls))
+    arity = _ARITY[directive]
     if len(args) != arity:
         raise ValueError(
             f"{directive} takes {arity} integer{'s' * (arity > 1)}, got {len(args)}")

@@ -5,7 +5,9 @@ name (no leading underscore) defined at the top level of a package module
 must be referenced in either tree: as a name, as an attribute, or as a
 string constant in `perfbench/` (the traced benchmark wraps functions by
 name).  A definition or an import alone is no reference, so an API that only
-the tests call fails here.
+the tests call fails here.  A private top-level function or class (leading
+underscore) must be referenced in `src/` itself, as a name or an attribute,
+so a refactor cannot leave a helper stranded.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ ROOT = Path(__file__).parents[1]
 PACKAGE = ROOT / "src" / "unroll_tuner"
 PERFBENCH = ROOT / "perfbench"
 
-# Kept for the acceptance tests, which pin their behaviour.
-ALLOWED = {"generate", "outputs_equal"}
+# Kept for the acceptance tests, which pin their behaviour, and
+# `apply_transform`, the single-step form of `schedule_program` that
+# tests/test_schedule.py folds to check that both replay alike.
+ALLOWED = {"generate", "outputs_equal", "apply_transform"}
 
 
 def _trees(directory: Path) -> dict[str, ast.Module]:
@@ -38,13 +42,24 @@ def _references(tree: ast.Module, strings: bool) -> set[str]:
     return names
 
 
+def _definitions(package: dict[str, ast.Module]):
+    """(module, name) of every top-level function and class."""
+    return [(module, node.name) for module, tree in package.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
 def test_every_public_definition_is_referenced():
     package, perfbench = _trees(PACKAGE), _trees(PERFBENCH)
     referenced = set().union(*(_references(t, strings=False) for t in package.values()),
                              *(_references(t, strings=True) for t in perfbench.values()))
-    unused = [f"{module}.{node.name}"
-              for module, tree in package.items() for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and not node.name.startswith("_")
-              and node.name not in referenced | ALLOWED]
+    unused = [f"{module}.{name}" for module, name in _definitions(package)
+              if not name.startswith("_") and name not in referenced | ALLOWED]
     assert not unused, f"public definitions that nothing in src/ or perfbench/ uses: {unused}"
+
+
+def test_every_private_definition_is_referenced_in_src():
+    package = _trees(PACKAGE)
+    referenced = set().union(*(_references(t, strings=False) for t in package.values()))
+    unused = [f"{module}.{name}" for module, name in _definitions(package)
+              if name.startswith("_") and name not in referenced]
+    assert not unused, f"private definitions that nothing in src/ uses: {unused}"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from unroll_tuner.featurize import (
     FEATURE_COLUMNS,
     MAX_DEPTH,
     RESCALE_COLUMNS,
+    RESCALE_DIVISOR,
     ScalerMode,
     data_loaded_per_level,
     encode_csv_row,
@@ -113,7 +115,7 @@ def _per_access_data_loaded(sp) -> list[int]:
     for acc in load_accesses(sp.base):
         used: set[str] = set()
         for it_name in acc.iterator_names:
-            used |= sp.index_exprs[it_name].variables()
+            used |= {name for name, _ in sp.index_exprs[it_name].terms}
         levels = sorted(level_by_name[name] for name in used)
         for lvl in range(sp.depth):
             deeper = [sp.loops[k].name for k in levels if k >= lvl]
@@ -226,6 +228,25 @@ def test_rescale_columns_divided_before_fit(matmul4):
     # a data_loaded stat reflects the /1000: 3*256^2 / 1000 vs raw
     col = RESCALE_COLUMNS[0]
     assert scaler.stat_a[col] == pytest.approx((3 * 256**2 / 1000 + 3 * 128**2 / 1000) / 2)
+
+
+@pytest.mark.parametrize("mode", list(ScalerMode))
+def test_transform_bits_match_dividing_only_the_rescaled_columns(mode):
+    """The pre-divisor is exactly 1 outside the rescaled columns, so the
+    transform has the bits of dividing those columns alone, also for a
+    scaler that rescales no column."""
+    rng = np.random.default_rng(4)
+    rows = rng.integers(0, 10**6, size=(60, len(FEATURE_COLUMNS))).astype(np.float64)
+    rows[:, 3] = 7.0                                   # a dropped constant column
+    fitted = fit_scaler(rows[:40].tolist(), mode)
+    for scaler in (fitted, replace(fitted, rescaled_columns=())):
+        x = rows.copy()
+        x[:, list(scaler.rescaled_columns)] /= RESCALE_DIVISOR
+        a, b = np.array(scaler.stat_a), np.array(scaler.stat_b)
+        spread = b if mode is ScalerMode.Standardize else b - a
+        expected = ((x - a) / np.where(spread == 0.0, 1.0, spread))[
+            :, [c for c in range(x.shape[1]) if c not in scaler.dropped_columns]]
+        assert scaler.transform_matrix(rows.tolist()).tobytes() == expected.tobytes()
 
 
 def test_empty_training_set():

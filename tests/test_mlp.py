@@ -101,7 +101,7 @@ def test_init_deterministic():
 
 def test_init_architecture_shapes():
     m = init_model(37, seed=1)
-    assert m.layer_dims == [37, 500, 400, 250, 100, 7]
+    assert m.layer_dims == (37, 500, 400, 250, 100, 7)
     assert m.layers[0].w.shape == (37, 500)
     assert m.layers[-1].w.shape == (100, 7)
     assert m.dropout_rates == DEFAULT_DROPOUT
@@ -681,7 +681,7 @@ def test_save_load_bit_exact_with_special_values(tmp_path):
     save_model(m, path)
     loaded = load_model(path)
     assert _layer_bytes(loaded) == _layer_bytes(m)
-    assert loaded.layer_dims == m.layer_dims and loaded.trained
+    assert loaded.layer_dims == m.layer_dims == (3, 4, 2, 7) and loaded.trained
     loaded.layers[0].w[...] += 1.0      # loaded arrays are writable, not views of the file buffer
 
 
@@ -792,9 +792,18 @@ def test_store_and_layer_dims_cannot_be_rebound():
                         ("layers", ())):
         with pytest.raises(AttributeError, match=name):
             setattr(m, name, value)
-    assert m.store is store and m.layers is layers and m.layer_dims == [3, 2, 2, 7]
+    assert m.store is store and m.layers is layers and m.layer_dims == (3, 2, 2, 7)
     m.trained = True                    # the other fields stay settable
     assert m.trained
+
+
+def test_layer_dims_cannot_be_changed_in_place():
+    """The dims are a tuple: the header `save_model` writes from them always
+    matches the store's layout."""
+    m = toy_model(3)
+    with pytest.raises(TypeError):
+        m.layer_dims[1] = 4
+    assert m.layer_dims == (3, 2, 2, 7)
 
 
 def test_init_model_matches_scalar_draws():

@@ -207,3 +207,42 @@ def test_semantic_preservation_random_schedules():
             scheduled = interpret(sp)
             tol = 1e-12 if p.dtype.is_float else 0.0
             assert outputs_equal(scheduled.output, base.output, p.dtype, tol)
+
+
+def _replay_cases():
+    """(program, transforms) of every schedule `gen_schedules` draws for 40
+    programs at two seeds, and of the 15 benchmark cases."""
+    from unroll_tuner.benchmarks import benchmark_suite
+    from unroll_tuner.generator import GenConfig, gen_program, gen_schedules
+
+    cases = []
+    for seed in (5, 23):
+        cfg = GenConfig(seed=seed)
+        for index in range(40):
+            cases += [(sp.base, sp.applied)
+                      for sp in gen_schedules(cfg, gen_program(cfg, index))]
+    cases += [(case.program, case.transforms) for case in benchmark_suite()]
+    return cases
+
+
+def test_schedule_program_equals_folding_apply_transform():
+    """`schedule_program` replays on one mutable nest; folding the frozen
+    single steps gives an equal schedule, and no step changes its input,
+    whose dicts later schedules share."""
+    cases = _replay_cases()
+    assert len(cases) == 2 * 40 * 10 + 15
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")        # Unroll(8) clamps on short loops
+        for p, transforms in cases:
+            # a split and an unroll after the drawn schedule exercise every step
+            for ts in (tuple(transforms), (*transforms, Split(0, 4), Unroll(8))):
+                states = [new_schedule(p)]
+                snapshots = [replace(states[0], index_exprs=dict(states[0].index_exprs),
+                                     tile_factors=dict(states[0].tile_factors))]
+                for t in ts:
+                    states.append(apply_transform(states[-1], t))
+                    snapshots.append(replace(states[-1],
+                                             index_exprs=dict(states[-1].index_exprs),
+                                             tile_factors=dict(states[-1].tile_factors)))
+                assert schedule_program(p, ts) == states[-1]
+                assert states == snapshots
