@@ -9,19 +9,22 @@ factor and `sweep(sp, factors, runs)` for a set of factors:
   outgrows the modeled capacity.
 * `NativeBackend` — emits C for the scheduled nest, compiles it with
   $UNROLL_TUNER_TOOLCHAIN (else `cc`) and the fixed DEFAULT_FLAGS, and
-  parses the timing output.  A sweep emits one program with one function
-  per distinct effective factor.  Its kernels are compiled in parts at the
-  same time, one part per usable CPU, and the parts are linked into one
-  binary, so a sample costs one parallel build and one process.
+  parses the timing output.  A sweep emits one unit with one function per
+  distinct effective factor, and no `main`.  Its kernels are compiled in
+  parts at the same time, one part per usable CPU, each straight to a
+  shared object, so a sample costs one parallel build and one process.
 
-There is one binary format (`emit_sweep_source`): it prints
-`checksum_<u>=<hex>` on stdout for every variant u and one
-`run_ms_<u>=<float>` line per variant and round on stderr.  A single kernel
-(`emit_kernel_source`, `native_measure`) is a one-variant sweep.
+The process is the runner (`_RUNNER_SOURCE`), one fixed C program built
+once per process and compiler.  It loads the parts, fills their buffers as
+the unit's `unit_layout` describes them, prints `checksum_<u>=<hex>` on
+stdout for every variant u and one `run_ms_<u>=<float>` line per variant
+and round on stderr.  A single kernel (`emit_kernel_source`,
+`native_measure`) is a one-variant sweep.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import math
 import os
@@ -63,14 +66,12 @@ DEFAULT_TOOLCHAIN = "cc"
 DEFAULT_FLAGS = ("-O1", "-fno-unroll-loops")
 TOOLCHAIN_ENV_VAR = "UNROLL_TUNER_TOOLCHAIN"
 
-# The sections of an emitted program, which a split build compiles in parts:
-# `#if IN_PART(<section>)` guards each kernel and the harness, and a part
-# is compiled with -D<_SPLIT_MACRO> and -D<_SECTION_MACRO><section> for each
-# of its sections.
+# The sections of an emitted unit, which a split build compiles in parts:
+# `#if IN_PART(<section>)` guards each kernel, and a part is compiled with
+# -D<_SPLIT_MACRO> and -D<_SECTION_MACRO><section> for each of its sections.
 _SPLIT_MACRO = "SPLIT_PART"
 _SECTION_MACRO = "WITH_"
 _PART_GUARD = "#if IN_PART({})"
-_HARNESS = "harness"
 
 
 @dataclass(frozen=True)
@@ -179,21 +180,26 @@ def _expr_text(sp: ScheduledProgram, node, strides) -> str:
 
 def emit_sweep_source(variants: dict[int, ScheduledProgram],
                       runs: int = DEFAULT_RUNS) -> str:
-    """One C program timing several unrolled variants of one schedule.
+    """One C unit timing several unrolled variants of one schedule.
 
     `variants` maps each effective unroll factor u to its schedule, emitted
-    as `void kernel_<u>(void)`.  Each variant runs once untimed and prints
-    `checksum_<u>=<hex>` on stdout; then RUNS rounds time every variant once
-    per round, printing `run_ms_<u>=<float>` on stderr.  Interleaving the
-    rounds spreads machine noise over all variants alike.  RUNS is a macro
-    so `native_sweep` can override it at compile time.
+    as `void kernel_<u>(void)`.  The unit has no `main` and includes no
+    header (`int64_t` and `int32_t` come from the compiler's predefined
+    types): the runner loads it as shared objects.  The runner reads
+    `unit_layout` (RUNS, the element type, the factors in timing order, the
+    output buffer, and each buffer's fill salt and extents), allocates and
+    fills the buffers, and hands them to each part's `bind_buffers`.  Each
+    variant then runs once untimed and prints `checksum_<u>=<hex>` on
+    stdout; then RUNS rounds time every variant once per round, printing
+    `run_ms_<u>=<float>` on stderr.  Interleaving the rounds spreads machine
+    noise over all variants alike.  RUNS is a macro so `native_sweep` can
+    override it at compile time.
 
-    The text is the whole program, and also every part of a split build:
-    each kernel and the harness (`main`, fill, checksum, timer) is a section
-    under `#if IN_PART(<section>)`, which is always true unless SPLIT_PART
-    is defined.  A part defines SPLIT_PART and `WITH_<section>` for each of
-    its sections (see `_split_plan`).  Every part keeps its own static
-    buffer pointers; the harness binds them through `bind_kernel_<u>`.
+    The text is the whole unit, and also every part of a split build: each
+    kernel is a section under `#if IN_PART(<section>)`, which is always
+    true unless SPLIT_PART is defined.  A part defines SPLIT_PART and
+    `WITH_<section>` for each of its sections (see `_split_plan`).  Every
+    part keeps its own static buffer pointers.
 
     Padded split iterations are masked by guards; the unrolled body is
     literally replicated with an epilogue loop for the remainder.
@@ -204,19 +210,13 @@ def emit_sweep_source(variants: dict[int, ScheduledProgram],
     p = next(iter(variants.values())).base
     shapes = buffer_shapes(p)
     strides = {name: row_major_strides(shape) for name, shape in shapes.items()}
-    sizes = {name: math.prod(shape) for name, shape in shapes.items()}
     out = p.output.buffer
-    buf_params = ", ".join(f"elem_t *p_{name}" for name in sizes)
-    buf_args = ", ".join(f"buf_{name}" for name in sizes)
 
     lines: list[str] = []
     emit = lines.append
     emit(f"/* generated kernel: {p.name} */")
-    emit("#include <stdint.h>")
-    emit("#include <stdio.h>")
-    emit("#include <stdlib.h>")
-    emit("#include <string.h>")
-    emit("#include <time.h>")
+    emit("typedef __INT64_TYPE__ int64_t;")
+    emit("typedef __INT32_TYPE__ int32_t;")
     emit("")
     emit("#ifndef RUNS")
     emit(f"#define RUNS {runs}")
@@ -230,95 +230,37 @@ def emit_sweep_source(variants: dict[int, ScheduledProgram],
     emit("")
     emit(f"typedef {_C_TYPES[p.dtype]} elem_t;")
     emit("")
-    for name in sizes:
+    for name in shapes:
         emit(f"static elem_t *buf_{name};")
     emit("")
-    # A program with several kernels calls it out of line; a part with one
+    emit("/* RUNS, element size, floating?; the kernels; the buffers and the output")
+    emit("   buffer's index; then per buffer its fill salt, rank and extents */")
+    emit("const int64_t unit_layout[] = {")
+    emit(f"    RUNS, sizeof(elem_t), {int(p.dtype.is_float)},")
+    emit(f"    {len(variants)}, {', '.join(map(str, variants))},")
+    emit(f"    {len(shapes)}, {list(shapes).index(out)},")
+    for name, shape in shapes.items():
+        emit(f"    {buffer_salt(name)}, {len(shape)}, {', '.join(map(str, shape))},")
+    emit("};")
+    emit("")
+    emit("void bind_buffers(void *const *buffers) {")
+    for k, name in enumerate(shapes):
+        emit(f"    buf_{name} = buffers[{k}];")
+    emit("}")
+    emit("")
+    # A unit with several kernels calls it out of line; a part with one
     # kernel would inline it and so compile that kernel differently.
     emit(f"#ifdef {_SPLIT_MACRO}")
     emit("__attribute__((noinline))")
     emit("#endif")
     emit("static void reset_output(void) {")
-    emit(f"    for (int64_t q = 0; q < {sizes[out]}; ++q) buf_{out}[q] = (elem_t)0;")
+    emit(f"    for (int64_t q = 0; q < {math.prod(shapes[out])}; ++q) buf_{out}[q] = (elem_t)0;")
     emit("}")
-    emit("")
     for u, sp in variants.items():
+        emit("")
         emit(_PART_GUARD.format(f"kernel_{u}"))
         _emit_kernel(sp, f"kernel_{u}", strides, emit)
-        emit(f"#ifdef {_SPLIT_MACRO}")
-        emit(f"void bind_kernel_{u}({buf_params}) {{")
-        for name in sizes:
-            emit(f"    buf_{name} = p_{name};")
-        emit("}")
         emit("#endif")
-        emit("#endif")
-        emit("")
-    emit(_PART_GUARD.format(_HARNESS))
-    emit(f"#ifdef {_SPLIT_MACRO}")
-    for u in variants:
-        emit(f"void kernel_{u}(void);")
-        emit(f"void bind_kernel_{u}({buf_params});")
-    emit("#endif")
-    emit("")
-    emit("static uint64_t out_checksum(void) {")
-    emit("    uint64_t h = 0xCBF29CE484222325ULL;")
-    emit(f"    for (int64_t q = 0; q < {sizes[out]}; ++q) {{")
-    emit("        unsigned char bytes[sizeof(elem_t)];")
-    emit(f"        memcpy(bytes, &buf_{out}[q], sizeof(elem_t));")
-    emit("        for (size_t b = 0; b < sizeof(elem_t); ++b) {")
-    emit("            h ^= (uint64_t)bytes[b];")
-    emit("            h *= 0x100000001B3ULL;")
-    emit("        }")
-    emit("    }")
-    emit("    return h;")
-    emit("}")
-    emit("")
-    emit("static double now_ms(void) {")
-    emit("    struct timespec ts;")
-    emit("    clock_gettime(CLOCK_MONOTONIC, &ts);")
-    emit("    return (double)ts.tv_sec * 1000.0 + (double)ts.tv_nsec / 1.0e6;")
-    emit("}")
-    emit("")
-    emit("static void alloc_and_fill(void) {")
-    for name, size in sizes.items():
-        emit(f"    buf_{name} = (elem_t *)malloc(sizeof(elem_t) * {size});")
-        emit(f"    if (!buf_{name}) {{ fprintf(stderr, \"alloc failed\\n\"); exit(3); }}")
-    for name, shape in shapes.items():
-        if name == out:
-            continue
-        salt = buffer_salt(name)
-        st = strides[name]
-        indent = "    "
-        for d, dim in enumerate(shape):
-            emit(f"{indent}for (int64_t q{d} = 0; q{d} < {dim}; ++q{d})")
-            indent += "    "
-        fill_terms = [str(salt)] + [
-            f"q{d}*{FILL_PRIMES[d % len(FILL_PRIMES)]}" for d in range(len(shape))
-        ]
-        flat = " + ".join(f"q{d}*{st[d]}" if st[d] != 1 else f"q{d}"
-                          for d in range(len(shape)))
-        emit(f"{indent}buf_{name}[{flat}] = "
-             f"(elem_t)(({' + '.join(fill_terms)}) % {FILL_MODULUS} - {FILL_SHIFT});")
-    emit(f"#ifdef {_SPLIT_MACRO}")
-    for u in variants:
-        emit(f"    bind_kernel_{u}({buf_args});")
-    emit("#endif")
-    emit("}")
-    emit("")
-    emit("int main(void) {")
-    emit("    alloc_and_fill();")
-    for u in variants:
-        emit(f"    kernel_{u}();  /* warm-up, excluded from the timings */")
-        emit(f"    printf(\"checksum_{u}=%016llx\\n\", (unsigned long long)out_checksum());")
-    emit("    for (int r = 0; r < RUNS; ++r) {")
-    emit("        double t0, t1;")
-    for u in variants:
-        emit(f"        t0 = now_ms(); kernel_{u}(); t1 = now_ms();")
-        emit(f"        fprintf(stderr, \"run_ms_{u}=%.9f\\n\", t1 - t0);")
-    emit("    }")
-    emit("    return 0;")
-    emit("}")
-    emit("#endif")
     return "\n".join(lines) + "\n"
 
 
@@ -368,7 +310,7 @@ def emit_kernel_source(sp: ScheduledProgram, runs: int = DEFAULT_RUNS,
                        debug: bool = False) -> str:
     """A one-variant sweep unit for `sp`, emitted as `kernel_<sp.unroll>`.
 
-    `debug` changes nothing: every binary prints its output checksum.
+    `debug` changes nothing: every run prints its output checksum.
     """
     return emit_sweep_source({sp.unroll: sp}, runs)
 
@@ -381,7 +323,7 @@ def _split_plan(source: str) -> list[list[str]] | None:
     source without part guards is compiled whole.  Sections go heaviest
     first to the lightest part.  A section weighs the length of its text:
     a kernel's compile time grows with its body copies, but a kernel of one
-    copy, or the harness, still takes about as long as 16 copies do.
+    copy still takes about as long as 16 copies do.
     """
     prefix, suffix = _PART_GUARD.split("{}")
     weights: dict[str, int] = {}
@@ -392,8 +334,8 @@ def _split_plan(source: str) -> list[list[str]] | None:
             weights[section] = 0
         elif section is not None:
             weights[section] += len(line) + 1
-    n_parts = min(len(os.sched_getaffinity(0)), len(weights) - 1)
-    if n_parts < 2 or _HARNESS not in weights:
+    n_parts = min(len(os.sched_getaffinity(0)), len(weights))
+    if n_parts < 2:
         return None
     parts: list[list[str]] = [[] for _ in range(n_parts)]
     load = [0] * n_parts
@@ -446,42 +388,172 @@ def _run_compilers(argvs: list[list[str]]) -> str | None:
     return None
 
 
+# The runner: loads the parts named on its command line, allocates and
+# fills the buffers that `unit_layout` describes, binds them in every part
+# and times the kernels (see `emit_sweep_source`).  Its fill equals the
+# interpreter's, and its checksum is FNV-1a over the output's bytes.
+_RUNNER_SOURCE = r"""
+#include <dlfcn.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <time.h>
+
+typedef void (*kernel_fn)(void);
+
+static void fail(const char *what, const char *detail) {
+    fprintf(stderr, "runner: %s %s\n", what, detail);
+    exit(3);
+}
+
+static double now_ms(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec * 1000.0 + (double)ts.tv_nsec / 1.0e6;
+}
+
+/* element f, at row-major index q: (salt + sum_d q_d * prime_d) % modulus - shift */
+static void fill(void *buf, int64_t elem_size, int64_t is_float, int64_t salt,
+                 int64_t rank, const int64_t *extents, int64_t size) {
+    static const int64_t primes[] = {FILL_PRIMES};
+    const int64_t n_primes = sizeof primes / sizeof primes[0];
+    int64_t *q = calloc(rank + 1, sizeof *q);
+    int64_t acc = salt;
+    if (!q) fail("alloc failed", "");
+    for (int64_t f = 0; f < size; ++f) {
+        int64_t v = acc % FILL_MODULUS - FILL_SHIFT;
+        if (is_float && elem_size == 4) ((float *)buf)[f] = (float)v;
+        else if (is_float) ((double *)buf)[f] = (double)v;
+        else if (elem_size == 4) ((int32_t *)buf)[f] = (int32_t)v;
+        else ((int64_t *)buf)[f] = v;
+        for (int64_t d = rank - 1; d >= 0; --d) {
+            acc += primes[d % n_primes];
+            if (++q[d] < extents[d]) break;
+            acc -= primes[d % n_primes] * extents[d];
+            q[d] = 0;
+        }
+    }
+    free(q);
+}
+
+static uint64_t checksum(const unsigned char *bytes, int64_t n) {
+    uint64_t h = 0xCBF29CE484222325ULL;
+    for (int64_t b = 0; b < n; ++b) {
+        h ^= bytes[b];
+        h *= 0x100000001B3ULL;
+    }
+    return h;
+}
+
+int main(int argc, char **argv) {
+    int n_parts = argc - 1;
+    void **parts = calloc(argc, sizeof *parts);
+    if (!parts) fail("alloc failed", "");
+    if (n_parts < 1) fail("usage:", "runner PART...");
+    for (int k = 0; k < n_parts; ++k)
+        if (!(parts[k] = dlopen(argv[k + 1], RTLD_NOW | RTLD_LOCAL))) fail("dlopen:", dlerror());
+    const int64_t *layout = dlsym(parts[0], "unit_layout");
+    if (!layout) fail("no unit_layout in", argv[1]);
+    int64_t runs = *layout++, elem_size = *layout++, is_float = *layout++;
+    int64_t n_kernels = *layout++;
+    const int64_t *factors = layout;
+    layout += n_kernels;
+    int64_t n_buffers = *layout++, output = *layout++, out_bytes = 0;
+    void **buffers = calloc(n_buffers, sizeof *buffers);
+    kernel_fn *kernels = calloc(n_kernels, sizeof *kernels);
+    if (!buffers || !kernels) fail("alloc failed", "");
+    for (int64_t b = 0; b < n_buffers; ++b) {
+        int64_t salt = *layout++, rank = *layout++, size = 1;
+        for (int64_t d = 0; d < rank; ++d) size *= layout[d];
+        if (!(buffers[b] = malloc(elem_size * size))) fail("alloc failed", "");
+        if (b == output) out_bytes = elem_size * size;
+        else fill(buffers[b], elem_size, is_float, salt, rank, layout, size);
+        layout += rank;
+    }
+    for (int k = 0; k < n_parts; ++k) {
+        void (*bind)(void *const *) = (void (*)(void *const *))dlsym(parts[k], "bind_buffers");
+        if (!bind) fail("no bind_buffers in", argv[k + 1]);
+        bind(buffers);
+    }
+    for (int64_t i = 0; i < n_kernels; ++i) {
+        char name[32];
+        snprintf(name, sizeof name, "kernel_%lld", (long long)factors[i]);
+        for (int k = 0; k < n_parts && !kernels[i]; ++k)
+            kernels[i] = (kernel_fn)dlsym(parts[k], name);
+        if (!kernels[i]) fail("no part defines", name);
+    }
+    for (int64_t i = 0; i < n_kernels; ++i) {
+        kernels[i]();  /* warm-up, excluded from the timings */
+        printf("checksum_%lld=%016llx\n", (long long)factors[i],
+               (unsigned long long)checksum(buffers[output], out_bytes));
+    }
+    for (int64_t r = 0; r < runs; ++r)
+        for (int64_t i = 0; i < n_kernels; ++i) {
+            double t0 = now_ms();
+            kernels[i]();
+            double t1 = now_ms();
+            fprintf(stderr, "run_ms_%lld=%.9f\n", (long long)factors[i], t1 - t0);
+        }
+    return 0;
+}
+"""
+
+# compiler command -> path of the runner it builds; one per process, shared
+# by every sweep, so only a process's first sample pays for the build
+_runners: dict[str, str] = {}
+
+
+def _runner(cmd: str) -> tuple[str, list[str] | None]:
+    """The runner built with `cmd`, and the compiler call that builds it to
+    `<runner>.new` when no runner file exists (not built yet, a failed
+    build, or deleted).  Its directory is removed at exit."""
+    path = _runners.get(cmd)
+    if path is not None and os.path.exists(path):
+        return path, None
+    if path is None or not os.path.isdir(os.path.dirname(path)):
+        directory = tempfile.mkdtemp(prefix="unroll_tuner_runner_")
+        atexit.register(shutil.rmtree, directory, ignore_errors=True)
+        path = _runners[cmd] = os.path.join(directory, "runner")
+    with open(path + ".c", "w") as fh:
+        fh.write(f"#define FILL_PRIMES {', '.join(map(str, FILL_PRIMES))}\n"
+                 f"#define FILL_MODULUS {FILL_MODULUS}\n"
+                 f"#define FILL_SHIFT {FILL_SHIFT}\n" + _RUNNER_SOURCE)
+    return path, [cmd, *DEFAULT_FLAGS, path + ".c", "-o", path + ".new", "-ldl"]
+
+
 def _compile_and_run(source: str, runs: int) -> subprocess.CompletedProcess:
-    """Compile `source` with -DRUNS=`runs`, run the binary once, return its output.
+    """Compile `source` with -DRUNS=`runs`, run it once, return the output.
 
     The compiler is $UNROLL_TUNER_TOOLCHAIN, else `cc`, with DEFAULT_FLAGS
-    plus -fopenmp for a parallel kernel.  A source with several kernels is
-    compiled in parts at the same time, one per usable CPU, and the parts
-    are linked (`_split_plan`); otherwise one call compiles and links it.
-    A failed build with -fopenmp is retried once without it, so parallel
-    kernels degrade to serial rather than fail on toolchains without OpenMP.
+    plus -fopenmp for a parallel kernel.  Each part of `_split_plan` (or the
+    whole source) is compiled straight to a shared object, all at the same
+    time, and the runner loads them; when this compiler has no runner yet,
+    it is built alongside them.  A failed build with -fopenmp is retried
+    once without it, so parallel kernels degrade to serial rather than fail
+    on toolchains without OpenMP.
     """
     cmd = os.environ.get(TOOLCHAIN_ENV_VAR) or DEFAULT_TOOLCHAIN
     if shutil.which(cmd) is None:
         raise ToolchainMissing(f"toolchain {cmd!r} not found on PATH")
     openmp = "#pragma omp" in source
     plan = _split_plan(source)
+    defines = [[]] if plan is None else [
+        [f"-D{_SPLIT_MACRO}", *(f"-D{_SECTION_MACRO}{section}" for section in part)]
+        for part in plan]
+    runner, runner_build = _runner(cmd)
 
     with tempfile.TemporaryDirectory(prefix="unroll_tuner_") as tmp:
         src_path = os.path.join(tmp, "kernel.c")
-        bin_path = os.path.join(tmp, "kernel")
         with open(src_path, "w") as fh:
             fh.write(source)
+        objects = [os.path.join(tmp, f"part{k}.so") for k in range(len(defines))]
 
         def build(*extra: str) -> str | None:
             """Diagnostics of the first failed compiler call, else None."""
-            compile_cmd = [cmd, *DEFAULT_FLAGS, *extra, f"-DRUNS={runs}"]
-            if plan is None:
-                return _run_compilers([[*compile_cmd, src_path, "-o", bin_path]])
-            objects = [os.path.join(tmp, f"part{k}.o") for k in range(len(plan))]
-            failed = _run_compilers([
-                [*compile_cmd, f"-D{_SPLIT_MACRO}",
-                 *(f"-D{_SECTION_MACRO}{section}" for section in part),
-                 "-c", src_path, "-o", obj]
-                for part, obj in zip(plan, objects)])
-            if failed is not None:
-                return failed
-            return _run_compilers([[cmd, *DEFAULT_FLAGS, *extra, *objects, "-o", bin_path]])
+            argvs = [[cmd, *DEFAULT_FLAGS, *extra, f"-DRUNS={runs}", *part_defines,
+                      "-fPIC", "-shared", src_path, "-o", obj]
+                     for part_defines, obj in zip(defines, objects)]
+            return _run_compilers(argvs + [runner_build] if runner_build else argvs)
 
         failed = build("-fopenmp") if openmp else build()
         if failed is not None:
@@ -490,9 +562,11 @@ def _compile_and_run(source: str, runs: int) -> subprocess.CompletedProcess:
             retry = build()
             if retry is not None:
                 raise CompileError(failed + "\n--- retry ---\n" + retry)
+        if runner_build:
+            os.replace(runner + ".new", runner)
 
         try:
-            run = subprocess.run([bin_path], capture_output=True, text=True,
+            run = subprocess.run([runner, *objects], capture_output=True, text=True,
                                  timeout=DEFAULT_TIMEOUT_S)
         except subprocess.TimeoutExpired as exc:
             raise RunTimeout(f"kernel exceeded {DEFAULT_TIMEOUT_S} s") from exc
@@ -517,7 +591,7 @@ def _tagged_values(text: str, prefix: str) -> dict[int, list[str]]:
 
 def _parse_sweep_output(run: subprocess.CompletedProcess,
                         runs: int) -> dict[int, ExecResult]:
-    """One result per variant of a sweep binary's output.
+    """One result per variant of a sweep's output.
 
     The variants' output checksums must agree bit for bit, because unrolling
     replicates the body in order; otherwise `KernelMismatch` is raised.
@@ -581,7 +655,7 @@ class NativeBackend:
 
     def sweep(self, sp: ScheduledProgram, factors: tuple[int, ...],
               runs: int = DEFAULT_RUNS) -> dict[int, ExecResult]:
-        """Time every factor from one compiled binary.
+        """Time every factor from one compiled unit.
 
         Factors that clamp to the same effective factor share one kernel, so
         they get the same result.  Raises `KernelMismatch` when the variants'

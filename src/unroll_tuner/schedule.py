@@ -162,10 +162,19 @@ class ScheduledProgram:
 
 
 def new_schedule(p: Program) -> ScheduledProgram:
-    """Empty schedule: current nest equals the base nest."""
-    loops = tuple(Iterator(it.name, 0, it.extent) for it in p.iterators)
-    exprs = {it.name: AffineExpr.var(it.name, const=it.lower) for it in p.iterators}
-    return ScheduledProgram(base=p, loops=loops, index_exprs=exprs)
+    """Empty schedule: current nest equals the base nest.
+
+    Built once per `Program` instance and kept in its `__dict__` (no field,
+    so == and hash ignore it); a replay copies its lists and rebinds, never
+    writes, its dicts.
+    """
+    sp = p.__dict__.get("_empty_schedule")
+    if sp is None:
+        loops = tuple(Iterator(it.name, 0, it.extent) for it in p.iterators)
+        exprs = {it.name: AffineExpr.var(it.name, const=it.lower) for it in p.iterators}
+        sp = p.__dict__["_empty_schedule"] = ScheduledProgram(
+            base=p, loops=loops, index_exprs=exprs)
+    return sp
 
 
 def _check_tile_factor(f: int) -> None:

@@ -4,6 +4,8 @@ import os
 import re
 import shutil
 import subprocess
+import sys
+import tempfile
 import time
 
 import pytest
@@ -49,9 +51,13 @@ def set_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(backend_mod.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def fake_toolchain(monkeypatch, tmp_path, script: str) -> None:
+# a fake compiler's first line: it hands the runner's build to `cc`
+PASS_RUNNER_BUILD = 'case "$*" in *runner.c*) exec cc "$@";; esac\n'
+
+
+def fake_toolchain(monkeypatch, tmp_path, script: str, name: str = "fake-cc") -> None:
     """Point the native backend at a shell script as its compiler."""
-    fake = tmp_path / "fake-cc"
+    fake = tmp_path / name
     fake.write_text("#!/bin/sh\n" + script)
     fake.chmod(0o755)
     monkeypatch.setenv(backend_mod.TOOLCHAIN_ENV_VAR, str(fake))
@@ -62,6 +68,12 @@ def ops_program(total_ops: int):
     n_loads = (total_ops - 1 + 1) // 2      # loads + (loads-1) adds + 1 store
     body = chain_body(n_loads)
     return make_program(f"ops{total_ops}", [("i0", 64)], body, ("i0",), [("a", 1)])
+
+
+def exiting_unit(status: int) -> str:
+    """A one-kernel unit that builds, but whose kernel exits with `status`."""
+    source = emit_kernel_source(new_schedule(ops_program(3)), runs=1)
+    return source.replace("    reset_output();", f"    void exit(int); exit({status});", 1)
 
 
 def test_exec_result_invariants(vecadd):
@@ -142,7 +154,7 @@ def test_cost_invalid_factor(vecadd):
 
 def kernel_section(source: str) -> str:
     start = re.search(r"^void kernel_\d+\(void\) \{", source, re.M).start()
-    end = source.index("static uint64_t out_checksum")
+    end = source.index("\n}\n", start)
     return source[start:end]
 
 
@@ -199,8 +211,10 @@ class TestNative:
         assert err.value.diagnostics
 
     @pytest.mark.parametrize("source, message", [
-        ("int main(void) { return 3; }", "kernel exited with 3"),
-        ("int main(void) { return 0; }", "unexpected kernel output"),
+        pytest.param(exiting_unit(3), "kernel exited with 3", id="unit exits 3"),
+        pytest.param(exiting_unit(0), "unexpected kernel output", id="unit exits 0"),
+        pytest.param("int main(void) { return 0; }", "kernel exited with 3: runner: no unit_layout",
+                     id="no unit layout"),
         # a valid unit, but two variants for `native_measure` and not (0, 2)
         pytest.param(emit_sweep_source({u: apply_unroll(new_schedule(ops_program(3)), u)
                                         for u in (2, 4)}, runs=1),
@@ -305,26 +319,29 @@ class TestNativeSweep:
                 NativeBackend().sweep(new_schedule(matmul4), UNROLL_FACTORS, runs=1)
 
     def test_split_build_compiler_calls(self, monkeypatch, tmp_path):
-        """One call with one CPU or one kernel; else one call per part and a link."""
+        """One shared object per part, and a part per CPU up to one per
+        kernel; no link call, and one runner build for all the sweeps."""
         log = tmp_path / "argv.log"
         fake_toolchain(monkeypatch, tmp_path, f'echo "$@" >> "{log}"\nexec cc "$@"\n')
         sp = new_schedule(checksum_program(DataType.Float64))   # kernels 0, 2 and 4
-        for cpus, factors, compiles in ((1, UNROLL_FACTORS, 1), (2, (4,), 1),
-                                        (2, UNROLL_FACTORS, 2), (3, UNROLL_FACTORS, 3),
-                                        (8, UNROLL_FACTORS, 3)):
+        runner_builds = []
+        for cpus, factors, parts in ((1, UNROLL_FACTORS, 1), (2, (4,), 1),
+                                     (2, UNROLL_FACTORS, 2), (3, UNROLL_FACTORS, 3),
+                                     (8, UNROLL_FACTORS, 3)):
             set_cpus(monkeypatch, cpus)
             log.write_text("")
             NativeBackend().sweep(sp, factors, runs=1)
             argvs = [line.split() for line in log.read_text().splitlines()]
-            if compiles == 1:
-                assert len(argvs) == 1 and "-c" not in argvs[0]
-                continue
-            parts, link = argvs[:-1], argvs[-1]
-            assert len(parts) == compiles and all("-c" in argv for argv in parts)
-            assert "-c" not in link and sum(arg.endswith(".o") for arg in link) == compiles
-            sections = sorted(arg for argv in parts for arg in argv if arg.startswith("-DWITH_"))
-            assert sections == ["-DWITH_harness", "-DWITH_kernel_0", "-DWITH_kernel_2",
-                                "-DWITH_kernel_4"]
+            builds = [argv for argv in argvs if "-shared" in argv]
+            runner_builds += [argv for argv in argvs if argv not in builds]
+            assert len(builds) == parts
+            assert all("-c" not in argv and argv[-1].endswith(".so") for argv in builds)
+            sections = sorted(arg for argv in builds for arg in argv
+                              if arg.startswith("-DWITH_"))
+            assert sections == ([] if parts == 1 else
+                                ["-DWITH_kernel_0", "-DWITH_kernel_2", "-DWITH_kernel_4"])
+        assert len(runner_builds) == 1
+        assert any(arg.endswith("runner.c") for arg in runner_builds[0])
 
     @pytest.mark.skipif(not HAVE_OBJDUMP, reason="no objdump on PATH")
     def test_split_build_same_instructions(self, monkeypatch, tmp_path):
@@ -332,15 +349,16 @@ class TestNativeSweep:
         kept = []
         real_run = subprocess.run
 
-        def keep_binary(argv, *args, **kwargs):
-            kept.append(shutil.copy(argv[0], tmp_path / f"build{len(kept)}"))
+        def keep_parts(argv, *args, **kwargs):
+            kept.append([shutil.copy(part, tmp_path / f"build{len(kept)}_{k}.so")
+                         for k, part in enumerate(argv[1:])])
             return real_run(argv, *args, **kwargs)
 
         p = make_program("wide", [("i0", 12), ("i1", 64)],
                          BinOp(BinOpKind.Mul, load("a", "i0", "i1"), load("b", ("i1", 1))),
                          ("i0", "i1"), [("a", 2), ("b", 1)])
         schedules = ([], [Parallelize(0)])
-        monkeypatch.setattr(subprocess, "run", keep_binary)
+        monkeypatch.setattr(subprocess, "run", keep_parts)
         cpu_counts = (1, 2, 8)      # whole; two parts; one part per kernel
         for transforms in schedules:
             for cpus in cpu_counts:
@@ -348,9 +366,10 @@ class TestNativeSweep:
                 NativeBackend().sweep(schedule_program(p, transforms), UNROLL_FACTORS, runs=1)
         monkeypatch.setattr(subprocess, "run", real_run)
 
+        assert [len(parts) for parts in kept] == [*cpu_counts[:2], len(UNROLL_FACTORS)] * 2
         builds = iter(kept)
         for transforms in schedules:
-            whole, *splits = (kernel_instructions(next(builds)) for _ in cpu_counts)
+            whole, *splits = (kernel_instructions(*next(builds)) for _ in cpu_counts)
             assert len([name for name in whole if "omp_fn" not in name]) == len(UNROLL_FACTORS)
             assert any("omp_fn" in name for name in whole) == bool(transforms)
             for split in splits:
@@ -359,25 +378,27 @@ class TestNativeSweep:
                     assert instructions and split[name] == instructions, name
 
 
-def kernel_instructions(binary: str) -> dict[str, list[str]]:
-    """The instructions of each `kernel_*` function of `binary` (with the
-    outlined OpenMP bodies), without addresses and symbol offsets."""
-    text = subprocess.run(["objdump", "-d", "--no-show-raw-insn", binary],
-                          capture_output=True, text=True, check=True).stdout
+def kernel_instructions(*objects: str) -> dict[str, list[str]]:
+    """The instructions of each `kernel_*` function of `objects` (with the
+    outlined OpenMP bodies), without addresses, symbol offsets and objdump's
+    `# <symbol>` comments (which name whatever symbol lies nearest)."""
     functions: dict[str, list[str]] = {}
-    current = None
-    for line in text.splitlines():
-        line = re.sub(r"\._omp_fn\.\d+", "._omp_fn", line)   # numbered per unit
-        header = re.match(r"^[0-9a-f]+ <(.+)>:$", line)
-        if header:
-            current = header.group(1) if header.group(1).startswith("kernel_") else None
-            if current:
-                functions[current] = []
-        elif current and "\t" in line:
-            insn = line.split("\t", 1)[1]
-            insn = re.sub(r"-?0x[0-9a-f]+\(%rip\)", "(%rip)", insn)
-            insn = re.sub(r"\b[0-9a-f]+ <([^>+]+)(\+0x[0-9a-f]+)?>", r"<\1>", insn)
-            functions[current].append(insn.strip())
+    for obj in objects:
+        text = subprocess.run(["objdump", "-d", "--no-show-raw-insn", obj],
+                              capture_output=True, text=True, check=True).stdout
+        current = None
+        for line in text.splitlines():
+            line = re.sub(r"\._omp_fn\.\d+", "._omp_fn", line)   # numbered per unit
+            header = re.match(r"^[0-9a-f]+ <(.+)>:$", line)
+            if header:
+                current = header.group(1) if header.group(1).startswith("kernel_") else None
+                if current:
+                    functions[current] = []
+            elif current and "\t" in line:
+                insn = line.split("\t", 1)[1].split("#", 1)[0]
+                insn = re.sub(r"-?0x[0-9a-f]+\(%rip\)", "(%rip)", insn)
+                insn = re.sub(r"\b[0-9a-f]+ <([^>+]+)(\+0x[0-9a-f]+)?>", r"<\1>", insn)
+                functions[current].append(insn.strip())
     return functions
 
 
@@ -391,8 +412,8 @@ def test_failed_compile_retried_only_without_openmp(monkeypatch, tmp_path):
     # none is killed before it logs), that one fails.
     failing = backend_mod._split_plan(split_source)[-1][0]
     fake_toolchain(monkeypatch, tmp_path,
-                   f'echo "$@" >> "{log}"\n'
-                   f'case " $* " in *" -DWITH_{failing} "*) ;; *" -c "*) exit 0;; esac\n'
+                   f'{PASS_RUNNER_BUILD}echo "$@" >> "{log}"\n'
+                   f'case " $* " in *" -DWITH_{failing} "*) ;; *" -DSPLIT_PART "*) exit 0;; esac\n'
                    'echo broken >&2\nexit 1\n')
     serial = "int main(void) { return 0; }\n"
     parallel = "#pragma omp parallel\n" + serial
@@ -413,7 +434,7 @@ def test_failed_compile_retried_only_without_openmp(monkeypatch, tmp_path):
     argvs = log.read_text().splitlines()
     assert len(argvs) == 4
     first, retry = argvs[:2], argvs[2:]
-    assert all("-fopenmp" in argv.split() and "-c" in argv.split() for argv in first)
+    assert all("-fopenmp" in argv.split() and "-shared" in argv.split() for argv in first)
     assert sorted(argv.replace(" -fopenmp", "") for argv in first) == sorted(retry)
     assert err.value.diagnostics.count("broken") == 2
     assert "--- retry ---" in err.value.diagnostics
@@ -432,7 +453,8 @@ def process_gone(pid: int) -> bool:
 def test_compile_timeout_kills_every_compiler(monkeypatch, tmp_path):
     pids = tmp_path / "pids"
     # each compiler is a shell waiting on a child of its own
-    fake_toolchain(monkeypatch, tmp_path, f'sleep 30 &\necho $$ $! >> "{pids}"\nwait\n')
+    fake_toolchain(monkeypatch, tmp_path,
+                   f'{PASS_RUNNER_BUILD}sleep 30 &\necho $$ $! >> "{pids}"\nwait\n')
     monkeypatch.setattr(backend_mod, "DEFAULT_TIMEOUT_S", 1.0)
     source = emit_sweep_source({u: apply_unroll(new_schedule(checksum_program(F64)), u)
                                 for u in (0, 2, 4)}, runs=1)
@@ -447,6 +469,71 @@ def test_compile_timeout_kills_every_compiler(monkeypatch, tmp_path):
         while not all(map(process_gone, started)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert all(map(process_gone, started))
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain on PATH")
+def test_runner_built_once_per_compiler(monkeypatch, tmp_path, vecadd):
+    """A runner per process and compiler command, built again only when its
+    file has gone; each sweep removes its own parts."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    log = tmp_path / "argv.log"
+    for name in ("cc-a", "cc-b"):
+        fake_toolchain(monkeypatch, tmp_path, f'echo "$0 $@" >> "{log}"\nexec cc "$@"\n', name)
+    sp = new_schedule(vecadd)
+
+    def runner_builds(name: str) -> int:
+        """The runner builds `name` has made so far, after a sweep with it."""
+        monkeypatch.setenv(backend_mod.TOOLCHAIN_ENV_VAR, str(tmp_path / name))
+        NativeBackend().sweep(sp, (0, 2), runs=1)
+        return sum(line.startswith(str(tmp_path / name)) and "runner.c" in line
+                   for line in log.read_text().splitlines())
+
+    def runner(name: str) -> str:
+        return backend_mod._runners[str(tmp_path / name)]
+
+    assert [runner_builds(name) for name in ("cc-a", "cc-a", "cc-b", "cc-a")] == [1, 1, 1, 1]
+    # only the runners' directories are left: every sweep removed its parts
+    assert sorted(os.listdir(tmp)) == sorted(os.path.basename(os.path.dirname(runner(name)))
+                                             for name in ("cc-a", "cc-b"))
+    first = runner("cc-a")
+    os.remove(first)
+    assert runner_builds("cc-a") == 2 and runner("cc-a") == first
+    shutil.rmtree(os.path.dirname(first))
+    assert runner_builds("cc-a") == 3 and os.path.exists(runner("cc-a"))
+    assert runner_builds("cc-b") == 1
+    assert len(os.listdir(tmp)) == 2
+
+
+RUNNER_AT_EXIT = """
+import os, shutil, sys
+from unroll_tuner.backend import NativeBackend
+from unroll_tuner.schedule import new_schedule
+from unroll_tuner.textfmt import parse_program_text
+
+program, _ = parse_program_text(
+    "program t\\niter i0 0 8\\ninput a 1 int32\\nbody a[i0]\\noutput out[i0]\\n")
+NativeBackend().sweep(new_schedule(program), (0, 2), runs=1)
+assert [name.startswith("unroll_tuner_runner_") for name in os.listdir(sys.argv[1])] == [True]
+if sys.argv[2] == "delete":
+    shutil.rmtree(sys.argv[1])
+"""
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C toolchain on PATH")
+def test_runner_directory_removed_at_exit(tmp_path):
+    """Also when TMPDIR itself has gone before the process exits."""
+    for mode in ("keep", "delete"):
+        tmp = tmp_path / mode
+        tmp.mkdir()
+        src = os.path.dirname(os.path.dirname(backend_mod.__file__))
+        env = {**os.environ, "TMPDIR": str(tmp),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", RUNNER_AT_EXIT, str(tmp), mode],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert not tmp.exists() if mode == "delete" else os.listdir(tmp) == []
 
 
 def test_toolchain_env_var_overrides(monkeypatch, vecadd):

@@ -246,3 +246,17 @@ def test_schedule_program_equals_folding_apply_transform():
                                              tile_factors=dict(states[-1].tile_factors)))
                 assert schedule_program(p, ts) == states[-1]
                 assert states == snapshots
+
+
+def test_replay_leaves_the_cached_base_nest_unchanged():
+    """A program's empty schedule is built once, and no replay changes it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")        # Unroll(8) clamps on short loops
+        for p, transforms in _replay_cases():
+            base = new_schedule(p)
+            fresh = new_schedule(replace(p))   # an equal program, built apart
+            assert fresh is not base and fresh == base
+            for ts in (tuple(transforms), (*transforms, Split(0, 4), Unroll(8))):
+                schedule_program(p, ts)
+                apply_unroll(base, 8)
+            assert new_schedule(p) is base and base == fresh
