@@ -72,6 +72,10 @@ TOOLCHAIN_ENV_VAR = "UNROLL_TUNER_TOOLCHAIN"
 _SPLIT_MACRO = "SPLIT_PART"
 _SECTION_MACRO = "WITH_"
 _PART_GUARD = "#if IN_PART({})"
+# What a section costs to compile besides its text, in characters of text.
+# With `cc -O1` on a 2-CPU Xeon, a kernel of the 30 seed-99 `native-label`
+# samples took about 10 ms plus 4.6 ms per 1000 characters.
+_SECTION_BASE_WEIGHT = 2000
 
 
 @dataclass(frozen=True)
@@ -321,9 +325,9 @@ def _split_plan(source: str) -> list[list[str]] | None:
 
     There is one part per usable CPU, but at most one per kernel, and a
     source without part guards is compiled whole.  Sections go heaviest
-    first to the lightest part.  A section weighs the length of its text:
-    a kernel's compile time grows with its body copies, but a kernel of one
-    copy still takes about as long as 16 copies do.
+    first to the lightest part.  A section weighs a fixed
+    `_SECTION_BASE_WEIGHT` plus the length of its text, so a part of many
+    small kernels is not the one that finishes last.
     """
     prefix, suffix = _PART_GUARD.split("{}")
     weights: dict[str, int] = {}
@@ -331,7 +335,7 @@ def _split_plan(source: str) -> list[list[str]] | None:
     for line in source.splitlines():
         if line.startswith(prefix) and line.endswith(suffix):
             section = line[len(prefix):-len(suffix)]
-            weights[section] = 0
+            weights[section] = _SECTION_BASE_WEIGHT
         elif section is not None:
             weights[section] += len(line) + 1
     n_parts = min(len(os.sched_getaffinity(0)), len(weights))

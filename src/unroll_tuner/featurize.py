@@ -200,20 +200,27 @@ class Scaler:
         rescale[np.array(self.rescaled_columns, dtype=np.intp)] = RESCALE_DIVISOR
         return rescale, a, np.where(spread == 0.0, 1.0, spread), keep
 
-    def transform_matrix(self, rows) -> np.ndarray:
-        x = np.array(rows, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.shape[1] != len(self.stat_a):
-            raise ValueError(f"expected {len(self.stat_a)} columns, got {x.shape[1]}")
+    def _scale(self, x: np.ndarray) -> np.ndarray:
+        """Scale `x`, a new float64 row (1-D) or batch (2-D), in place, and
+        return its kept columns."""
+        if x.shape[-1] != len(self.stat_a):
+            raise ValueError(f"expected {len(self.stat_a)} columns, got {x.shape[-1]}")
         rescale, a, divisor, keep = self._arrays
         x /= rescale
         x -= a
         x /= divisor
-        return x[:, keep]
+        return x[keep] if x.ndim == 1 else x[:, keep]
+
+    def transform_matrix(self, rows) -> np.ndarray:
+        x = np.array(rows, dtype=np.float64)
+        return self._scale(x[None, :] if x.ndim == 1 else x)
 
     def transform(self, row) -> np.ndarray:
-        return self.transform_matrix([row])[0]
+        """One row, kept 1-D: the bits of `transform_matrix([row])[0]`."""
+        x = np.array(row, dtype=np.float64)
+        if x.ndim != 1:
+            raise ValueError(f"expected one row, got an array of shape {x.shape}")
+        return self._scale(x)
 
 
 def fit_scaler(train_rows, mode: ScalerMode = ScalerMode.Standardize) -> Scaler:

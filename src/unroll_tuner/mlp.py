@@ -6,6 +6,12 @@ fan-based weight init, cross-entropy loss trained with ADAM in batches of
 100, early stopping on validation loss with patience 10 keeping the best
 epoch's snapshot.  numpy supplies the matrix arithmetic; all learning logic
 lives here.
+
+Inference has one routine, `_infer`, for a batch (`forward(train=False)`)
+and for one row (`predict_class`, which keeps the row 1-D): each layer does
+the batchnorm arithmetic in place after its matmul, in train mode's order,
+so a row gets the bits of a one-row batch.  Train mode and backpropagation
+also write their temporaries in place; every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -157,10 +163,44 @@ def init_model(input_width: int, seed: int,
     return m
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, of one row or of a batch of rows; `out`
+    may be `logits` itself."""
+    out = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _input(m: MlpModel, x) -> np.ndarray:
+    """`x` (one row or a batch) as float64, checked against the input width."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != m.input_width:
+        raise DimensionMismatch(f"batch width {x.shape[-1]} != input width {m.input_width}")
+    return x
+
+
+def _infer(m: MlpModel, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Infer-mode propagation of one row (1-D) or a batch (2-D) of scaled
+    inputs: batchnorm with the running statistics, no dropout.  Returns the
+    probabilities and the output layer's input, each shaped like `a`'s rows.
+
+    Everything after each matmul is written in place, and the batchnorm
+    divisor is read from the store on every call, so a write to the store
+    shows in the next prediction.  A row and a batch get the same bits per
+    row: numpy runs `(k,) @ (k, n)` and `(1, k) @ (k, n)` as one gemv.
+    """
+    for layer in m.layers[:-1]:
+        z = a @ layer.w
+        z += layer.b
+        z -= layer.running_mean
+        z /= np.sqrt(layer.running_var + BN_EPS)
+        z *= layer.gamma
+        z += layer.beta
+        a = np.maximum(z, 0.0, out=z)
+    logits = a @ m.layers[-1].w
+    logits += m.layers[-1].b
+    return softmax(logits, out=logits), a
 
 
 def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
@@ -169,47 +209,41 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
 
     Train mode uses batch statistics for batchnorm (updating the running
     stats), applies inverted dropout and caches what backpropagation reads;
-    infer mode uses running statistics and no dropout, so repeated calls are
-    identical, and its cache holds only the output layer's input.
+    infer mode (`_infer`) uses running statistics and no dropout, so repeated
+    calls are identical, and its cache holds only the output layer's input.
     """
-    x = np.asarray(batch, dtype=np.float64)
+    x = _input(m, batch)
     if x.ndim == 1:
         x = x[None, :]
-    if x.shape[1] != m.input_width:
-        raise DimensionMismatch(f"batch width {x.shape[1]} != input width {m.input_width}")
     if not train:
-        a = x
-        for layer in m.layers[:-1]:
-            # the train-mode arithmetic, in the same order, in place
-            z = a @ layer.w
-            z += layer.b
-            z -= layer.running_mean
-            z /= np.sqrt(layer.running_var + BN_EPS)
-            a = layer.gamma * z
-            a += layer.beta
-            np.maximum(a, 0.0, out=a)
-        logits = a @ m.layers[-1].w + m.layers[-1].b
-        return softmax(logits), {"inputs": [a]}
+        probs, a = _infer(m, x)
+        return probs, {"inputs": [a]}
     cache = {"inputs": [], "xhat": [], "std": [], "relu": [], "mask": []}
     a = x
     for k, layer in enumerate(m.layers[:-1]):
-        z = a @ layer.w + layer.b
+        z = a @ layer.w
+        z += layer.b
         cache["inputs"].append(a)
+        # z.mean(axis=0) and z.var(axis=0) in numpy's own order (mean,
+        # subtract, square, add.reduce, divide), with the centred batch kept
         mu = z.mean(axis=0)
-        var = z.var(axis=0)
+        xhat = z - mu
+        var = np.add.reduce(np.square(xhat, out=z), axis=0)
+        var /= z.shape[0]
         for running, batch_stat in ((layer.running_mean, mu), (layer.running_var, var)):
             running *= BN_MOMENTUM          # in place: the store keeps them
             running += (1 - BN_MOMENTUM) * batch_stat
         std = np.sqrt(var + BN_EPS)
-        xhat = (z - mu) / std
-        h = layer.gamma * xhat + layer.beta
+        xhat /= std
+        h = np.multiply(xhat, layer.gamma, out=z)
+        h += layer.beta
         a = np.maximum(h, 0.0)
         rate = m.dropout_rates[k]
         if rate > 0.0:
             if dropout_rng is None:
                 raise ValueError("train-mode forward with dropout needs a generator")
             mask = (dropout_rng.random(a.shape) >= rate) / (1.0 - rate)
-            a = a * mask
+            a *= mask
         else:
             mask = None
         cache["xhat"].append(xhat)
@@ -217,8 +251,9 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
         cache["relu"].append(h)
         cache["mask"].append(mask)
     cache["inputs"].append(a)
-    logits = a @ m.layers[-1].w + m.layers[-1].b
-    return softmax(logits), cache
+    logits = a @ m.layers[-1].w
+    logits += m.layers[-1].b
+    return softmax(logits, out=logits), cache
 
 
 def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
@@ -245,20 +280,29 @@ def loss_and_gradients(m: MlpModel, batch: np.ndarray, one_hot: np.ndarray,
     if grad is None:
         grad = np.empty_like(m.store)
     grads = _views(m.layer_dims, grad)
-    dz = (probs - y) / probs.shape[0]                 # d loss / d logits
+    dz = np.subtract(probs, y, out=probs)              # d loss / d logits
+    dz /= probs.shape[0]
     for k in range(len(m.layers) - 1, -1, -1):
-        if k < m.n_hidden:      # back through dropout, ReLU and batchnorm
+        if k < m.n_hidden:      # back through dropout, ReLU and batchnorm, in place
             grads[k]["running_mean"].fill(0.0)
             grads[k]["running_var"].fill(0.0)
-            da = dz @ m.layers[k + 1].w.T
+            dh = dz @ m.layers[k + 1].w.T          # d loss / d a, then / d h
             if cache["mask"][k] is not None:
-                da = da * cache["mask"][k]
-            dh = da * (cache["relu"][k] > 0.0)
+                dh *= cache["mask"][k]
+            dh *= cache["relu"][k] > 0.0
             xhat, std = cache["xhat"][k], cache["std"][k]
-            np.sum(dh * xhat, axis=0, out=grads[k]["gamma"])
+            t = dh * xhat
+            np.sum(t, axis=0, out=grads[k]["gamma"])
             np.sum(dh, axis=0, out=grads[k]["beta"])
-            dxhat = dh * m.layers[k].gamma
-            dz = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
+            dxhat = dh
+            dxhat *= m.layers[k].gamma
+            # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std
+            mean_dxhat = dxhat.mean(axis=0)
+            t = np.multiply(xhat, np.multiply(dxhat, xhat, out=t).mean(axis=0), out=t)
+            dxhat -= mean_dxhat
+            dxhat -= t
+            dxhat /= std
+            dz = dxhat
         np.matmul(cache["inputs"][k].T, dz, out=grads[k]["w"])
         np.sum(dz, axis=0, out=grads[k]["b"])
     return loss, grads
@@ -403,20 +447,25 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
     return m, history
 
 
-def predict_probs(m: MlpModel, rows) -> np.ndarray:
+def _scaler(m: MlpModel) -> Scaler:
     if not m.trained:
         raise ModelNotTrained("model has not been trained")
     if m.scaler is None:
         raise ModelNotTrained("model has no attached scaler")
-    x = m.scaler.transform_matrix(rows)
-    probs, _ = forward(m, x, train=False)
+    return m.scaler
+
+
+def predict_probs(m: MlpModel, rows) -> np.ndarray:
+    probs, _ = forward(m, _scaler(m).transform_matrix(rows), train=False)
     return probs
 
 
 def predict_class(m: MlpModel, fv: FeatureVector) -> int:
-    """Best unrolling factor for one feature vector (argmax, lowest-index ties)."""
-    probs = predict_probs(m, [fv.to_list()])
-    return m.classes[int(probs[0].argmax())]
+    """Best unrolling factor for one feature vector (argmax, lowest-index
+    ties).  The row stays 1-D from the scaler to the softmax, and its
+    probabilities are those of `predict_probs(m, [fv.to_list()])[0]`."""
+    probs, _ = _infer(m, _input(m, _scaler(m).transform(fv.to_list())))
+    return m.classes[int(probs.argmax())]
 
 
 # --- persistence ---------------------------------------------------------------

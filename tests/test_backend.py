@@ -343,6 +343,18 @@ class TestNativeSweep:
         assert len(runner_builds) == 1
         assert any(arg.endswith("runner.c") for arg in runner_builds[0])
 
+    def test_split_plan_weighs_a_section_beyond_its_text(self, monkeypatch):
+        """A section weighs a base weight plus its text, so one long kernel
+        does not leave every short kernel to the other part."""
+        set_cpus(monkeypatch, 2)
+        sizes = {"kernel_64": 2 * backend_mod._SECTION_BASE_WEIGHT,
+                 **{f"kernel_{u}": 50 for u in (0, 2, 4, 8)}}
+        source = "".join(f"{backend_mod._PART_GUARD.format(name)}\n{'x' * size}\n#endif\n"
+                         for name, size in sizes.items())
+        plan = backend_mod._split_plan(source)
+        assert sorted(map(sorted, plan)) == [["kernel_0", "kernel_2", "kernel_4"],
+                                             ["kernel_64", "kernel_8"]]
+
     @pytest.mark.skipif(not HAVE_OBJDUMP, reason="no objdump on PATH")
     def test_split_build_same_instructions(self, monkeypatch, tmp_path):
         """Every kernel compiles to the same instructions whole and in parts."""

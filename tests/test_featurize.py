@@ -249,6 +249,23 @@ def test_transform_bits_match_dividing_only_the_rescaled_columns(mode):
         assert scaler.transform_matrix(rows.tolist()).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("mode", list(ScalerMode))
+def test_transform_row_bits_match_transform_matrix(mode):
+    """A row stays 1-D through the scaler and gets a batch row's bits."""
+    rng = np.random.default_rng(6)
+    rows = rng.integers(0, 10**6, size=(50, len(FEATURE_COLUMNS))).astype(np.float64)
+    rows[:, 8] = 3.0                                   # a dropped constant column
+    scaler = fit_scaler(rows[:30].tolist(), mode)
+    for row in rows.astype(int).tolist():              # integer cells, as FeatureVector gives
+        got = scaler.transform(row)
+        assert got.shape == (scaler.output_width,)
+        assert got.tobytes() == scaler.transform_matrix([row])[0].tobytes()
+    with pytest.raises(ValueError):
+        scaler.transform(rows[0, :-1].tolist())
+    with pytest.raises(ValueError):
+        scaler.transform(rows[:2].tolist())
+
+
 def test_empty_training_set():
     with pytest.raises(EmptyTrainingSet):
         fit_scaler([])

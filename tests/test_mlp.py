@@ -35,6 +35,7 @@ from unroll_tuner.mlp import (
     DEFAULT_DROPOUT,
     LOG_CLAMP,
     MODEL_FORMAT_VERSION,
+    N_CLASSES,
     AdamState,
     TrainConfig,
     _views,
@@ -176,6 +177,20 @@ def test_forward_updates_running_statistics_in_place():
             assert layer.running_mean.tobytes() == want_mean.tobytes()
             assert layer.running_var.tobytes() == want_var.tobytes()
             assert layer.running_mean.base is m.store and layer.running_var.base is m.store
+
+
+@pytest.mark.parametrize("rows", [2, 3, 100])
+def test_train_batch_statistics_bits_at_batch_sizes(rows, monkeypatch):
+    """Train-mode batchnorm's batch statistics are `z.mean(axis=0)` and
+    `z.var(axis=0)` bit for bit."""
+    monkeypatch.setattr(mlp, "BN_MOMENTUM", 0.0)    # running stats become the batch's
+    m = toy_model(3, hidden=(5, 4), seed=2)
+    x = np.random.default_rng(rows).normal(size=(rows, 3)) * 4.0 + 1.5
+    _, cache = forward(m, x, train=True)
+    for k, layer in enumerate(m.layers[:-1]):
+        z = cache["inputs"][k] @ layer.w + layer.b
+        assert layer.running_mean.tobytes() == (0.0 + z.mean(axis=0)).tobytes()
+        assert layer.running_var.tobytes() == (0.0 + z.var(axis=0)).tobytes()
 
 
 def test_dropout_train_expectation_matches_infer(monkeypatch):
@@ -590,6 +605,47 @@ def test_predict_probs_bit_identical_to_reference(mode):
     for row in rows[::15].tolist():     # one row multiplies in another order than a batch
         one = _reference_infer(m, _reference_transform(scaler, [row]))
         assert predict_probs(m, [row]).tobytes() == one.tobytes()
+        # the one-row path keeps the row 1-D from the scaler to the softmax
+        probs, _ = mlp._infer(m, scaler.transform(row))
+        assert probs.shape == (N_CLASSES,)
+        assert probs.tobytes() == one[0].tobytes()
+        assert predict_class(m, Point(tuple(row))) == m.classes[
+            int(predict_probs(m, [row])[0].argmax())]
+
+
+def _trained_toy(width=4, hidden=(6, 5), seed=8):
+    rng = np.random.default_rng(seed)
+    m = toy_model(width, hidden=hidden, seed=seed)
+    for layer in m.layers[:-1]:
+        layer.running_mean[...] = rng.normal(size=layer.b.shape)
+        layer.running_var[...] = rng.uniform(0.1, 4.0, size=layer.b.shape)
+    m.scaler = fit_scaler(rng.normal(size=(20, width)).tolist())
+    m.trained = True
+    return m, rng
+
+
+def test_predict_class_width_checks():
+    m, _ = _trained_toy()
+    with pytest.raises(ValueError):                    # the scaler's column count
+        predict_class(m, Point((0.0,) * 5))
+    m.scaler = fit_scaler([[1.0, 2.0, 3.0], [2.0, 0.0, 1.0]])
+    with pytest.raises(DimensionMismatch):             # the scaler's output, the model's input
+        predict_class(m, Point((0.5, 0.5, 0.5)))
+
+
+def test_prediction_reads_statistics_written_in_place():
+    """Nothing derived from the store outlives a call: a write to the running
+    variance between two predictions shows in the second exactly."""
+    m, rng = _trained_toy()
+    row = rng.normal(size=4).tolist()
+    first, _ = mlp._infer(m, m.scaler.transform(row))
+    m.layers[0].running_var[...] *= 2.5
+    m.layers[1].running_var[2] = 0.03
+    second, _ = mlp._infer(m, m.scaler.transform(row))
+    expected = _reference_infer(m, _reference_transform(m.scaler, [row]))[0]
+    assert second.tobytes() == expected.tobytes()
+    assert second.tobytes() != first.tobytes()
+    assert predict_class(m, Point(tuple(row))) == m.classes[int(expected.argmax())]
 
 
 def test_predict_requires_training():
