@@ -10,16 +10,18 @@ factor and `sweep(sp, factors, runs)` for a set of factors:
 * `NativeBackend` — emits C for the scheduled nest, compiles it with
   $UNROLL_TUNER_TOOLCHAIN (else `cc`) and the fixed DEFAULT_FLAGS, and
   parses the timing output.  A sweep emits one unit with one function per
-  distinct effective factor, and no `main`.  Its kernels are compiled in
-  parts at the same time, one part per usable CPU, each straight to a
-  shared object, so a sample costs one parallel build and one process.
+  distinct effective factor, and no `main`.  Every unit is compiled in
+  parts at the same time, one part per usable CPU but at most one per
+  kernel, each straight to a shared object, so a sample costs one parallel
+  build and one process.
 
 The process is the runner (`_RUNNER_SOURCE`), one fixed C program built
 once per process and compiler.  It loads the parts, fills their buffers as
 the unit's `unit_layout` describes them, prints `checksum_<u>=<hex>` on
 stdout for every variant u and one `run_ms_<u>=<float>` line per variant
-and round on stderr.  A single kernel (`emit_kernel_source`,
-`native_measure`) is a one-variant sweep.
+and round on stderr.  The round count is written into the unit when it is
+emitted.  A single kernel (`emit_kernel_source`, `native_measure`) is a
+one-variant sweep.
 """
 
 from __future__ import annotations
@@ -66,12 +68,11 @@ DEFAULT_TOOLCHAIN = "cc"
 DEFAULT_FLAGS = ("-O1", "-fno-unroll-loops")
 TOOLCHAIN_ENV_VAR = "UNROLL_TUNER_TOOLCHAIN"
 
-# The sections of an emitted unit, which a split build compiles in parts:
-# `#if IN_PART(<section>)` guards each kernel, and a part is compiled with
-# -D<_SPLIT_MACRO> and -D<_SECTION_MACRO><section> for each of its sections.
-_SPLIT_MACRO = "SPLIT_PART"
+# The sections of an emitted unit, which a build compiles in parts:
+# `#ifdef WITH_<section>` guards each kernel, and a part is compiled with
+# -DWITH_<section> for each of its sections.
 _SECTION_MACRO = "WITH_"
-_PART_GUARD = "#if IN_PART({})"
+_PART_GUARD = f"#ifdef {_SECTION_MACRO}{{}}"
 # What a section costs to compile besides its text, in characters of text.
 # With `cc -O1` on a 2-CPU Xeon, a kernel of the 30 seed-99 `native-label`
 # samples took about 10 ms plus 4.6 ms per 1000 characters.
@@ -190,20 +191,18 @@ def emit_sweep_source(variants: dict[int, ScheduledProgram],
     as `void kernel_<u>(void)`.  The unit has no `main` and includes no
     header (`int64_t` and `int32_t` come from the compiler's predefined
     types): the runner loads it as shared objects.  The runner reads
-    `unit_layout` (RUNS, the element type, the factors in timing order, the
-    output buffer, and each buffer's fill salt and extents), allocates and
-    fills the buffers, and hands them to each part's `bind_buffers`.  Each
-    variant then runs once untimed and prints `checksum_<u>=<hex>` on
-    stdout; then RUNS rounds time every variant once per round, printing
+    `unit_layout` (`runs`, the element type, the factors in timing order,
+    the output buffer, and each buffer's fill salt and extents), allocates
+    and fills the buffers, and hands them to each part's `bind_buffers`.
+    Each variant then runs once untimed and prints `checksum_<u>=<hex>` on
+    stdout; then `runs` rounds time every variant once per round, printing
     `run_ms_<u>=<float>` on stderr.  Interleaving the rounds spreads machine
-    noise over all variants alike.  RUNS is a macro so `native_sweep` can
-    override it at compile time.
+    noise over all variants alike.
 
-    The text is the whole unit, and also every part of a split build: each
-    kernel is a section under `#if IN_PART(<section>)`, which is always
-    true unless SPLIT_PART is defined.  A part defines SPLIT_PART and
-    `WITH_<section>` for each of its sections (see `_split_plan`).  Every
-    part keeps its own static buffer pointers.
+    The text is every part of a build: each kernel is a section under
+    `#ifdef WITH_<section>`, and a part defines `WITH_<section>` for each
+    of its sections (see `_split_plan`).  Every part keeps its own static
+    buffer pointers.
 
     Padded split iterations are masked by guards; the unrolled body is
     literally replicated with an epilogue loop for the remainder.
@@ -222,25 +221,15 @@ def emit_sweep_source(variants: dict[int, ScheduledProgram],
     emit("typedef __INT64_TYPE__ int64_t;")
     emit("typedef __INT32_TYPE__ int32_t;")
     emit("")
-    emit("#ifndef RUNS")
-    emit(f"#define RUNS {runs}")
-    emit("#endif")
-    emit("")
-    emit(f"#ifdef {_SPLIT_MACRO}")
-    emit(f"#define IN_PART(section) {_SECTION_MACRO}##section")
-    emit("#else")
-    emit("#define IN_PART(section) 1")
-    emit("#endif")
-    emit("")
     emit(f"typedef {_C_TYPES[p.dtype]} elem_t;")
     emit("")
     for name in shapes:
         emit(f"static elem_t *buf_{name};")
     emit("")
-    emit("/* RUNS, element size, floating?; the kernels; the buffers and the output")
+    emit("/* rounds, element size, floating?; the kernels; the buffers and the output")
     emit("   buffer's index; then per buffer its fill salt, rank and extents */")
     emit("const int64_t unit_layout[] = {")
-    emit(f"    RUNS, sizeof(elem_t), {int(p.dtype.is_float)},")
+    emit(f"    {runs}, sizeof(elem_t), {int(p.dtype.is_float)},")
     emit(f"    {len(variants)}, {', '.join(map(str, variants))},")
     emit(f"    {len(shapes)}, {list(shapes).index(out)},")
     for name, shape in shapes.items():
@@ -252,11 +241,11 @@ def emit_sweep_source(variants: dict[int, ScheduledProgram],
         emit(f"    buf_{name} = buffers[{k}];")
     emit("}")
     emit("")
-    # A unit with several kernels calls it out of line; a part with one
-    # kernel would inline it and so compile that kernel differently.
-    emit(f"#ifdef {_SPLIT_MACRO}")
-    emit("__attribute__((noinline))")
-    emit("#endif")
+    # A part of a unit with several kernels may hold just one of them and
+    # would inline this call; out of line, each kernel compiles the same
+    # whichever part holds it.
+    if len(variants) > 1:
+        emit("__attribute__((noinline))")
     emit("static void reset_output(void) {")
     emit(f"    for (int64_t q = 0; q < {math.prod(shapes[out])}; ++q) buf_{out}[q] = (elem_t)0;")
     emit("}")
@@ -319,28 +308,25 @@ def emit_kernel_source(sp: ScheduledProgram, runs: int = DEFAULT_RUNS,
     return emit_sweep_source({sp.unroll: sp}, runs)
 
 
-def _split_plan(source: str) -> list[list[str]] | None:
-    """The sections of each part of a split build of `source`, or None to
-    compile it whole.
+def _split_plan(source: str) -> list[list[str]]:
+    """The sections of each part of a build of `source`.
 
-    There is one part per usable CPU, but at most one per kernel, and a
-    source without part guards is compiled whole.  Sections go heaviest
-    first to the lightest part.  A section weighs a fixed
-    `_SECTION_BASE_WEIGHT` plus the length of its text, so a part of many
-    small kernels is not the one that finishes last.
+    There is one part per usable CPU, but at most one per kernel, and at
+    least one: a source without part guards is one part with no sections.
+    Sections go heaviest first to the lightest part.  A section weighs a
+    fixed `_SECTION_BASE_WEIGHT` plus the length of its text, so a part of
+    many small kernels is not the one that finishes last.
     """
-    prefix, suffix = _PART_GUARD.split("{}")
+    prefix = _PART_GUARD.format("")
     weights: dict[str, int] = {}
     section = None
     for line in source.splitlines():
-        if line.startswith(prefix) and line.endswith(suffix):
-            section = line[len(prefix):-len(suffix)]
+        if line.startswith(prefix):
+            section = line[len(prefix):]
             weights[section] = _SECTION_BASE_WEIGHT
         elif section is not None:
             weights[section] += len(line) + 1
-    n_parts = min(len(os.sched_getaffinity(0)), len(weights))
-    if n_parts < 2:
-        return None
+    n_parts = max(min(len(os.sched_getaffinity(0)), len(weights)), 1)
     parts: list[list[str]] = [[] for _ in range(n_parts)]
     load = [0] * n_parts
     for section in sorted(weights, key=weights.get, reverse=True):
@@ -525,25 +511,23 @@ def _runner(cmd: str) -> tuple[str, list[str] | None]:
     return path, [cmd, *DEFAULT_FLAGS, path + ".c", "-o", path + ".new", "-ldl"]
 
 
-def _compile_and_run(source: str, runs: int) -> subprocess.CompletedProcess:
-    """Compile `source` with -DRUNS=`runs`, run it once, return the output.
+def _compile_and_run(source: str) -> subprocess.CompletedProcess:
+    """Compile `source`, run it once, return the output.
 
     The compiler is $UNROLL_TUNER_TOOLCHAIN, else `cc`, with DEFAULT_FLAGS
-    plus -fopenmp for a parallel kernel.  Each part of `_split_plan` (or the
-    whole source) is compiled straight to a shared object, all at the same
-    time, and the runner loads them; when this compiler has no runner yet,
-    it is built alongside them.  A failed build with -fopenmp is retried
-    once without it, so parallel kernels degrade to serial rather than fail
-    on toolchains without OpenMP.
+    plus -fopenmp for a parallel kernel.  Each part of `_split_plan` is
+    compiled straight to a shared object, all at the same time, and the
+    runner loads them; when this compiler has no runner yet, it is built
+    alongside them.  A failed build with -fopenmp is retried once without
+    it, so parallel kernels degrade to serial rather than fail on
+    toolchains without OpenMP.
     """
     cmd = os.environ.get(TOOLCHAIN_ENV_VAR) or DEFAULT_TOOLCHAIN
     if shutil.which(cmd) is None:
         raise ToolchainMissing(f"toolchain {cmd!r} not found on PATH")
     openmp = "#pragma omp" in source
-    plan = _split_plan(source)
-    defines = [[]] if plan is None else [
-        [f"-D{_SPLIT_MACRO}", *(f"-D{_SECTION_MACRO}{section}" for section in part)]
-        for part in plan]
+    defines = [[f"-D{_SECTION_MACRO}{section}" for section in part]
+               for part in _split_plan(source)]
     runner, runner_build = _runner(cmd)
 
     with tempfile.TemporaryDirectory(prefix="unroll_tuner_") as tmp:
@@ -554,7 +538,7 @@ def _compile_and_run(source: str, runs: int) -> subprocess.CompletedProcess:
 
         def build(*extra: str) -> str | None:
             """Diagnostics of the first failed compiler call, else None."""
-            argvs = [[cmd, *DEFAULT_FLAGS, *extra, f"-DRUNS={runs}", *part_defines,
+            argvs = [[cmd, *DEFAULT_FLAGS, *extra, *part_defines,
                       "-fPIC", "-shared", src_path, "-o", obj]
                      for part_defines, obj in zip(defines, objects)]
             return _run_compilers(argvs + [runner_build] if runner_build else argvs)
@@ -618,8 +602,9 @@ def _parse_sweep_output(run: subprocess.CompletedProcess,
 
 def native_sweep(source: str, factors: tuple[int, ...],
                  runs: int = DEFAULT_RUNS) -> dict[int, ExecResult]:
-    """Compile and run a unit from `emit_sweep_source` once; one result per factor."""
-    run = _compile_and_run(source, runs)
+    """Compile and run a unit from `emit_sweep_source` once; one result per
+    factor, each of the `runs` rounds the unit was emitted with."""
+    run = _compile_and_run(source)
     results = _parse_sweep_output(run, runs)
     if set(results) != set(factors):
         raise _unexpected_output(run)
@@ -627,8 +612,9 @@ def native_sweep(source: str, factors: tuple[int, ...],
 
 
 def native_measure(source: str, runs: int = DEFAULT_RUNS) -> ExecResult:
-    """Compile and run a one-variant unit from `emit_kernel_source`."""
-    run = _compile_and_run(source, runs)
+    """Compile and run a one-variant unit from `emit_kernel_source`, which
+    was emitted with `runs` rounds."""
+    run = _compile_and_run(source)
     results = _parse_sweep_output(run, runs)
     if len(results) != 1:
         raise _unexpected_output(run)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DepthExceedsMax, EmptyTrainingSet, LabelNotInClassSet
+from .errors import DepthExceedsMax, DimensionMismatch, EmptyTrainingSet, LabelNotInClassSet
 from .ir import BinOpKind, DataType, Program, load_iterator_sets, op_histogram
 from .schedule import UNROLL_FACTORS, ScheduledProgram, new_schedule
 
@@ -182,6 +182,19 @@ class Scaler:
     dropped_columns: tuple[int, ...]
     rescaled_columns: tuple[int, ...] = RESCALE_COLUMNS
 
+    def __post_init__(self):
+        width = len(self.stat_a)
+        if len(self.stat_b) != width:
+            raise ValueError(f"{width} stat_a values but {len(self.stat_b)} stat_b values")
+        if any(type(v) not in (int, float) for v in (*self.stat_a, *self.stat_b)):
+            raise ValueError("scaler statistics must be numbers")
+        for name in ("dropped_columns", "rescaled_columns"):
+            columns = getattr(self, name)
+            if len(set(columns)) != len(columns) or any(
+                    type(c) is not int or not 0 <= c < width for c in columns):
+                raise ValueError(f"{name} {list(columns)} are not distinct columns "
+                                 f"of {width}")
+
     @property
     def output_width(self) -> int:
         return len(self.stat_a) - len(self.dropped_columns)
@@ -204,7 +217,7 @@ class Scaler:
         """Scale `x`, a new float64 row (1-D) or batch (2-D), in place, and
         return its kept columns."""
         if x.shape[-1] != len(self.stat_a):
-            raise ValueError(f"expected {len(self.stat_a)} columns, got {x.shape[-1]}")
+            raise DimensionMismatch(f"expected {len(self.stat_a)} columns, got {x.shape[-1]}")
         rescale, a, divisor, keep = self._arrays
         x /= rescale
         x -= a

@@ -520,8 +520,9 @@ def load_model(path: str) -> MlpModel:
     FormatVersionMismatch; a malformed header, one that contradicts itself
     (classes or dropout rates that do not fit `layer_dims`, classes that are
     not distinct unrolling factors, a dropout rate outside [0, 1), batchnorm
-    values other than BN_MOMENTUM and BN_EPS) or a payload of the wrong
-    length raises CorruptFile.  The payload is read once, straight into the
+    values other than BN_MOMENTUM and BN_EPS, a scaler whose statistics,
+    columns or output width do not fit) or a payload of the wrong length
+    raises CorruptFile.  The payload is read once, straight into the
     model's store."""
     with open(path, "rb") as fh:
         head = fh.readline()
@@ -558,6 +559,9 @@ def load_model(path: str) -> MlpModel:
                 if header[key] != value:
                     raise ValueError(f"{key} {header[key]!r} is not {value!r}")
             scaler = _scaler_from_obj(header.get("scaler"))
+            if scaler is not None and scaler.output_width != dims[0]:
+                raise ValueError(f"a scaler of {scaler.output_width} columns for "
+                                 f"{dims[0]} inputs")
             # checked before allocating, so a header cannot ask for more
             # memory than its file holds
             size = _store_size(dims)

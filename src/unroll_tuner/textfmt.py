@@ -177,7 +177,7 @@ class _ExprParser:
                     if sign == "-":
                         raise ParseError("iterators may only be added in subscripts")
                     names.append(tok)
-                elif kind == "num" and "." not in tok:
+                elif tok.isdigit():
                     offset += int(tok) if sign == "+" else -int(tok)
                 else:
                     raise ParseError("subscript offsets must be integer literals")
@@ -205,14 +205,21 @@ def _parse_transform(directive: str, rest: str) -> Transform:
 
 
 def _program_fields(lines):
-    """Line-level parse of (line number, directive, rest) program lines."""
+    """Line-level parse of (line number, directive, rest) program lines;
+    a `program`, `body` or `output` line may appear once."""
     name = None
     iterators: list[Iterator] = []
     inputs: list[BufferDecl] = []
     dtypes: set[DataType] = set()
     body_src = None
     output_src = None
+    set_on: dict[str, int] = {}
     for line_no, directive, rest in lines:
+        if directive in set_on:
+            raise ParseError(f"line {line_no}: a second {directive!r} line; "
+                             f"the first is line {set_on[directive]}")
+        if directive in ("program", "body", "output"):
+            set_on[directive] = line_no
         try:
             if directive == "program":
                 name = rest

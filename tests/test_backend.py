@@ -201,7 +201,7 @@ class TestNative:
         assert res.mean_ms > 0
 
     def test_runs_1_single_sample(self, vecadd):
-        res = native_measure(emit_kernel_source(new_schedule(vecadd)), runs=1)
+        res = native_measure(emit_kernel_source(new_schedule(vecadd), runs=1), runs=1)
         assert len(res.per_run_ms) == 1
         assert res.per_run_ms[0] == res.mean_ms
 
@@ -338,7 +338,7 @@ class TestNativeSweep:
             assert all("-c" not in argv and argv[-1].endswith(".so") for argv in builds)
             sections = sorted(arg for argv in builds for arg in argv
                               if arg.startswith("-DWITH_"))
-            assert sections == ([] if parts == 1 else
+            assert sections == (["-DWITH_kernel_4"] if factors == (4,) else
                                 ["-DWITH_kernel_0", "-DWITH_kernel_2", "-DWITH_kernel_4"])
         assert len(runner_builds) == 1
         assert any(arg.endswith("runner.c") for arg in runner_builds[0])
@@ -425,7 +425,7 @@ def test_failed_compile_retried_only_without_openmp(monkeypatch, tmp_path):
     failing = backend_mod._split_plan(split_source)[-1][0]
     fake_toolchain(monkeypatch, tmp_path,
                    f'{PASS_RUNNER_BUILD}echo "$@" >> "{log}"\n'
-                   f'case " $* " in *" -DWITH_{failing} "*) ;; *" -DSPLIT_PART "*) exit 0;; esac\n'
+                   f'case " $* " in *" -DWITH_{failing} "*) ;; *" -DWITH_"*) exit 0;; esac\n'
                    'echo broken >&2\nexit 1\n')
     serial = "int main(void) { return 0; }\n"
     parallel = "#pragma omp parallel\n" + serial

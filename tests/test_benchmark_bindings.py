@@ -6,6 +6,7 @@ rather than only when `perfbench/run.py --trace 1` next runs.
 
 from __future__ import annotations
 
+import inspect
 import os
 import sys
 
@@ -34,6 +35,18 @@ def test_benchmark_bindings_resolve(workloads):
     missing = [f"{owner.__name__}.{attr}" for owner, attr in bindings
                if getattr(owner, attr, None) is None]
     assert not missing
+
+
+@pytest.mark.parametrize("call, args, kwargs", [
+    # NativeLabel's set-up probe and its final checks
+    (backend.NativeBackend().measure, ("sp", 0, 1), {}),
+    (backend.emit_kernel_source, ("sp",), {"runs": 1, "debug": True}),
+    (backend.native_measure, ("source",), {"runs": 1}),
+], ids=["NativeBackend.measure", "emit_kernel_source", "native_measure"])
+def test_benchmark_native_calls_bind(call, args, kwargs):
+    """The arguments perfbench passes still bind, so a dropped parameter
+    fails here and not only in the native workload's final check."""
+    inspect.signature(call).bind(*args, **kwargs)
 
 
 def test_split_points_are_called(workloads, tmp_path, monkeypatch, capsys):

@@ -116,6 +116,7 @@ def test_native_compile_timeout_is_error_line(tmp_path, monkeypatch, capsys):
     ("a[i0, k] + 1.0", "dangling iterator 'k' in body access to a"),
     ("b[i0, i1] + 1.0", "undeclared buffer 'b'"),
     ("a[i0] + 1.0", "rank mismatch: a declared rank 2, indexed with 1 subscripts"),
+    ("a[i0+1e3, i1] + 1.0", "subscript offsets must be integer literals"),
 ])
 def test_label_and_predict_reject_invalid_programs(tmp_path, capsys, body, message):
     progs = tmp_path / "p"
@@ -277,6 +278,21 @@ def test_predict_prints_factor(pipeline, capsys):
     out = capsys.readouterr().out.strip()
     assert out.startswith("unroll_factor=")
     assert int(out.split("=")[1]) in (0, 2, 4, 8, 16, 32, 64)
+
+
+def test_predict_rejects_model_of_another_width(pipeline, tmp_path, capsys):
+    from unroll_tuner.featurize import fit_scaler
+    from unroll_tuner.mlp import init_model, save_model
+
+    _, progs, _, _ = pipeline
+    narrow = tmp_path / "narrow.json"
+    m = init_model(3, seed=0, hidden=(4,), dropout=(0.0,))
+    m.scaler = fit_scaler([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0]])
+    m.trained = True
+    save_model(m, str(narrow))
+    sample = sorted(os.listdir(progs))[0]
+    assert run_cli("predict", str(progs / sample), "--model", str(narrow)) == 2
+    assert capsys.readouterr().err == "error: expected 3 columns, got 45\n"
 
 
 def test_baselines_refuses_model_of_another_split(pipeline, capsys):

@@ -8,7 +8,12 @@ import pytest
 
 from conftest import make_program
 from unroll_tuner.benchmarks import blur, mmxm, rgb_gray, smm
-from unroll_tuner.errors import DepthExceedsMax, EmptyTrainingSet, LabelNotInClassSet
+from unroll_tuner.errors import (
+    DepthExceedsMax,
+    DimensionMismatch,
+    EmptyTrainingSet,
+    LabelNotInClassSet,
+)
 from unroll_tuner.featurize import (
     CSV_HEADER,
     FEATURE_COLUMNS,
@@ -260,7 +265,7 @@ def test_transform_row_bits_match_transform_matrix(mode):
         got = scaler.transform(row)
         assert got.shape == (scaler.output_width,)
         assert got.tobytes() == scaler.transform_matrix([row])[0].tobytes()
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         scaler.transform(rows[0, :-1].tolist())
     with pytest.raises(ValueError):
         scaler.transform(rows[:2].tolist())

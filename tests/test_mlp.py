@@ -626,7 +626,7 @@ def _trained_toy(width=4, hidden=(6, 5), seed=8):
 
 def test_predict_class_width_checks():
     m, _ = _trained_toy()
-    with pytest.raises(ValueError):                    # the scaler's column count
+    with pytest.raises(DimensionMismatch):             # the scaler's column count
         predict_class(m, Point((0.0,) * 5))
     m.scaler = fit_scaler([[1.0, 2.0, 3.0], [2.0, 0.0, 1.0]])
     with pytest.raises(DimensionMismatch):             # the scaler's output, the model's input
@@ -768,10 +768,23 @@ def _write_payload(tmp_path, mutate):
     lambda header: header.update(bn_eps=0.0),
     lambda header: header.update(bn_momentum=0.5),
     lambda header: header.pop("bn_momentum"),
+    lambda header: header["scaler"].update(stat_b=[1.0, 1.0]),
+    lambda header: header["scaler"].update(stat_a=["0.0", 0.0, 0.0]),
+    lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4,
+                                           dropped_columns=[4]),
+    lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4,
+                                           dropped_columns=[-1]),
+    lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4,
+                                           dropped_columns=[1, 1]),
+    lambda header: header["scaler"].update(rescaled_columns=[3]),
+    lambda header: header["scaler"].update(rescaled_columns=[1.0]),
+    lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4),
 ], ids=["fractional-dim", "too-few-classes", "repeated-class", "foreign-class",
         "dropout-count", "dropout-one", "dropout-negative", "dropout-nan", "dropout-string",
         "dropout-bool", "bn-eps-negative", "bn-eps-zero", "bn-momentum-other",
-        "bn-momentum-missing"])
+        "bn-momentum-missing", "scaler-stat-b-short", "scaler-stat-string",
+        "scaler-dropped-out-of-range", "scaler-dropped-negative", "scaler-dropped-twice",
+        "scaler-rescaled-out-of-range", "scaler-rescaled-float", "scaler-width-not-input"])
 def test_header_that_contradicts_itself_is_corrupt_file(tmp_path, mutate):
     with pytest.raises(CorruptFile):
         load_model(_write_payload(tmp_path, mutate))

@@ -181,6 +181,13 @@ def test_sibling_files_share_one_program():
     ("program x\niter i 0 four\nunroll x\nbody a[i]\noutput o[i]\n", "line 2: "),
     ("program x\nunroll x\niter i 0 four\nbody a[i]\noutput o[i]\n", "line 2: "),
     ("program x\niter i 0 four\nvectorize 4\nbody a[i]\noutput o[i]\n", "line 2: "),
+    # a line that may appear once names its first appearance
+    ("program x\niter i 0 4\nbody a[i]\nprogram y\noutput o[i]\n",
+     "line 4: a second 'program' line; the first is line 1"),
+    ("program x\niter i 0 4\nbody a[i]\noutput o[i]\nbody a[i] + 1.0\n",
+     "line 5: a second 'body' line; the first is line 3"),
+    ("program x\niter i 0 4\nbody a[i]\noutput o[i]\nunroll 2\noutput p[i]\n",
+     "line 6: a second 'output' line; the first is line 4"),
 ])
 def test_parse_error_line_numbers(text, message):
     textfmt._parse_program_lines.cache_clear()
@@ -248,6 +255,7 @@ def test_format_transform_rejects_non_transforms():
     ("a[1]", "subscript must start with an iterator, got '1'"),
     ("a[i-i]", "iterators may only be added in subscripts"),
     ("a[i+1.5]", "subscript offsets must be integer literals"),
+    ("a[i+1e3]", "subscript offsets must be integer literals"),
     ("a[i)", "expected ',' or ']' in subscript, got ')'"),
 ])
 def test_expression_parse_errors(body, message):
