@@ -20,7 +20,8 @@ once per process and compiler.  It loads the parts, fills their buffers as
 the unit's `unit_layout` describes them, prints `checksum_<u>=<hex>` on
 stdout for every variant u and one `run_ms_<u>=<float>` line per variant
 and round on stderr.  The round count is written into the unit when it is
-emitted.  A single kernel (`emit_kernel_source`, `native_measure`) is a
+emitted, and `native_sweep`/`native_measure` refuse another `runs` before
+compiling.  A single kernel (`emit_kernel_source`, `native_measure`) is a
 one-variant sweep.
 """
 
@@ -600,10 +601,22 @@ def _parse_sweep_output(run: subprocess.CompletedProcess,
     return {u: ExecResult(per_run_ms=times[u], checksum=sums[u]) for u in checksums}
 
 
+def _check_rounds(source: str, runs: int) -> None:
+    """Raise ValueError, before anything is compiled, when `source` is a
+    unit whose `unit_layout` holds another round count than `runs`.  A
+    source without a `unit_layout` is left to the build and the runner."""
+    _, found, layout = source.partition("unit_layout[] = {")
+    emitted = layout.partition(",")[0].strip()
+    if found and emitted != str(runs):
+        raise ValueError(f"runs={runs}, but the unit was emitted with "
+                         f"{emitted} rounds in its unit_layout")
+
+
 def native_sweep(source: str, factors: tuple[int, ...],
                  runs: int = DEFAULT_RUNS) -> dict[int, ExecResult]:
     """Compile and run a unit from `emit_sweep_source` once; one result per
     factor, each of the `runs` rounds the unit was emitted with."""
+    _check_rounds(source, runs)
     run = _compile_and_run(source)
     results = _parse_sweep_output(run, runs)
     if set(results) != set(factors):
@@ -614,6 +627,7 @@ def native_sweep(source: str, factors: tuple[int, ...],
 def native_measure(source: str, runs: int = DEFAULT_RUNS) -> ExecResult:
     """Compile and run a one-variant unit from `emit_kernel_source`, which
     was emitted with `runs` rounds."""
+    _check_rounds(source, runs)
     run = _compile_and_run(source)
     results = _parse_sweep_output(run, runs)
     if len(results) != 1:

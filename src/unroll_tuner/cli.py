@@ -296,7 +296,8 @@ def cmd_bench(args) -> int:
 
 _SHARED_FLAGS = {
     "--seed": {"type": int, "default": 0},
-    "--jobs": {"type": int, "default": 1, "help": "worker processes (cost backend only)"},
+    "--jobs": {"type": int, "default": 1,
+               "help": "worker processes (default %(default)s; native labeling uses one)"},
     "--backend": {"choices": tuple(_BACKENDS), "default": "cost"},
     "--runs": {"type": int, "default": DEFAULT_RUNS,
                "help": "timed rounds per native measurement (default %(default)s)"},

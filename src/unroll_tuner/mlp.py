@@ -12,13 +12,28 @@ and for one row (`predict_class`, which keeps the row 1-D): each layer does
 the batchnorm arithmetic in place after its matmul, in train mode's order,
 so a row gets the bits of a one-row batch.  Train mode and backpropagation
 also write their temporaries in place; every result keeps its bits.
+
+`train` runs BLAS on one thread (`_one_blas_thread`, numpy's bundled
+OpenBLAS) and, when the process may use a second CPU, hands one helper
+thread (`_Helper`) the work that does not feed the calling thread's next
+operation: the dropout masks, in layer order; each layer's weight and bias
+gradient, while the caller carries the gradient back to the layer below;
+and every other ADAM slice.  No matmul is split between threads, and each
+call waits for its helper work before it returns, so the bits are those of
+one thread.  Limits: another CPU kernel, or a numpy without its bundled
+OpenBLAS, may still move the last bits.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import json
 import math
 import os
+import threading
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -203,14 +218,140 @@ def _infer(m: MlpModel, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return softmax(logits, out=logits), a
 
 
+class _Task:
+    """One call queued on a `_Helper`.  `result()` waits for it, then
+    returns its value or raises its exception."""
+
+    def __init__(self, fn, args):
+        self._call = (fn, args)
+        self._value = self._error = None
+        self._done = threading.Lock()
+        self._done.acquire()                # released when the call has ended
+
+    def run(self) -> None:
+        (fn, args), self._call = self._call, None     # held no longer than the call
+        try:
+            self._value = fn(*args)
+        except BaseException as exc:        # handed to the caller by result()
+            self._error = exc
+        finally:
+            self._done.release()
+
+    def wait(self) -> None:
+        with self._done:
+            pass
+
+    def result(self):
+        self.wait()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+class _Helper:
+    """Training's second CPU: one FIFO thread for work that does not feed
+    the caller's next operation.  `submit(fn, *args)` queues a task and
+    returns it; `join()` waits for every task queued so far and re-raises
+    the first exception among them; `close()` ends the thread.
+
+    Unthreaded (one usable CPU, or a caller that passes no helper) a task
+    runs inline as it is submitted: the same tasks in the same order, on
+    the same arrays, so the same bits.
+    """
+
+    def __init__(self, threaded: bool):
+        self._pending: list[_Task] = []
+        self._queue = None
+        if threaded:
+            import queue        # here, so a process that never trains does not load it
+            self._queue = queue.SimpleQueue()
+            self._thread = threading.Thread(target=self._serve, name="mlp-helper", daemon=True)
+            self._thread.start()
+
+    def _serve(self) -> None:
+        for task in iter(self._queue.get, None):
+            task.run()
+
+    def submit(self, fn, *args) -> _Task:
+        task = _Task(fn, args)
+        if self._queue is None:
+            task.run()
+            task.result()                   # an inline task raises at once
+        else:
+            self._queue.put(task)
+            self._pending.append(task)
+        return task
+
+    def join(self) -> None:
+        pending, self._pending = self._pending, []
+        if pending:
+            pending[-1].wait()              # FIFO: every earlier task has ended too
+        for task in pending:
+            task.result()
+
+    def close(self) -> None:
+        if self._queue is not None:
+            self._queue.put(None)
+            self._thread.join()
+
+
+_INLINE = _Helper(threaded=False)
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy's wheel, if this process has loaded it; else None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):       # not loaded, or another build
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block's BLAS calls on one thread, then restore the count: a
+    threaded GEMM may sum in another order and move the last bits."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+def _dropout_mask(rng: np.random.Generator, mask: np.ndarray, rate: float) -> np.ndarray:
+    """`(rng.random(mask.shape) >= rate) / (1 - rate)`, written into `mask`."""
+    rng.random(out=mask)
+    return np.divide(mask >= rate, 1.0 - rate, out=mask)
+
+
 def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
-            dropout_rng: np.random.Generator | None = None):
+            dropout_rng: np.random.Generator | None = None,
+            helper: _Helper | None = None):
     """Propagate a (rows x input_width) batch; returns (probs, cache).
 
     Train mode uses batch statistics for batchnorm (updating the running
     stats), applies inverted dropout and caches what backpropagation reads;
     infer mode (`_infer`) uses running statistics and no dropout, so repeated
     calls are identical, and its cache holds only the output layer's input.
+
+    Train mode queues every hidden layer's dropout mask on `helper` (inline
+    when None) before the first matmul, in layer order, so `dropout_rng`'s
+    stream is drawn as it would be layer by layer.
     """
     x = _input(m, batch)
     if x.ndim == 1:
@@ -218,6 +359,12 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
     if not train:
         probs, a = _infer(m, x)
         return probs, {"inputs": [a]}
+    if dropout_rng is None and any(rate > 0.0 for rate in m.dropout_rates):
+        raise ValueError("train-mode forward with dropout needs a generator")
+    helper = helper or _INLINE
+    masks = [helper.submit(_dropout_mask, dropout_rng, np.empty((x.shape[0], width)), rate)
+             if rate > 0.0 else None
+             for width, rate in zip(m.layer_dims[1:], m.dropout_rates)]
     cache = {"inputs": [], "xhat": [], "std": [], "relu": [], "mask": []}
     a = x
     for k, layer in enumerate(m.layers[:-1]):
@@ -238,14 +385,9 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
         h = np.multiply(xhat, layer.gamma, out=z)
         h += layer.beta
         a = np.maximum(h, 0.0)
-        rate = m.dropout_rates[k]
-        if rate > 0.0:
-            if dropout_rng is None:
-                raise ValueError("train-mode forward with dropout needs a generator")
-            mask = (dropout_rng.random(a.shape) >= rate) / (1.0 - rate)
+        mask = masks[k].result() if masks[k] else None
+        if mask is not None:
             a *= mask
-        else:
-            mask = None
         cache["xhat"].append(xhat)
         cache["std"].append(std)
         cache["relu"].append(h)
@@ -261,59 +403,72 @@ def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
     return float(-(y * np.log(np.maximum(probs, LOG_CLAMP))).sum() / probs.shape[0])
 
 
+def _weight_gradient(inputs: np.ndarray, dz: np.ndarray, g: dict[str, np.ndarray]) -> None:
+    np.matmul(inputs.T, dz, out=g["w"])
+    np.sum(dz, axis=0, out=g["b"])
+
+
 def loss_and_gradients(m: MlpModel, batch: np.ndarray, one_hot: np.ndarray,
                        dropout_rng: np.random.Generator | None = None,
-                       grad: np.ndarray | None = None):
+                       grad: np.ndarray | None = None, helper: _Helper | None = None):
     """Mean cross-entropy and its gradient with respect to the store.
 
     The gradient goes into `grad`, a flat buffer laid out like the store (a
     new one when None); the returned per-layer dicts of gradients are its
     views.  The running statistics are not trained: their slots get zeros,
     which leave them unchanged under ADAM.
-    """
-    y = np.asarray(one_hot, dtype=np.float64)
-    probs, cache = forward(m, batch, train=True, dropout_rng=dropout_rng)
-    if y.shape != probs.shape:
-        raise DimensionMismatch(f"labels {y.shape} vs probs {probs.shape}")
-    loss = _cross_entropy(probs, y)
 
-    if grad is None:
-        grad = np.empty_like(m.store)
-    grads = _views(m.layer_dims, grad)
-    dz = np.subtract(probs, y, out=probs)              # d loss / d logits
-    dz /= probs.shape[0]
-    for k in range(len(m.layers) - 1, -1, -1):
-        if k < m.n_hidden:      # back through dropout, ReLU and batchnorm, in place
-            grads[k]["running_mean"].fill(0.0)
-            grads[k]["running_var"].fill(0.0)
-            dh = dz @ m.layers[k + 1].w.T          # d loss / d a, then / d h
-            if cache["mask"][k] is not None:
-                dh *= cache["mask"][k]
-            dh *= cache["relu"][k] > 0.0
-            xhat, std = cache["xhat"][k], cache["std"][k]
-            t = dh * xhat
-            np.sum(t, axis=0, out=grads[k]["gamma"])
-            np.sum(dh, axis=0, out=grads[k]["beta"])
-            dxhat = dh
-            dxhat *= m.layers[k].gamma
-            # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std
-            mean_dxhat = dxhat.mean(axis=0)
-            t = np.multiply(xhat, np.multiply(dxhat, xhat, out=t).mean(axis=0), out=t)
-            dxhat -= mean_dxhat
-            dxhat -= t
-            dxhat /= std
-            dz = dxhat
-        np.matmul(cache["inputs"][k].T, dz, out=grads[k]["w"])
-        np.sum(dz, axis=0, out=grads[k]["b"])
-    return loss, grads
+    `helper` (inline when None) draws the dropout masks and computes each
+    layer's weight and bias gradient while this thread carries `dz` back
+    to the layer below; all of its work is done when this returns.
+    """
+    helper = helper or _INLINE
+    try:
+        y = np.asarray(one_hot, dtype=np.float64)
+        probs, cache = forward(m, batch, True, dropout_rng, helper)
+        if y.shape != probs.shape:
+            raise DimensionMismatch(f"labels {y.shape} vs probs {probs.shape}")
+        loss = _cross_entropy(probs, y)
+
+        if grad is None:
+            grad = np.empty_like(m.store)
+        grads = _views(m.layer_dims, grad)
+        dz = np.subtract(probs, y, out=probs)              # d loss / d logits
+        dz /= probs.shape[0]
+        for k in range(len(m.layers) - 1, -1, -1):
+            if k < m.n_hidden:      # back through dropout, ReLU and batchnorm, in place
+                grads[k]["running_mean"].fill(0.0)
+                grads[k]["running_var"].fill(0.0)
+                dh = dz @ m.layers[k + 1].w.T          # d loss / d a, then / d h
+                if cache["mask"][k] is not None:
+                    dh *= cache["mask"][k]
+                dh *= cache["relu"][k] > 0.0
+                xhat, std = cache["xhat"][k], cache["std"][k]
+                t = dh * xhat
+                np.sum(t, axis=0, out=grads[k]["gamma"])
+                np.sum(dh, axis=0, out=grads[k]["beta"])
+                dxhat = dh
+                dxhat *= m.layers[k].gamma
+                # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std
+                mean_dxhat = dxhat.mean(axis=0)
+                t = np.multiply(xhat, np.multiply(dxhat, xhat, out=t).mean(axis=0), out=t)
+                dxhat -= mean_dxhat
+                dxhat -= t
+                dxhat /= std
+                dz = dxhat                  # a new array: the helper may still read the old dz
+            helper.submit(_weight_gradient, cache["inputs"][k], dz, grads[k])
+        return loss, grads
+    finally:
+        helper.join()
 
 
 @dataclass
 class AdamState:
-    grad: np.ndarray        # the step's gradient; these three are laid out like the store
-    m: np.ndarray           # first and second moments
-    v: np.ndarray
-    scratch: np.ndarray     # (2, ADAM_CHUNK or fewer): the temporaries of one chunk
+    grad: np.ndarray        # the step's gradient, scratch once the step has read it;
+    m: np.ndarray           # first and second moments; these three are laid out like
+    v: np.ndarray           # the store
+    scratch: np.ndarray     # (2, ADAM_CHUNK or fewer): per thread, a temporary of one
+                            # chunk; [0] for even chunks, [1] for the helper's odd ones
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
@@ -327,11 +482,12 @@ def adam_update(param: np.ndarray, grad: np.ndarray, m1: np.ndarray, v1: np.ndar
                 t: int, scratch: np.ndarray) -> None:
     """One in-place ADAM step with bias correction (t counts from 1).
 
-    `scratch` (two arrays shaped like `param`) holds the temporaries of
-    `param -= lr * m_hat / (sqrt(v_hat) + eps)`, computed in that order, so
-    each element gets the same bits whichever arrays it is updated with.
+    `scratch` (an array shaped like `param`) and then `grad`, once it has
+    been read, hold the temporaries of `param -= lr * m_hat / (sqrt(v_hat)
+    + eps)`, computed in that order, so each element gets the same bits
+    whichever arrays it is updated with; `grad` holds no gradient after.
     """
-    a, b = scratch
+    a, b = scratch, grad
     m1 *= ADAM_BETA1
     m1 += np.multiply(grad, 1 - ADAM_BETA1, out=a)
     v1 *= ADAM_BETA2
@@ -339,27 +495,38 @@ def adam_update(param: np.ndarray, grad: np.ndarray, m1: np.ndarray, v1: np.ndar
     v1 += np.multiply(a, grad, out=a)
     np.sqrt(np.divide(v1, 1 - ADAM_BETA2 ** t, out=a), out=a)       # sqrt(v_hat)
     a += ADAM_EPS
-    np.divide(m1, 1 - ADAM_BETA1 ** t, out=b)                       # m_hat
+    np.divide(m1, 1 - ADAM_BETA1 ** t, out=b)                       # m_hat, over grad
     b *= ADAM_LR
     b /= a
     param -= b
 
 
-def adam_step(params: np.ndarray, state: AdamState, t: int) -> None:
+def adam_step(params: np.ndarray, state: AdamState, t: int,
+              helper: _Helper | None = None) -> None:
     """One ADAM step on the flat buffer `params` (a model's store, see
-    `train`) from the gradient in `state.grad`.  A zero gradient leaves an
-    element's bits as they are.
+    `train`) from the gradient in `state.grad`, which it uses up as scratch.
+    A zero gradient leaves an element's bits as they are.
 
     The flat buffers are updated in slices of ADAM_CHUNK elements, so the
-    scratch arrays stay small and each slice's arrays stay in cache.
+    scratch arrays stay small and each slice's arrays stay in cache.  Every
+    other slice goes to `helper` (inline when None), with its own scratch;
+    all of them are done when this returns.
     """
     if t < 1:
         raise ValueError("ADAM step counter starts at 1")
-    n = params.size
-    for start in range(0, n, ADAM_CHUNK):
+    helper = helper or _INLINE
+    chunks = []
+    for start in range(0, params.size, ADAM_CHUNK):
         part = slice(start, start + ADAM_CHUNK)
-        adam_update(params[part], state.grad[part], state.m[part], state.v[part], t,
-                    state.scratch[:, :min(ADAM_CHUNK, n - start)])
+        chunks.append((params[part], state.grad[part], state.m[part], state.v[part], t,
+                       state.scratch[len(chunks) % 2, :params[part].size]))
+    try:
+        for args in chunks[1::2]:       # queued first, so both threads start at once
+            helper.submit(adam_update, *args)
+        for args in chunks[::2]:
+            adam_update(*args)
+    finally:
+        helper.join()
 
 
 def one_hot(labels, classes: tuple[int, ...] = UNROLL_FACTORS) -> np.ndarray:
@@ -389,6 +556,11 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
     ADAM steps the whole store.  The running statistics get a zero
     gradient, so only `forward` changes them.
 
+    BLAS runs on one thread for the call, and a helper thread takes part of
+    each step when a second CPU is usable (see the module docstring); the
+    thread count is restored and the helper ended when the call returns or
+    raises.
+
     History holds one dict per epoch run: `epoch`, `train_loss` (the
     row-weighted mean of that epoch's mini-batch losses, each taken before
     its ADAM step; NaN if no batch ran), and `valid_loss` and `valid_acc`
@@ -417,31 +589,34 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
     stall = 0
     t = 0
     n = x_train.shape[0]
-    for epoch in range(cfg.max_epochs):
-        order = list(range(n))
-        shuffle_rng.shuffle(order)
-        loss_sum, rows = 0.0, 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            if len(idx) < 2:
-                continue      # batchnorm needs at least two rows
-            t += 1
-            loss, _ = loss_and_gradients(m, x_train[idx], y_train[idx], dropout_rng, state.grad)
-            adam_step(m.store, state, t)
-            loss_sum += loss * len(idx)
-            rows += len(idx)
-        valid_loss, valid_acc = _evaluate(m, x_valid, y_valid)
-        history.append({"epoch": epoch,
-                        "train_loss": loss_sum / rows if rows else float("nan"),
-                        "valid_loss": valid_loss, "valid_acc": valid_acc})
-        if valid_loss < best_loss:
-            best_loss = valid_loss
-            best[...] = m.store
-            stall = 0
-        else:
-            stall += 1
-            if stall >= cfg.patience:
-                break
+    threaded = len(os.sched_getaffinity(0)) > 1
+    with _one_blas_thread(), contextlib.closing(_Helper(threaded)) as helper:
+        for epoch in range(cfg.max_epochs):
+            order = list(range(n))
+            shuffle_rng.shuffle(order)
+            loss_sum, rows = 0.0, 0
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                if len(idx) < 2:
+                    continue      # batchnorm needs at least two rows
+                t += 1
+                loss, _ = loss_and_gradients(m, x_train[idx], y_train[idx], dropout_rng,
+                                             state.grad, helper)
+                adam_step(m.store, state, t, helper)
+                loss_sum += loss * len(idx)
+                rows += len(idx)
+            valid_loss, valid_acc = _evaluate(m, x_valid, y_valid)
+            history.append({"epoch": epoch,
+                            "train_loss": loss_sum / rows if rows else float("nan"),
+                            "valid_loss": valid_loss, "valid_acc": valid_acc})
+            if valid_loss < best_loss:
+                best_loss = valid_loss
+                best[...] = m.store
+                stall = 0
+            else:
+                stall += 1
+                if stall >= cfg.patience:
+                    break
     m.store[...] = best
     m.trained = True
     return m, history
@@ -456,7 +631,10 @@ def _scaler(m: MlpModel) -> Scaler:
 
 
 def predict_probs(m: MlpModel, rows) -> np.ndarray:
-    probs, _ = forward(m, _scaler(m).transform_matrix(rows), train=False)
+    """Probabilities of a batch of raw feature rows, with BLAS on one thread."""
+    x = _scaler(m).transform_matrix(rows)
+    with _one_blas_thread():
+        probs, _ = forward(m, x, train=False)
     return probs
 
 

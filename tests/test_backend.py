@@ -554,4 +554,19 @@ def test_toolchain_env_var_overrides(monkeypatch, vecadd):
 
     monkeypatch.setenv(TOOLCHAIN_ENV_VAR, "definitely-not-a-compiler")
     with pytest.raises(ToolchainMissing, match="definitely-not-a-compiler"):
-        native_measure(emit_kernel_source(new_schedule(vecadd)), runs=1)
+        native_measure(emit_kernel_source(new_schedule(vecadd), runs=1), runs=1)
+
+
+def test_round_count_mismatch_fails_before_compiling(monkeypatch, tmp_path, vecadd):
+    """`runs` must be the round count in the unit's `unit_layout`; another
+    count fails, naming both, before any compiler is called."""
+    log = tmp_path / "calls"
+    fake_toolchain(monkeypatch, tmp_path, f'echo "$@" >> "{log}"\nexit 1\n')
+    single = emit_kernel_source(new_schedule(vecadd), runs=3)
+    sweep = emit_sweep_source({u: apply_unroll(new_schedule(vecadd), u) for u in (0, 2)},
+                              runs=3)
+    for run, runs in ((lambda n: native_measure(single, runs=n), 30),
+                      (lambda n: native_sweep(sweep, (0, 2), runs=n), 1)):
+        with pytest.raises(ValueError, match=rf"runs={runs}, .* emitted with 3 rounds"):
+            run(runs)
+    assert not log.exists()

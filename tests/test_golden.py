@@ -10,13 +10,16 @@ digest alone, a change of the trained weights moves both.  A change that
 alters an artifact on purpose updates that file in the same commit; the
 failure message prints the digests to paste.
 
-BLAS runs single-threaded (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS are 1 before numpy is imported): a threaded BLAS may sum
-in another order and move the last bits of the weights.  Even so,
-`model.json` and `report.csv` are float64 arithmetic through numpy and its
-BLAS, so a numpy or OpenBLAS upgrade, or another CPU kernel (a machine on
-which the BLAS dispatches to other SIMD code), resets their digests.  The
-`.prog` and `corpus.csv` digests depend on this package alone.
+The pipeline runs once with one BLAS thread (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS are 1 before numpy is imported) and
+once with two, against the same digests: a threaded BLAS may sum in
+another order and move the last bits of the weights, so `train` and
+`predict_probs` run numpy's bundled OpenBLAS on one thread themselves.
+Even so, `model.json` and `report.csv` are float64 arithmetic through numpy
+and its BLAS, so a numpy or OpenBLAS upgrade, or another CPU kernel (a
+machine on which the BLAS dispatches to other SIMD code), resets their
+digests.  The `.prog` and `corpus.csv` digests depend on this package
+alone.
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from unroll_tuner import mlp
 
 GOLDEN = Path(__file__).parent / "data" / "pipeline_digests.json"
 SRC = Path(__file__).parents[1] / "src"
@@ -68,12 +75,23 @@ def _digests(seed_dir: Path) -> dict[str, str]:
     return out
 
 
-def test_pipeline_artifacts_match_golden_digests(tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+def _check_pipeline(tmp_path: Path, blas_threads: str) -> None:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+               MKL_NUM_THREADS=blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", _PIPELINE, str(tmp_path), *SEEDS],
                          env=env, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stderr
     got = {seed: _digests(tmp_path / seed) for seed in SEEDS}
     assert got == json.loads(GOLDEN.read_text()), json.dumps(got, indent=2)
+
+
+def test_pipeline_artifacts_match_golden_digests(tmp_path):
+    _check_pipeline(tmp_path, "1")
+
+
+@pytest.mark.skipif(mlp._openblas() is None,
+                    reason="numpy's bundled OpenBLAS is not loaded, so the package cannot "
+                           "pin BLAS to one thread and two threads may move the last bits")
+def test_pipeline_artifacts_match_golden_digests_at_two_blas_threads(tmp_path):
+    _check_pipeline(tmp_path, "2")

@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+import threading
+import time
 from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
@@ -268,7 +271,7 @@ def test_adam_single_scalar_step():
     g = np.array([1.0])
     m1 = np.zeros(1)
     v1 = np.zeros(1)
-    adam_update(w, g, m1, v1, t=1, scratch=np.empty((2, 1)))
+    adam_update(w, g, m1, v1, t=1, scratch=np.empty(1))
     # hand evaluation: m=0.1, v=0.001, m_hat=1, v_hat=1, step=lr*1/(1+eps)
     expected = 1.0 - 1e-3 * (1.0 / (1.0 + ADAM_EPS))
     assert w[0] == pytest.approx(expected, abs=1e-15)
@@ -358,8 +361,9 @@ def test_flat_adam_matches_per_layer_updates():
         grad[::7] = 0.0
         for named in _views(flat.layer_dims, grad)[:-1]:
             named["running_mean"][:] = named["running_var"][:] = 0.0
+        given = grad.copy()                          # the step uses up `state.grad`
         adam_step(flat.store, state, t)
-        views = [_views(ref.layer_dims, buf) for buf in (ref.store, grad, ref_m, ref_v)]
+        views = [_views(ref.layer_dims, buf) for buf in (ref.store, given, ref_m, ref_v)]
         for params, grads, m1, v1 in zip(*views):
             for n in ("w", "b", "gamma", "beta"):
                 if n in params:
@@ -529,6 +533,184 @@ def test_empty_split_rejected():
         train(m, split)
 
 
+# --- the helper thread -----------------------------------------------------------------
+
+def set_cpus(monkeypatch, n: int) -> None:
+    """Make `train` see `n` usable CPUs."""
+    monkeypatch.setattr(mlp.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def on_threads(monkeypatch, *names: str) -> list[tuple[str, bool]]:
+    """Spy on the named `mlp` functions; the list gets (name, on the main
+    thread?) per call."""
+    calls = []
+    for name in names:
+        def spy(*args, _fn=getattr(mlp, name), _name=name):
+            calls.append((_name, threading.current_thread() is threading.main_thread()))
+            return _fn(*args)
+        monkeypatch.setattr(mlp, name, spy)
+    return calls
+
+
+def test_train_with_helper_matches_one_cpu(monkeypatch):
+    """With a helper thread, `train` gives the store bytes and the history
+    of a one-CPU run, with dropout and ADAM steps of more than two chunks,
+    and leaves no thread behind."""
+    monkeypatch.setattr(mlp, "ADAM_CHUNK", 256)
+    calls = on_threads(monkeypatch, "_dropout_mask", "_weight_gradient", "adam_update")
+    runs = {}
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        calls.clear()
+        split, scaler = cluster_split(n_rows=120, seed=6)
+        m = init_model(scaler.output_width, seed=4, hidden=(24, 16), dropout=(0.2, 0.1))
+        assert m.store.size > 2 * mlp.ADAM_CHUNK
+        m.scaler = scaler
+        threads = threading.active_count()
+        m, history = train(m, split, TrainConfig(seed=4, batch_size=16, max_epochs=4))
+        assert threading.active_count() == threads
+        runs[cpus] = (m.store.tobytes(), json.dumps(history))
+        off_main = {name for name, main in calls if not main}
+        assert off_main == (set() if cpus == 1 else
+                            {"_dropout_mask", "_weight_gradient", "adam_update"})
+    assert runs[1] == runs[2]
+
+
+def test_helper_steps_match_inline_steps():
+    """`loss_and_gradients` and `adam_step` with a threaded helper give the
+    bits of inline runs: loss, gradient, store, moments and the dropout
+    generator's state."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(100, 38))
+    y = one_hot([UNROLL_FACTORS[i % 7] for i in range(100)])
+    helper = mlp._Helper(threaded=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)                     # the threads trade the lock often
+    try:
+        got = []
+        for h in (None, helper):
+            m = init_model(38, seed=99)
+            assert m.store.size > 2 * ADAM_CHUNK and all(m.dropout_rates)
+            state = AdamState.for_params(m.store)
+            dropout_rng = np.random.default_rng(5)
+            steps = []
+            for t in (1, 2, 3):
+                loss, _ = loss_and_gradients(m, x, y, dropout_rng, state.grad, h)
+                grad = state.grad.tobytes()
+                adam_step(m.store, state, t, h)
+                steps.append((loss, grad, m.store.tobytes(), state.m.tobytes(),
+                              state.v.tobytes()))
+            got.append((steps, dropout_rng.bit_generator.state))
+        assert got[0] == got[1]
+    finally:
+        sys.setswitchinterval(interval)
+        helper.close()
+
+
+def test_dropout_masks_are_drawn_in_layer_order():
+    """Inline or on the helper, layer k's mask is the k-th draw of the
+    generator's stream, as when each layer drew its own in turn."""
+    m = toy_model(3, hidden=(5, 4, 6), dropout=(0.5, 0.0, 0.3))
+    x = np.random.default_rng(1).normal(size=(8, 3))
+    helper = mlp._Helper(threaded=True)
+    try:
+        for h in (None, helper):
+            _, cache = forward(m, x, True, np.random.default_rng(9), h)
+            rng = np.random.default_rng(9)
+            want = [(rng.random((8, width)) >= rate) / (1.0 - rate) if rate else None
+                    for width, rate in zip(m.layer_dims[1:], m.dropout_rates)]
+            assert [None if a is None else a.tobytes() for a in cache["mask"]] == \
+                [None if a is None else a.tobytes() for a in want]
+    finally:
+        helper.close()
+
+
+def test_no_helper_work_in_flight_after_a_step(monkeypatch):
+    """Every task queued by `loss_and_gradients` or `adam_step` has ended
+    when the call returns, however slow the helper."""
+    done = []
+
+    def slow(fn):
+        def task(*args):
+            time.sleep(0.005)
+            fn(*args)
+            done.append(fn.__name__)
+        return task
+
+    monkeypatch.setattr(mlp, "_weight_gradient", slow(mlp._weight_gradient))
+    m = toy_model(3, hidden=(4, 4), dropout=(0.5, 0.5))
+    x = np.random.default_rng(1).normal(size=(8, 3))
+    y = one_hot([UNROLL_FACTORS[i % 7] for i in range(8)])
+    state = AdamState.for_params(m.store)
+    helper = mlp._Helper(threaded=True)
+    try:
+        loss_and_gradients(m, x, y, np.random.default_rng(2), state.grad, helper)
+        assert done == ["_weight_gradient"] * len(m.layers)
+        monkeypatch.setattr(mlp, "ADAM_CHUNK", 16)
+        monkeypatch.setattr(mlp, "adam_update", slow(mlp.adam_update))
+        state = AdamState.for_params(m.store)
+        done.clear()
+        adam_step(m.store, state, 1, helper)
+        assert len(done) == -(-m.store.size // 16)
+    finally:
+        helper.close()
+
+
+def test_helper_task_error_surfaces_in_caller(monkeypatch):
+    """An exception in a helper task re-raises in the thread that queued it:
+    from `loss_and_gradients`, `adam_step` and `train`, which ends its
+    helper thread on the way out."""
+    def broken(*args):
+        raise FloatingPointError("task failed")
+
+    m = toy_model(3, hidden=(4,), dropout=(0.5,))
+    x = np.random.default_rng(1).normal(size=(8, 3))
+    y = one_hot([UNROLL_FACTORS[i % 7] for i in range(8)])
+    state = AdamState.for_params(m.store)
+    helper = mlp._Helper(threaded=True)
+    try:
+        monkeypatch.setattr(mlp, "_weight_gradient", broken)
+        with pytest.raises(FloatingPointError, match="task failed"):
+            loss_and_gradients(m, x, y, np.random.default_rng(2), state.grad, helper)
+        real_update = mlp.adam_update
+        monkeypatch.setattr(mlp, "ADAM_CHUNK", 8)
+        monkeypatch.setattr(mlp, "adam_update", lambda *args: (
+            real_update(*args) if threading.current_thread() is threading.main_thread()
+            else broken()))
+        with pytest.raises(FloatingPointError, match="task failed"):
+            adam_step(m.store, state, 1, helper)
+    finally:
+        helper.close()
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(mlp, "_dropout_mask", broken)
+    split, scaler = cluster_split(n_rows=60, seed=2)
+    m = init_model(scaler.output_width, seed=1, hidden=(8,), dropout=(0.3,))
+    m.scaler = scaler
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="task failed"):
+        train(m, split, TrainConfig(seed=1, max_epochs=2))
+    assert threading.active_count() == threads
+
+
+def test_blas_pin_restores_the_thread_count():
+    """`_one_blas_thread` runs its block on one OpenBLAS thread and restores
+    the count it found, also when the block raises."""
+    blas = mlp._openblas()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS is not loaded")
+    get_threads, set_threads = blas
+    before = get_threads()
+    try:
+        set_threads(2)
+        with pytest.raises(KeyError), mlp._one_blas_thread():
+            assert get_threads() == 1
+            raise KeyError
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
 # --- prediction / persistence ----------------------------------------------------------
 
 def identity_scaler(width: int) -> Scaler:
@@ -576,13 +758,15 @@ def _reference_transform(scaler: Scaler, rows) -> np.ndarray:
 
 
 def _reference_infer(m, x: np.ndarray) -> np.ndarray:
-    """Infer-mode `forward` as first written, with a new array per operation."""
+    """Infer-mode `forward` as first written, with a new array per operation,
+    on one BLAS thread as `predict_probs` runs."""
     a = x
-    for layer in m.layers[:-1]:
-        z = a @ layer.w + layer.b
-        xhat = (z - layer.running_mean) / np.sqrt(layer.running_var + BN_EPS)
-        a = np.maximum(layer.gamma * xhat + layer.beta, 0.0)
-    return softmax(a @ m.layers[-1].w + m.layers[-1].b)
+    with mlp._one_blas_thread():
+        for layer in m.layers[:-1]:
+            z = a @ layer.w + layer.b
+            xhat = (z - layer.running_mean) / np.sqrt(layer.running_var + BN_EPS)
+            a = np.maximum(layer.gamma * xhat + layer.beta, 0.0)
+        return softmax(a @ m.layers[-1].w + m.layers[-1].b)
 
 
 @pytest.mark.parametrize("mode", list(ScalerMode))
