@@ -113,26 +113,41 @@ class CostModelParams:
             raise ValueError("icache_capacity must be >= 1")
 
 
+@dataclass(frozen=True)
+class CostTerms:
+    """The factor-independent quantities of one schedule's cost."""
+    trips: int          # total innermost trip count of the (padded) nest
+    ops: int            # operations in the body
+    parallel: bool      # whether a level is parallelized
+
+    @classmethod
+    def of(cls, sp: ScheduledProgram) -> CostTerms:
+        return cls(math.prod(it.extent for it in sp.loops), op_histogram(sp.base).total(),
+                   sp.parallel_level is not None)
+
+
 def cost_model_evaluate(sp: ScheduledProgram, u: int,
-                        params: CostModelParams | None = None) -> ExecResult:
+                        params: CostModelParams | None = None,
+                        terms: CostTerms | None = None) -> ExecResult:
     """Deterministic synthetic time for running `sp` unrolled by `u`.
 
     cost = T*ops*c_body + (T/u')*c_loop + T*c_icache*max(0, u'*ops - capacity)
     with u' = max(u, 1) and T the total innermost trip count of the current
     (padded) nest; divided by parallel_divisor when a level is parallelized.
+    `terms`, when given, must be `CostTerms.of(sp)`.
     """
     if u not in UNROLL_FACTORS:
         raise InvalidFactor(f"unroll factor {u} not in {UNROLL_FACTORS}")
     params = params or CostModelParams()
-    trips = math.prod(it.extent for it in sp.loops)
-    ops = op_histogram(sp.base).total()
+    terms = terms or CostTerms.of(sp)
+    trips, ops = terms.trips, terms.ops
     u_eff = max(u, 1)
     cost = (
         trips * ops * params.c_body
         + (trips / u_eff) * params.c_loop
         + trips * params.c_icache * max(0, u_eff * ops - params.icache_capacity)
     )
-    if sp.parallel_level is not None:
+    if terms.parallel:
         cost /= params.parallel_divisor
     return ExecResult(per_run_ms=(cost,))
 
@@ -643,12 +658,14 @@ class CostModelBackend:
     def __init__(self, params: CostModelParams | None = None):
         self.params = params or CostModelParams()
 
-    def measure(self, sp: ScheduledProgram, u: int, runs: int = 1) -> ExecResult:
-        return cost_model_evaluate(sp, u, self.params)
+    def measure(self, sp: ScheduledProgram, u: int, runs: int = 1,
+                terms: CostTerms | None = None) -> ExecResult:
+        return cost_model_evaluate(sp, u, self.params, terms)
 
     def sweep(self, sp: ScheduledProgram, factors: tuple[int, ...],
               runs: int = 1) -> dict[int, ExecResult]:
-        return {u: self.measure(sp, u, runs) for u in factors}
+        terms = CostTerms.of(sp)
+        return {u: self.measure(sp, u, runs, terms) for u in factors}
 
 
 class NativeBackend:

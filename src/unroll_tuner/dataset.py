@@ -8,7 +8,10 @@ schedule *before* unrolling so the label never leaks into the vector.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import (
@@ -105,20 +108,40 @@ def split_dataset(rows: list[LabeledSample], seed: int = 0) -> SplitDataset:
     )
 
 
-def save_csv(rows: list[LabeledSample], path: str) -> None:
-    """Write the corpus CSV; timing maps go to a `<path>.timings.csv` sidecar."""
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(encode_csv_row(row.features, row.label) + "\n")
-    if any(row.timing for row in rows):
-        with open(path + ".timings.csv", "w") as fh:
-            fh.write(TIMINGS_HEADER + "\n")
-            for idx, row in enumerate(rows):
-                if not row.timing:
-                    continue
-                cells = ",".join(repr(row.timing.get(u, float("nan"))) for u in UNROLL_FACTORS)
-                fh.write(f"{idx},{cells}\n")
+def save_csv(rows: Iterable[LabeledSample], path: str) -> int:
+    """Write the corpus CSV, one line per row as the rows arrive; timing maps
+    go to a `<path>.timings.csv` sidecar, kept only when some row is timed.
+
+    Both files are written at temporary names beside their targets and
+    replace them only after the last row, so a failure, in `rows` or in a
+    write, leaves the targets as they were.  Returns the number of rows.
+    """
+    sidecar = path + ".timings.csv"
+    tmp, tmp_sidecar = path + ".tmp", sidecar + ".tmp"
+    n, timed = 0, False
+    try:
+        with open(tmp, "w") as fh, open(tmp_sidecar, "w") as side:
+            fh.write(CSV_HEADER + "\n")
+            side.write(TIMINGS_HEADER + "\n")
+            for row in rows:
+                fh.write(encode_csv_row(row.features, row.label) + "\n")
+                if row.timing:
+                    cells = ",".join(repr(row.timing.get(u, float("nan")))
+                                     for u in UNROLL_FACTORS)
+                    side.write(f"{n},{cells}\n")
+                    timed = True
+                n += 1
+        if timed:
+            os.replace(tmp_sidecar, sidecar)
+        else:
+            os.remove(tmp_sidecar)
+        os.replace(tmp, path)
+    except BaseException:
+        for name in (tmp, tmp_sidecar):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(name)
+        raise
+    return n
 
 
 def load_csv(path: str) -> list[LabeledSample]:

@@ -14,6 +14,7 @@ replays its transforms on one mutable `_Nest`, frozen once at the end.
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -164,16 +165,19 @@ class ScheduledProgram:
 def new_schedule(p: Program) -> ScheduledProgram:
     """Empty schedule: current nest equals the base nest.
 
-    Built once per `Program` instance and kept in its `__dict__` (no field,
-    so == and hash ignore it); a replay copies its lists and rebinds, never
-    writes, its dicts.
+    The schedule refers to `p`, so `p` keeps only a weak reference to it,
+    in its `__dict__` (no field, so == and hash ignore it): the same
+    schedule comes back while someone holds it (the parse cache does), and
+    no reference cycle leaves a dropped program to the cyclic collector.  A
+    replay copies its lists and rebinds, never writes, its dicts.
     """
-    sp = p.__dict__.get("_empty_schedule")
+    ref = p.__dict__.get("_empty_schedule")
+    sp = ref() if ref is not None else None
     if sp is None:
         loops = tuple(Iterator(it.name, 0, it.extent) for it in p.iterators)
         exprs = {it.name: AffineExpr.var(it.name, const=it.lower) for it in p.iterators}
-        sp = p.__dict__["_empty_schedule"] = ScheduledProgram(
-            base=p, loops=loops, index_exprs=exprs)
+        sp = ScheduledProgram(base=p, loops=loops, index_exprs=exprs)
+        p.__dict__["_empty_schedule"] = weakref.ref(sp)
     return sp
 
 

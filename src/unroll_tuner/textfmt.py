@@ -44,11 +44,13 @@ from .ir import (
 from .schedule import (
     Interchange,
     Parallelize,
+    ScheduledProgram,
     Split,
     Tile2,
     Tile3,
     Transform,
     Unroll,
+    new_schedule,
 )
 
 _TOKEN_RE = re.compile(
@@ -242,8 +244,10 @@ def _program_fields(lines):
 # Sibling files of one program repeat its lines and differ only in their
 # schedule lines; `label` reads them in sorted order, so consecutive siblings
 # hit the cache.  The bound is small on purpose: a corpus cycles through it.
+# An entry is the program's empty schedule, which `new_schedule` holds only
+# weakly: the cache keeps it alive, so the siblings' replays share it.
 @functools.lru_cache(maxsize=16)
-def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> Program:
+def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> ScheduledProgram:
     name, iterators, inputs, dtypes, body_src, output_src = _program_fields(lines)
     if name is None:
         raise ParseError("missing 'program' line")
@@ -272,7 +276,7 @@ def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> Program:
     report = validate_program(program)
     if not report.ok:
         raise ParseError("; ".join(report.violations))
-    return program
+    return new_schedule(program)
 
 
 def parse_program_text(text: str) -> tuple[Program, list[Transform]]:
@@ -300,7 +304,7 @@ def parse_program_text(text: str) -> tuple[Program, list[Transform]]:
             if isinstance(exc, ValueError):
                 raise ParseError(f"line {line_no}: {exc}") from exc
             raise
-    return _parse_program_lines(tuple(program_lines)), transforms
+    return _parse_program_lines(tuple(program_lines)).base, transforms
 
 
 def _format_const(c: Constant) -> str:

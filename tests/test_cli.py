@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import pytest
 
@@ -93,6 +94,23 @@ def test_label_rejects_illegal_schedules(tmp_path, monkeypatch, capsys):
             assert run_cli("label", "--programs", str(progs), "--backend", name,
                            "--out", str(tmp_path / "c.csv")) == 2
             assert capsys.readouterr().err == f"error: {progs / 't.prog'}: {message}\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_label_leaves_previous_output(tmp_path, capsys, jobs):
+    progs = tmp_path / "p"
+    assert run_cli("gen", "--count", "4", "--seed", "3", "--out", str(progs)) == 0
+    bad = progs / "zz_last.prog"        # sorts after every generated file
+    bad.write_text(PROGRAM_TEXT + "split 0 3\n")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "c.csv"
+    out.write_bytes(b"an earlier corpus\n")
+    capsys.readouterr()
+    assert run_cli("label", "--programs", str(progs), "--out", str(out), "--jobs", jobs) == 2
+    assert capsys.readouterr().err == f"error: {bad}: factor 3 is not a power of two\n"
+    assert out.read_bytes() == b"an earlier corpus\n"
+    assert os.listdir(out_dir) == ["c.csv"]     # no sidecar, no temporary file
 
 
 def test_native_compile_timeout_is_error_line(tmp_path, monkeypatch, capsys):
@@ -344,6 +362,29 @@ def test_label_parallel_jobs_deterministic(tmp_path):
     assert run_cli("label", "--programs", str(progs), "--out", str(c1), "--jobs", "1") == 0
     assert run_cli("label", "--programs", str(progs), "--out", str(c2), "--jobs", "2") == 0
     assert read(c1) == read(c2)
+    assert read(f"{c1}.timings.csv") == read(f"{c2}.timings.csv")
+
+
+def test_label_memory_does_not_grow_with_corpus(tmp_path):
+    """Samples are read, labeled, written and freed a small chunk at a time:
+    labeling ten times the programs peaks within 1 MiB of the smaller run."""
+    dirs = {}
+    for count in (20, 200):
+        dirs[count] = tmp_path / f"p{count}"
+        assert run_cli("gen", "--count", str(count), "--seed", "9",
+                       "--out", str(dirs[count])) == 0
+    # imports and caches are warm before anything is measured
+    assert run_cli("label", "--programs", str(dirs[20]), "--out", str(tmp_path / "w.csv")) == 0
+    peaks = {}
+    for count, progs in dirs.items():
+        tracemalloc.start()
+        try:
+            assert run_cli("label", "--programs", str(progs),
+                           "--out", str(tmp_path / f"c{count}.csv")) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] - peaks[20] < 1 << 20, peaks
 
 
 @pytest.mark.parametrize("argv, config_text, named", [

@@ -156,6 +156,34 @@ def test_csv_roundtrip(tmp_path):
     assert all(r.timing is None for r in loaded)
 
 
+def test_save_csv_streams_a_generator_like_a_list(tmp_path):
+    labeled = [label_sample(new_schedule(gen_program(GenConfig(seed=4), i)), CostModelBackend())
+               for i in range(5)]
+    # timed and untimed rows mixed: the sidecar numbers only the timed rows,
+    # each by its row index in the corpus
+    rows = [labeled[0], sample(2), labeled[1], labeled[2], sample(0, 1), labeled[3], labeled[4]]
+    outputs = {}
+    for name, given in (("list", rows), ("generator", (row for row in rows))):
+        path = tmp_path / name / "corpus.csv"
+        path.parent.mkdir()
+        assert save_csv(given, str(path)) == len(rows)
+        outputs[name] = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+    assert outputs["generator"] == outputs["list"]
+    assert sorted(outputs["list"]) == ["corpus.csv", "corpus.csv.timings.csv"]
+    sidecar = outputs["list"]["corpus.csv.timings.csv"].decode().splitlines()
+    assert [line.split(",")[0] for line in sidecar[1:]] == ["0", "2", "3", "5", "6"]
+
+    # no row timed: no sidecar, from a list or a generator
+    untimed = [sample(0), sample(2, 1), sample(4, 2)]
+    for name, given in (("untimed-list", untimed), ("untimed-generator", iter(untimed))):
+        path = tmp_path / name / "corpus.csv"
+        path.parent.mkdir()
+        assert save_csv(given, str(path)) == len(untimed)
+        assert [p.name for p in path.parent.iterdir()] == ["corpus.csv"]
+    assert ((tmp_path / "untimed-list" / "corpus.csv").read_bytes()
+            == (tmp_path / "untimed-generator" / "corpus.csv").read_bytes())
+
+
 def test_load_csv_ignores_timings_sidecar(tmp_path):
     path = str(tmp_path / "corpus.csv")
     save_csv([sample(0), sample(2)], path)

@@ -2,11 +2,12 @@
 
 At seeds 99 and 61, one subprocess runs `gen --count 100`, cost `label`,
 `train --max-epochs 3` and `bench --backend cost --out`, and the digests of
-the `.prog` files (one combined digest), `corpus.csv`, `model.json` and
-`report.csv` must equal those in `data/pipeline_digests.json`.  So must
-`weights`, the digest of `model.json`'s payload (the raw float64 bytes after
-its header line): a change of model file format moves the `model.json`
-digest alone, a change of the trained weights moves both.  A change that
+the `.prog` files (one combined digest), `corpus.csv`, its timings sidecar
+`corpus.csv.timings.csv`, `model.json` and `report.csv` must equal those in
+`data/pipeline_digests.json`.  So must `weights`, the digest of
+`model.json`'s payload (the raw float64 bytes after its header line): a
+change of model file format moves the `model.json` digest alone, a change
+of the trained weights moves both.  A change that
 alters an artifact on purpose updates that file in the same commit; the
 failure message prints the digests to paste.
 
@@ -18,8 +19,8 @@ another order and move the last bits of the weights, so `train` and
 Even so, `model.json` and `report.csv` are float64 arithmetic through numpy
 and its BLAS, so a numpy or OpenBLAS upgrade, or another CPU kernel (a
 machine on which the BLAS dispatches to other SIMD code), resets their
-digests.  The `.prog` and `corpus.csv` digests depend on this package
-alone.
+digests.  The `.prog`, `corpus.csv` and sidecar digests depend on this
+package alone.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _digests(seed_dir: Path) -> dict[str, str]:
     for path in sorted((seed_dir / "progs").iterdir()):
         progs.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
     out = {"progs": progs.hexdigest()}
-    for name in ("corpus.csv", "model.json", "report.csv"):
+    for name in ("corpus.csv", "corpus.csv.timings.csv", "model.json", "report.csv"):
         out[name] = _sha256((seed_dir / name).read_bytes())
     out["weights"] = _sha256((seed_dir / "model.json").read_bytes().partition(b"\n")[2])
     return out
