@@ -162,12 +162,6 @@ _C_TYPES = {
 }
 
 
-def _c_const(value) -> str:
-    if isinstance(value, float):
-        return f"((elem_t){value!r})"
-    return f"((elem_t){value})"
-
-
 def _dim_text(sp: ScheduledProgram, dim) -> str:
     parts = []
     const = dim.offset
@@ -192,7 +186,7 @@ def _access_text(sp: ScheduledProgram, access, strides) -> str:
 
 def _expr_text(sp: ScheduledProgram, node, strides) -> str:
     if isinstance(node, Constant):
-        return _c_const(node.value)
+        return f"((elem_t){node.value})"      # a float's str() is its round-trip repr()
     if isinstance(node, Access):
         return _access_text(sp, node.access, strides)
     return (f"({_expr_text(sp, node.left, strides)} {node.kind.value} "

@@ -14,14 +14,15 @@ so a row gets the bits of a one-row batch.  Train mode and backpropagation
 also write their temporaries in place; every result keeps its bits.
 
 `train` runs BLAS on one thread (`_one_blas_thread`, numpy's bundled
-OpenBLAS) and, when the process may use a second CPU, hands one helper
-thread (`_Helper`) the work that does not feed the calling thread's next
-operation: the dropout masks, in layer order; each layer's weight and bias
-gradient, while the caller carries the gradient back to the layer below;
-and every other ADAM slice.  No matmul is split between threads, and each
-call waits for its helper work before it returns, so the bits are those of
-one thread.  Limits: another CPU kernel, or a numpy without its bundled
-OpenBLAS, may still move the last bits.
+OpenBLAS) and, when the process may use a second CPU, submits to a
+one-worker `concurrent.futures.ThreadPoolExecutor` the work that does not
+feed the calling thread's next operation: the dropout masks, in layer
+order; each layer's weight and bias gradient, while the caller carries the
+gradient back to the layer below; and every other ADAM slice.  No matmul is
+split between threads, and each call waits for the futures it submitted
+before it returns, so the bits are those of one thread.  Limits: another
+CPU kernel, or a numpy without its bundled OpenBLAS, may still move the
+last bits.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import glob
 import json
 import math
 import os
-import threading
 from dataclasses import asdict, dataclass, field, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,6 +50,9 @@ from .errors import (
 from .featurize import FeatureVector, Scaler, ScalerMode
 from .rng import SplitMix64
 from .schedule import UNROLL_FACTORS
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
 
 MODEL_FORMAT_VERSION = 3
 DEFAULT_HIDDEN = (500, 400, 250, 100)
@@ -218,84 +222,27 @@ def _infer(m: MlpModel, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return softmax(logits, out=logits), a
 
 
-class _Task:
-    """One call queued on a `_Helper`.  `result()` waits for it, then
-    returns its value or raises its exception."""
+class _InlineExecutor:
+    """The executor of one-CPU training and of callers that pass none:
+    `submit` runs the call at once, so a failure raises there, and returns
+    the call's completed Future."""
 
-    def __init__(self, fn, args):
-        self._call = (fn, args)
-        self._value = self._error = None
-        self._done = threading.Lock()
-        self._done.acquire()                # released when the call has ended
-
-    def run(self) -> None:
-        (fn, args), self._call = self._call, None     # held no longer than the call
-        try:
-            self._value = fn(*args)
-        except BaseException as exc:        # handed to the caller by result()
-            self._error = exc
-        finally:
-            self._done.release()
-
-    def wait(self) -> None:
-        with self._done:
-            pass
-
-    def result(self):
-        self.wait()
-        if self._error is not None:
-            raise self._error
-        return self._value
+    def submit(self, fn, *args) -> Future:
+        # imported here, so a process that never trains does not load it
+        from concurrent.futures import Future
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
-class _Helper:
-    """Training's second CPU: one FIFO thread for work that does not feed
-    the caller's next operation.  `submit(fn, *args)` queues a task and
-    returns it; `join()` waits for every task queued so far and re-raises
-    the first exception among them; `close()` ends the thread.
-
-    Unthreaded (one usable CPU, or a caller that passes no helper) a task
-    runs inline as it is submitted: the same tasks in the same order, on
-    the same arrays, so the same bits.
-    """
-
-    def __init__(self, threaded: bool):
-        self._pending: list[_Task] = []
-        self._queue = None
-        if threaded:
-            import queue        # here, so a process that never trains does not load it
-            self._queue = queue.SimpleQueue()
-            self._thread = threading.Thread(target=self._serve, name="mlp-helper", daemon=True)
-            self._thread.start()
-
-    def _serve(self) -> None:
-        for task in iter(self._queue.get, None):
-            task.run()
-
-    def submit(self, fn, *args) -> _Task:
-        task = _Task(fn, args)
-        if self._queue is None:
-            task.run()
-            task.result()                   # an inline task raises at once
-        else:
-            self._queue.put(task)
-            self._pending.append(task)
-        return task
-
-    def join(self) -> None:
-        pending, self._pending = self._pending, []
-        if pending:
-            pending[-1].wait()              # FIFO: every earlier task has ended too
-        for task in pending:
-            task.result()
-
-    def close(self) -> None:
-        if self._queue is not None:
-            self._queue.put(None)
-            self._thread.join()
+_INLINE = _InlineExecutor()
 
 
-_INLINE = _Helper(threaded=False)
+def _join(futures) -> None:
+    """Wait for every future, then re-raise the first failure among them."""
+    for error in [future.exception() for future in futures]:
+        if error is not None:
+            raise error
 
 
 @functools.cache
@@ -341,7 +288,7 @@ def _dropout_mask(rng: np.random.Generator, mask: np.ndarray, rate: float) -> np
 
 def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
             dropout_rng: np.random.Generator | None = None,
-            helper: _Helper | None = None):
+            helper: Executor | None = None):
     """Propagate a (rows x input_width) batch; returns (probs, cache).
 
     Train mode uses batch statistics for batchnorm (updating the running
@@ -349,9 +296,10 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
     infer mode (`_infer`) uses running statistics and no dropout, so repeated
     calls are identical, and its cache holds only the output layer's input.
 
-    Train mode queues every hidden layer's dropout mask on `helper` (inline
+    Train mode submits every hidden layer's dropout mask to `helper` (inline
     when None) before the first matmul, in layer order, so `dropout_rng`'s
-    stream is drawn as it would be layer by layer.
+    stream is drawn as it would be layer by layer; all of them are done
+    when this returns.
     """
     x = _input(m, batch)
     if x.ndim == 1:
@@ -362,40 +310,45 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
     if dropout_rng is None and any(rate > 0.0 for rate in m.dropout_rates):
         raise ValueError("train-mode forward with dropout needs a generator")
     helper = helper or _INLINE
-    masks = [helper.submit(_dropout_mask, dropout_rng, np.empty((x.shape[0], width)), rate)
-             if rate > 0.0 else None
-             for width, rate in zip(m.layer_dims[1:], m.dropout_rates)]
-    cache = {"inputs": [], "xhat": [], "std": [], "relu": [], "mask": []}
-    a = x
-    for k, layer in enumerate(m.layers[:-1]):
-        z = a @ layer.w
-        z += layer.b
+    masks = []
+    try:
+        for width, rate in zip(m.layer_dims[1:], m.dropout_rates):
+            masks.append(helper.submit(_dropout_mask, dropout_rng,
+                                       np.empty((x.shape[0], width)), rate)
+                         if rate > 0.0 else None)
+        cache = {"inputs": [], "xhat": [], "std": [], "relu": [], "mask": []}
+        a = x
+        for k, layer in enumerate(m.layers[:-1]):
+            z = a @ layer.w
+            z += layer.b
+            cache["inputs"].append(a)
+            # z.mean(axis=0) and z.var(axis=0) in numpy's own order (mean,
+            # subtract, square, add.reduce, divide), with the centred batch kept
+            mu = z.mean(axis=0)
+            xhat = z - mu
+            var = np.add.reduce(np.square(xhat, out=z), axis=0)
+            var /= z.shape[0]
+            for running, batch_stat in ((layer.running_mean, mu), (layer.running_var, var)):
+                running *= BN_MOMENTUM          # in place: the store keeps them
+                running += (1 - BN_MOMENTUM) * batch_stat
+            std = np.sqrt(var + BN_EPS)
+            xhat /= std
+            h = np.multiply(xhat, layer.gamma, out=z)
+            h += layer.beta
+            a = np.maximum(h, 0.0)
+            mask = masks[k].result() if masks[k] else None
+            if mask is not None:
+                a *= mask
+            cache["xhat"].append(xhat)
+            cache["std"].append(std)
+            cache["relu"].append(h)
+            cache["mask"].append(mask)
         cache["inputs"].append(a)
-        # z.mean(axis=0) and z.var(axis=0) in numpy's own order (mean,
-        # subtract, square, add.reduce, divide), with the centred batch kept
-        mu = z.mean(axis=0)
-        xhat = z - mu
-        var = np.add.reduce(np.square(xhat, out=z), axis=0)
-        var /= z.shape[0]
-        for running, batch_stat in ((layer.running_mean, mu), (layer.running_var, var)):
-            running *= BN_MOMENTUM          # in place: the store keeps them
-            running += (1 - BN_MOMENTUM) * batch_stat
-        std = np.sqrt(var + BN_EPS)
-        xhat /= std
-        h = np.multiply(xhat, layer.gamma, out=z)
-        h += layer.beta
-        a = np.maximum(h, 0.0)
-        mask = masks[k].result() if masks[k] else None
-        if mask is not None:
-            a *= mask
-        cache["xhat"].append(xhat)
-        cache["std"].append(std)
-        cache["relu"].append(h)
-        cache["mask"].append(mask)
-    cache["inputs"].append(a)
-    logits = a @ m.layers[-1].w
-    logits += m.layers[-1].b
-    return softmax(logits, out=logits), cache
+        logits = a @ m.layers[-1].w
+        logits += m.layers[-1].b
+        return softmax(logits, out=logits), cache
+    finally:
+        _join(filter(None, masks))
 
 
 def _cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
@@ -410,7 +363,7 @@ def _weight_gradient(inputs: np.ndarray, dz: np.ndarray, g: dict[str, np.ndarray
 
 def loss_and_gradients(m: MlpModel, batch: np.ndarray, one_hot: np.ndarray,
                        dropout_rng: np.random.Generator | None = None,
-                       grad: np.ndarray | None = None, helper: _Helper | None = None):
+                       grad: np.ndarray | None = None, helper: Executor | None = None):
     """Mean cross-entropy and its gradient with respect to the store.
 
     The gradient goes into `grad`, a flat buffer laid out like the store (a
@@ -423,6 +376,7 @@ def loss_and_gradients(m: MlpModel, batch: np.ndarray, one_hot: np.ndarray,
     to the layer below; all of its work is done when this returns.
     """
     helper = helper or _INLINE
+    gradients = []
     try:
         y = np.asarray(one_hot, dtype=np.float64)
         probs, cache = forward(m, batch, True, dropout_rng, helper)
@@ -456,10 +410,10 @@ def loss_and_gradients(m: MlpModel, batch: np.ndarray, one_hot: np.ndarray,
                 dxhat -= t
                 dxhat /= std
                 dz = dxhat                  # a new array: the helper may still read the old dz
-            helper.submit(_weight_gradient, cache["inputs"][k], dz, grads[k])
+            gradients.append(helper.submit(_weight_gradient, cache["inputs"][k], dz, grads[k]))
         return loss, grads
     finally:
-        helper.join()
+        _join(gradients)
 
 
 @dataclass
@@ -502,7 +456,7 @@ def adam_update(param: np.ndarray, grad: np.ndarray, m1: np.ndarray, v1: np.ndar
 
 
 def adam_step(params: np.ndarray, state: AdamState, t: int,
-              helper: _Helper | None = None) -> None:
+              helper: Executor | None = None) -> None:
     """One ADAM step on the flat buffer `params` (a model's store, see
     `train`) from the gradient in `state.grad`, which it uses up as scratch.
     A zero gradient leaves an element's bits as they are.
@@ -520,13 +474,14 @@ def adam_step(params: np.ndarray, state: AdamState, t: int,
         part = slice(start, start + ADAM_CHUNK)
         chunks.append((params[part], state.grad[part], state.m[part], state.v[part], t,
                        state.scratch[len(chunks) % 2, :params[part].size]))
+    updates = []
     try:
-        for args in chunks[1::2]:       # queued first, so both threads start at once
-            helper.submit(adam_update, *args)
+        for args in chunks[1::2]:       # submitted first, so both threads start at once
+            updates.append(helper.submit(adam_update, *args))
         for args in chunks[::2]:
             adam_update(*args)
     finally:
-        helper.join()
+        _join(updates)
 
 
 def one_hot(labels, classes: tuple[int, ...] = UNROLL_FACTORS) -> np.ndarray:
@@ -556,10 +511,11 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
     ADAM steps the whole store.  The running statistics get a zero
     gradient, so only `forward` changes them.
 
-    BLAS runs on one thread for the call, and a helper thread takes part of
-    each step when a second CPU is usable (see the module docstring); the
-    thread count is restored and the helper ended when the call returns or
-    raises.
+    BLAS runs on one thread for the call, and a one-worker
+    `ThreadPoolExecutor` takes part of each step when a second CPU is usable
+    (see the module docstring); on one CPU the same tasks run inline.  The
+    thread count is restored and the executor shut down when the call
+    returns or raises.
 
     History holds one dict per epoch run: `epoch`, `train_loss` (the
     row-weighted mean of that epoch's mini-batch losses, each taken before
@@ -589,8 +545,13 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
     stall = 0
     t = 0
     n = x_train.shape[0]
-    threaded = len(os.sched_getaffinity(0)) > 1
-    with _one_blas_thread(), contextlib.closing(_Helper(threaded)) as helper:
+    if len(os.sched_getaffinity(0)) > 1:
+        # imported here, so a process that never trains does not load it
+        from concurrent.futures import ThreadPoolExecutor
+        executor = ThreadPoolExecutor(1, thread_name_prefix="mlp-helper")
+    else:
+        executor = contextlib.nullcontext(_INLINE)
+    with _one_blas_thread(), executor as helper:
         for epoch in range(cfg.max_epochs):
             order = list(range(n))
             shuffle_rng.shuffle(order)

@@ -188,6 +188,10 @@ def test_emit_operator_symbols():
     src = emit_sweep_source({0: apply_unroll(new_schedule(p), 0)}, runs=1)
     assert "buf_out[(i0)] = ((buf_a[(i0)] + (buf_a[(i0)] * buf_a[(i0)]))" \
         " - (buf_a[(i0)] / ((elem_t)2.0)));" in src
+    p = make_program("int", [("i0", 8)], BinOp(BinOpKind.Mul, load("a", "i0"), Constant(3)),
+                     ("i0",), [("a", 1)])
+    src = emit_sweep_source({0: apply_unroll(new_schedule(p), 0)}, runs=1)
+    assert "buf_out[(i0)] = (buf_a[(i0)] * ((elem_t)3));" in src
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain on PATH")

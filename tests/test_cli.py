@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -296,6 +298,31 @@ def test_predict_prints_factor(pipeline, capsys):
     out = capsys.readouterr().out.strip()
     assert out.startswith("unroll_factor=")
     assert int(out.split("=")[1]) in (0, 2, 4, 8, 16, 32, 64)
+
+
+_PREDICT_ONLY = """
+import sys
+from unroll_tuner import cli
+
+assert cli.main(["predict", sys.argv[1], "--model", sys.argv[2]]) == 0
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_predict_does_not_load_the_training_executor(pipeline):
+    """`concurrent.futures` is imported only when `mlp.train` runs, so a
+    process that only predicts does not pay for loading it."""
+    _, progs, _, model = pipeline
+    sample = sorted(os.listdir(progs))[0]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _PREDICT_ONLY, str(progs / sample), str(model)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    factor, loaded = proc.stdout.splitlines()
+    assert factor.startswith("unroll_factor=")
+    assert loaded == "False"
 
 
 def test_predict_rejects_model_of_another_width(pipeline, tmp_path, capsys):

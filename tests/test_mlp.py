@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
@@ -533,7 +534,7 @@ def test_empty_split_rejected():
         train(m, split)
 
 
-# --- the helper thread -----------------------------------------------------------------
+# --- the helper executor ---------------------------------------------------------------
 
 def set_cpus(monkeypatch, n: int) -> None:
     """Make `train` see `n` usable CPUs."""
@@ -555,7 +556,7 @@ def on_threads(monkeypatch, *names: str) -> list[tuple[str, bool]]:
 def test_train_with_helper_matches_one_cpu(monkeypatch):
     """With a helper thread, `train` gives the store bytes and the history
     of a one-CPU run, with dropout and ADAM steps of more than two chunks,
-    and leaves no thread behind."""
+    and its executor leaves no thread behind."""
     monkeypatch.setattr(mlp, "ADAM_CHUNK", 256)
     calls = on_threads(monkeypatch, "_dropout_mask", "_weight_gradient", "adam_update")
     runs = {}
@@ -577,43 +578,41 @@ def test_train_with_helper_matches_one_cpu(monkeypatch):
 
 
 def test_helper_steps_match_inline_steps():
-    """`loss_and_gradients` and `adam_step` with a threaded helper give the
-    bits of inline runs: loss, gradient, store, moments and the dropout
+    """`loss_and_gradients` and `adam_step` on a one-worker executor give
+    the bits of inline runs: loss, gradient, store, moments and the dropout
     generator's state."""
     rng = np.random.default_rng(7)
     x = rng.normal(size=(100, 38))
     y = one_hot([UNROLL_FACTORS[i % 7] for i in range(100)])
-    helper = mlp._Helper(threaded=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)                     # the threads trade the lock often
     try:
-        got = []
-        for h in (None, helper):
-            m = init_model(38, seed=99)
-            assert m.store.size > 2 * ADAM_CHUNK and all(m.dropout_rates)
-            state = AdamState.for_params(m.store)
-            dropout_rng = np.random.default_rng(5)
-            steps = []
-            for t in (1, 2, 3):
-                loss, _ = loss_and_gradients(m, x, y, dropout_rng, state.grad, h)
-                grad = state.grad.tobytes()
-                adam_step(m.store, state, t, h)
-                steps.append((loss, grad, m.store.tobytes(), state.m.tobytes(),
-                              state.v.tobytes()))
-            got.append((steps, dropout_rng.bit_generator.state))
+        with ThreadPoolExecutor(1) as helper:
+            got = []
+            for h in (None, helper):
+                m = init_model(38, seed=99)
+                assert m.store.size > 2 * ADAM_CHUNK and all(m.dropout_rates)
+                state = AdamState.for_params(m.store)
+                dropout_rng = np.random.default_rng(5)
+                steps = []
+                for t in (1, 2, 3):
+                    loss, _ = loss_and_gradients(m, x, y, dropout_rng, state.grad, h)
+                    grad = state.grad.tobytes()
+                    adam_step(m.store, state, t, h)
+                    steps.append((loss, grad, m.store.tobytes(), state.m.tobytes(),
+                                  state.v.tobytes()))
+                got.append((steps, dropout_rng.bit_generator.state))
         assert got[0] == got[1]
     finally:
         sys.setswitchinterval(interval)
-        helper.close()
 
 
 def test_dropout_masks_are_drawn_in_layer_order():
-    """Inline or on the helper, layer k's mask is the k-th draw of the
-    generator's stream, as when each layer drew its own in turn."""
+    """Inline or on a one-worker executor, layer k's mask is the k-th draw
+    of the generator's stream, as when each layer drew its own in turn."""
     m = toy_model(3, hidden=(5, 4, 6), dropout=(0.5, 0.0, 0.3))
     x = np.random.default_rng(1).normal(size=(8, 3))
-    helper = mlp._Helper(threaded=True)
-    try:
+    with ThreadPoolExecutor(1) as helper:
         for h in (None, helper):
             _, cache = forward(m, x, True, np.random.default_rng(9), h)
             rng = np.random.default_rng(9)
@@ -621,13 +620,11 @@ def test_dropout_masks_are_drawn_in_layer_order():
                     for width, rate in zip(m.layer_dims[1:], m.dropout_rates)]
             assert [None if a is None else a.tobytes() for a in cache["mask"]] == \
                 [None if a is None else a.tobytes() for a in want]
-    finally:
-        helper.close()
 
 
 def test_no_helper_work_in_flight_after_a_step(monkeypatch):
-    """Every task queued by `loss_and_gradients` or `adam_step` has ended
-    when the call returns, however slow the helper."""
+    """Every task submitted by `loss_and_gradients` or `adam_step` has ended
+    when the call returns, however slow the executor's worker."""
     done = []
 
     def slow(fn):
@@ -642,8 +639,7 @@ def test_no_helper_work_in_flight_after_a_step(monkeypatch):
     x = np.random.default_rng(1).normal(size=(8, 3))
     y = one_hot([UNROLL_FACTORS[i % 7] for i in range(8)])
     state = AdamState.for_params(m.store)
-    helper = mlp._Helper(threaded=True)
-    try:
+    with ThreadPoolExecutor(1) as helper:
         loss_and_gradients(m, x, y, np.random.default_rng(2), state.grad, helper)
         assert done == ["_weight_gradient"] * len(m.layers)
         monkeypatch.setattr(mlp, "ADAM_CHUNK", 16)
@@ -652,14 +648,13 @@ def test_no_helper_work_in_flight_after_a_step(monkeypatch):
         done.clear()
         adam_step(m.store, state, 1, helper)
         assert len(done) == -(-m.store.size // 16)
-    finally:
-        helper.close()
 
 
 def test_helper_task_error_surfaces_in_caller(monkeypatch):
-    """An exception in a helper task re-raises in the thread that queued it:
-    from `loss_and_gradients`, `adam_step` and `train`, which ends its
-    helper thread on the way out."""
+    """An exception in a submitted task re-raises in the thread that
+    submitted it, inline or from a one-worker executor: from
+    `loss_and_gradients`, `adam_step` and `train` on one CPU and on two,
+    where `train` shuts its executor down on the way out."""
     def broken(*args):
         raise FloatingPointError("task failed")
 
@@ -667,30 +662,28 @@ def test_helper_task_error_surfaces_in_caller(monkeypatch):
     x = np.random.default_rng(1).normal(size=(8, 3))
     y = one_hot([UNROLL_FACTORS[i % 7] for i in range(8)])
     state = AdamState.for_params(m.store)
-    helper = mlp._Helper(threaded=True)
-    try:
-        monkeypatch.setattr(mlp, "_weight_gradient", broken)
-        with pytest.raises(FloatingPointError, match="task failed"):
-            loss_and_gradients(m, x, y, np.random.default_rng(2), state.grad, helper)
-        real_update = mlp.adam_update
-        monkeypatch.setattr(mlp, "ADAM_CHUNK", 8)
-        monkeypatch.setattr(mlp, "adam_update", lambda *args: (
-            real_update(*args) if threading.current_thread() is threading.main_thread()
-            else broken()))
-        with pytest.raises(FloatingPointError, match="task failed"):
-            adam_step(m.store, state, 1, helper)
-    finally:
-        helper.close()
+    real_update = mlp.adam_update
+    monkeypatch.setattr(mlp, "_weight_gradient", broken)
+    monkeypatch.setattr(mlp, "ADAM_CHUNK", 8)
+    monkeypatch.setattr(mlp, "adam_update", lambda *args: (     # the submitted, odd chunks fail
+        broken() if np.shares_memory(args[-1], state.scratch[1]) else real_update(*args)))
+    with ThreadPoolExecutor(1) as threaded:
+        for helper in (None, threaded):
+            with pytest.raises(FloatingPointError, match="task failed"):
+                loss_and_gradients(m, x, y, np.random.default_rng(2), state.grad, helper)
+            with pytest.raises(FloatingPointError, match="task failed"):
+                adam_step(m.store, state, 1, helper)
 
-    set_cpus(monkeypatch, 2)
     monkeypatch.setattr(mlp, "_dropout_mask", broken)
-    split, scaler = cluster_split(n_rows=60, seed=2)
-    m = init_model(scaler.output_width, seed=1, hidden=(8,), dropout=(0.3,))
-    m.scaler = scaler
-    threads = threading.active_count()
-    with pytest.raises(FloatingPointError, match="task failed"):
-        train(m, split, TrainConfig(seed=1, max_epochs=2))
-    assert threading.active_count() == threads
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        split, scaler = cluster_split(n_rows=60, seed=2)
+        m = init_model(scaler.output_width, seed=1, hidden=(8,), dropout=(0.3,))
+        m.scaler = scaler
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="task failed"):
+            train(m, split, TrainConfig(seed=1, max_epochs=2))
+        assert threading.active_count() == threads
 
 
 def test_blas_pin_restores_the_thread_count():
