@@ -98,19 +98,14 @@ class ExecResult:
         return statistics.fmean(self.per_run_ms)
 
 
-@dataclass(frozen=True)
-class CostModelParams:
-    c_body: float = 1.0
-    c_loop: float = 2.0
-    c_icache: float = 0.01
-    icache_capacity: int = 320
-    parallel_divisor: float = 4.0
-
-    def __post_init__(self):
-        if min(self.c_body, self.c_loop, self.c_icache, self.parallel_divisor) <= 0:
-            raise ValueError("cost model parameters must be strictly positive")
-        if self.icache_capacity < 1:
-            raise ValueError("icache_capacity must be >= 1")
+# The cost model's parameters: per-op body cost, per-iteration loop-control
+# cost, the icache penalty per op beyond the modeled capacity, and the
+# speed-up of a parallelized nest.
+C_BODY = 1.0
+C_LOOP = 2.0
+C_ICACHE = 0.01
+ICACHE_CAPACITY = 320
+PARALLEL_DIVISOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -127,28 +122,26 @@ class CostTerms:
 
 
 def cost_model_evaluate(sp: ScheduledProgram, u: int,
-                        params: CostModelParams | None = None,
                         terms: CostTerms | None = None) -> ExecResult:
     """Deterministic synthetic time for running `sp` unrolled by `u`.
 
-    cost = T*ops*c_body + (T/u')*c_loop + T*c_icache*max(0, u'*ops - capacity)
+    cost = T*ops*C_BODY + (T/u')*C_LOOP + T*C_ICACHE*max(0, u'*ops - ICACHE_CAPACITY)
     with u' = max(u, 1) and T the total innermost trip count of the current
-    (padded) nest; divided by parallel_divisor when a level is parallelized.
+    (padded) nest; divided by PARALLEL_DIVISOR when a level is parallelized.
     `terms`, when given, must be `CostTerms.of(sp)`.
     """
     if u not in UNROLL_FACTORS:
         raise InvalidFactor(f"unroll factor {u} not in {UNROLL_FACTORS}")
-    params = params or CostModelParams()
     terms = terms or CostTerms.of(sp)
     trips, ops = terms.trips, terms.ops
     u_eff = max(u, 1)
     cost = (
-        trips * ops * params.c_body
-        + (trips / u_eff) * params.c_loop
-        + trips * params.c_icache * max(0, u_eff * ops - params.icache_capacity)
+        trips * ops * C_BODY
+        + (trips / u_eff) * C_LOOP
+        + trips * C_ICACHE * max(0, u_eff * ops - ICACHE_CAPACITY)
     )
     if terms.parallel:
-        cost /= params.parallel_divisor
+        cost /= PARALLEL_DIVISOR
     return ExecResult(per_run_ms=(cost,))
 
 
@@ -291,13 +284,16 @@ def _emit_kernel(sp: ScheduledProgram, fn_name: str, strides, emit) -> None:
     if sp.unroll:
         u = sp.unroll
         main_end = sp.main_trips * u
+        # the block variable must not shadow a loop of the nest
+        taken = {it.name for it in sp.loops}
+        blk = f"{inner.name}_blk"
+        while blk in taken:
+            blk += "_"
         if sp.parallel_level == sp.depth - 1:
             emit(f"{indent}#pragma omp parallel for")
-        emit(f"{indent}for (int64_t {inner.name}_blk = 0; {inner.name}_blk < {main_end}; "
-             f"{inner.name}_blk += {u}) {{")
+        emit(f"{indent}for (int64_t {blk} = 0; {blk} < {main_end}; {blk} += {u}) {{")
         for k in range(u):
-            emit(f"{indent}    {{ const int64_t {inner.name} = {inner.name}_blk + {k}; "
-                 f"{body_stmt} }}")
+            emit(f"{indent}    {{ const int64_t {inner.name} = {blk} + {k}; {body_stmt} }}")
         emit(f"{indent}}}")
         emit(f"{indent}for (int64_t {inner.name} = {main_end}; "
              f"{inner.name} < {inner.extent}; ++{inner.name}) {{ {body_stmt} }}")
@@ -370,7 +366,7 @@ def _run_compilers(argvs: list[list[str]]) -> str | None:
             # a session of its own, so a kill reaches the compiler's children
             proc = stack.enter_context(subprocess.Popen(
                 argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                start_new_session=True))
+                errors="replace", start_new_session=True))
             stack.callback(_kill_group, proc)
             procs.append(proc)
         deadline = time.monotonic() + DEFAULT_TIMEOUT_S
@@ -565,7 +561,7 @@ def _compile_and_run(source: str) -> subprocess.CompletedProcess:
 
         try:
             run = subprocess.run([runner, *objects], capture_output=True, text=True,
-                                 timeout=DEFAULT_TIMEOUT_S)
+                                 errors="replace", timeout=DEFAULT_TIMEOUT_S)
         except subprocess.TimeoutExpired as exc:
             raise RunTimeout(f"kernel exceeded {DEFAULT_TIMEOUT_S} s") from exc
     if run.returncode != 0:
@@ -649,12 +645,9 @@ def native_measure(source: str, runs: int = DEFAULT_RUNS) -> ExecResult:
 class CostModelBackend:
     """Deterministic backend; safe for concurrent use."""
 
-    def __init__(self, params: CostModelParams | None = None):
-        self.params = params or CostModelParams()
-
     def measure(self, sp: ScheduledProgram, u: int, runs: int = 1,
                 terms: CostTerms | None = None) -> ExecResult:
-        return cost_model_evaluate(sp, u, self.params, terms)
+        return cost_model_evaluate(sp, u, terms)
 
     def sweep(self, sp: ScheduledProgram, factors: tuple[int, ...],
               runs: int = 1) -> dict[int, ExecResult]:

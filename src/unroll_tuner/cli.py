@@ -30,28 +30,27 @@ from .featurize import ScalerMode, extract_features, fit_scaler
 from .generator import GenConfig, gen_program, gen_schedules
 from .ir import DataType, validate_program
 from .mlp import TrainConfig, init_model, load_model, predict_class, save_model, train
-from .schedule import UNROLL_FACTORS, Unroll, schedule_program
+from .schedule import Unroll, schedule_program
 from .schedule import validate_schedule  # noqa: F401  perfbench traces cli.validate_schedule
-from .textfmt import format_transform, parse_program_text, program_to_text
+from .textfmt import format_transform, parse_program_text, program_to_text, read_text
 
 
 def load_config(path: str) -> dict[str, str]:
     """Flat `key = value` file; '#' starts a comment; a key is set once."""
     out: dict[str, str] = {}
     set_on: dict[str, int] = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UnrollTunerError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key in set_on:
-                raise UnrollTunerError(
-                    f"{path}:{line_no}: key {key!r} is already set on line {set_on[key]}")
-            set_on[key] = line_no
-            out[key] = value
+    for line_no, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UnrollTunerError(f"{path}:{line_no}: expected 'key = value'")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in set_on:
+            raise UnrollTunerError(
+                f"{path}:{line_no}: key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = line_no
+        out[key] = value
     return out
 
 
@@ -60,18 +59,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-def _parse_classes(text: str) -> tuple[int, ...]:
-    try:
-        classes = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        classes = ()            # rejected below with every other bad set
-    bad = [c for c in classes if c not in UNROLL_FACTORS]
-    if bad or len(set(classes)) != len(classes) or 0 not in classes:
-        raise UnrollTunerError(
-            f"--classes {text!r}: need distinct members of {UNROLL_FACTORS} including 0")
-    return tuple(sorted(classes))
 
 
 def _list_of(cast):
@@ -172,17 +159,13 @@ _CHUNK = 32
 
 def _label_worker(payload):
     """Read the `.prog` files at `paths`, then label each; the rows in order."""
-    paths, backend, runs, factors = payload
-    texts = []
-    for path in paths:
-        with open(path) as fh:
-            texts.append(fh.read())
+    paths, backend, runs = payload
+    texts = [read_text(path) for path in paths]
     rows = []
     for path, text in zip(paths, texts):
         try:
             program, transforms = parse_program_text(text)
-            rows.append(label_sample(schedule_program(program, transforms), backend,
-                                     runs=runs, factors=factors))
+            rows.append(label_sample(schedule_program(program, transforms), backend, runs))
         except UnrollTunerError as exc:
             raise UnrollTunerError(f"{path}: {exc}") from exc
     return rows
@@ -190,13 +173,12 @@ def _label_worker(payload):
 
 def cmd_label(args) -> int:
     backend = _BACKENDS[args.backend]()
-    factors = _parse_classes(args.classes)
     in_dir = args.programs
     files = sorted(f for f in os.listdir(in_dir) if f.endswith(".prog"))
     if not files:
         raise UnrollTunerError(f"no .prog files under {in_dir}")
     payloads = (([os.path.join(in_dir, name) for name in files[start:start + _CHUNK]],
-                 backend, args.runs, factors) for start in range(0, len(files), _CHUNK))
+                 backend, args.runs) for start in range(0, len(files), _CHUNK))
     # timed executions must not overlap
     jobs = 1 if isinstance(backend, NativeBackend) else args.jobs
     counts: dict[int, int] = {}
@@ -223,11 +205,9 @@ def _prepare_data(args, mode: ScalerMode):
 
 
 def cmd_train(args) -> int:
-    classes = _parse_classes(args.classes)
     split, scaler = _prepare_data(args, ScalerMode(args.scaler))
-    model = init_model(scaler.output_width, seed=args.seed, n_classes=len(classes))
+    model = init_model(scaler.output_width, seed=args.seed)
     model.scaler = scaler
-    model.classes = classes
     model, history = train(model, split, TrainConfig(seed=args.seed,
                                                      max_epochs=args.max_epochs))
     save_model(model, args.out)
@@ -239,8 +219,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    with open(args.program_file) as fh:
-        text = fh.read()
+    text = read_text(args.program_file)
     try:
         program, transforms = parse_program_text(text)
         kept = [t for t in transforms if not isinstance(t, Unroll)]
@@ -288,11 +267,16 @@ def cmd_baselines(args) -> int:
 
 
 def _parse_sizes(text: str) -> dict[str, int]:
+    if not text.strip():
+        raise UnrollTunerError("--sizes is empty: name a size class, e.g. small:16")
     sizes = {}
     for part in text.split(","):
         name, _, value = part.partition(":")
-        if name.strip() not in SIZE_CLASSES:
-            raise UnrollTunerError(f"unknown size class {name.strip()!r}")
+        name = name.strip()
+        if name not in SIZE_CLASSES:
+            raise UnrollTunerError(f"unknown size class {name!r}")
+        if name in sizes:
+            raise UnrollTunerError(f"--sizes {text!r}: size class {name!r} is given twice")
         try:
             size = int(value)
         except ValueError:
@@ -300,13 +284,13 @@ def _parse_sizes(text: str) -> dict[str, int]:
         # the convolution's image side is size // 8, and a zero-extent loop costs nothing
         if size < 8:
             raise UnrollTunerError(f"--sizes {part!r}: size must be at least 8")
-        sizes[name.strip()] = size
+        sizes[name] = size
     return sizes
 
 
 def cmd_bench(args) -> int:
     model = load_model(args.model)
-    sizes = _parse_sizes(args.sizes) if args.sizes else None
+    sizes = None if args.sizes is None else _parse_sizes(args.sizes)
     reports = run_benchmarks(model, _BACKENDS[args.backend](), benchmark_suite(sizes),
                              runs=args.runs)
     if args.out:
@@ -323,8 +307,6 @@ _SHARED_FLAGS = {
     "--backend": {"choices": tuple(_BACKENDS), "default": "cost"},
     "--runs": {"type": int, "default": DEFAULT_RUNS,
                "help": "timed rounds per native measurement (default %(default)s)"},
-    "--classes": {"default": ",".join(map(str, UNROLL_FACTORS)),
-                  "help": "factor class set (default %(default)s)"},
     "--min-per-class": {"type": int, "default": 5,
                         "help": "drop classes with fewer rows (default %(default)s)"},
 }
@@ -355,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("label", help="label programs by exhaustive timing over U")
     p.add_argument("--programs", required=True, help="directory of .prog files")
     p.add_argument("--out", default="corpus.csv")
-    _add_shared(p, "--jobs", "--backend", "--runs", "--classes")
+    _add_shared(p, "--jobs", "--backend", "--runs")
     p.set_defaults(func=cmd_label)
 
     p = commands.add_parser("train", help="fit the MLP on a labeled corpus")
@@ -364,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scaler", choices=[m.value for m in ScalerMode],
                    default=ScalerMode.Standardize.value)
     p.add_argument("--out", default="model.json")
-    _add_shared(p, "--seed", "--min-per-class", "--classes")
+    _add_shared(p, "--seed", "--min-per-class")
     p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("predict", help="predict the factor for one program file")

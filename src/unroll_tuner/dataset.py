@@ -24,6 +24,7 @@ from .errors import (
 from .featurize import CSV_HEADER, FeatureVector, encode_csv_row, extract_features, parse_csv_row
 from .rng import SplitMix64
 from .schedule import UNROLL_FACTORS, ScheduledProgram
+from .textfmt import read_text
 
 TIMINGS_HEADER = "sample_id," + ",".join(f"f{u}" for u in UNROLL_FACTORS)
 
@@ -42,21 +43,20 @@ class SplitDataset:
     test: list[LabeledSample]
 
 
-def sweep_argmin(sp: ScheduledProgram, backend, runs: int = 1,
-                 factors: tuple[int, ...] = UNROLL_FACTORS) -> tuple[dict[int, float], int]:
-    """Mean time per factor from one `backend.sweep`, and the fastest factor.
+def sweep_argmin(sp: ScheduledProgram, backend, runs: int = 1) -> tuple[dict[int, float], int]:
+    """Mean time per factor of U from one `backend.sweep`, and the fastest
+    factor.
 
     Ties go to the smallest factor, i.e. the least code growth.
     """
-    results = backend.sweep(sp, factors, runs)
-    timing = {u: results[u].mean_ms for u in factors}
-    return timing, min(factors, key=lambda u: (timing[u], u))
+    results = backend.sweep(sp, UNROLL_FACTORS, runs)
+    timing = {u: results[u].mean_ms for u in UNROLL_FACTORS}
+    return timing, min(UNROLL_FACTORS, key=lambda u: (timing[u], u))
 
 
-def label_sample(sp: ScheduledProgram, backend, runs: int = 1,
-                 factors: tuple[int, ...] = UNROLL_FACTORS) -> LabeledSample:
+def label_sample(sp: ScheduledProgram, backend, runs: int = 1) -> LabeledSample:
     """Time every factor in U and label with the argmin."""
-    timing, best = sweep_argmin(sp, backend, runs, factors)
+    timing, best = sweep_argmin(sp, backend, runs)
     return LabeledSample(features=extract_features(sp), label=best, timing=timing)
 
 
@@ -126,8 +126,7 @@ def save_csv(rows: Iterable[LabeledSample], path: str) -> int:
             for row in rows:
                 fh.write(encode_csv_row(row.features, row.label) + "\n")
                 if row.timing:
-                    cells = ",".join(repr(row.timing.get(u, float("nan")))
-                                     for u in UNROLL_FACTORS)
+                    cells = ",".join(repr(row.timing[u]) for u in UNROLL_FACTORS)
                     side.write(f"{n},{cells}\n")
                     timed = True
                 n += 1
@@ -149,8 +148,7 @@ def load_csv(path: str) -> list[LabeledSample]:
 
     The timings sidecar is not read: no command uses a loaded row's timing.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise HeaderMismatch(f"{path}: header does not match the corpus schema")
     rows: list[LabeledSample] = []

@@ -13,7 +13,7 @@ from .dataset import sweep_argmin
 from .errors import EmptyTestSet, NonPositiveTime
 from .featurize import extract_features
 from .mlp import predict_class, predict_probs
-from .schedule import schedule_program
+from .schedule import UNROLL_FACTORS, schedule_program
 from .textfmt import format_transform
 
 
@@ -37,7 +37,7 @@ def accuracy(model, test_rows) -> float:
         predicted = [model(row.features) for row in rows]
     else:
         probs = predict_probs(model, [row.features.to_list() for row in rows])
-        predicted = [model.classes[i] for i in probs.argmax(axis=1)]
+        predicted = [UNROLL_FACTORS[i] for i in probs.argmax(axis=1)]
     return hit_rate(predicted, rows)
 
 

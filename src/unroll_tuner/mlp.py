@@ -132,7 +132,6 @@ class MlpModel:
     store: np.ndarray
     dropout_rates: tuple[float, ...]
     scaler: Scaler | None = None
-    classes: tuple[int, ...] = UNROLL_FACTORS
     trained: bool = False
     layers: tuple[Layer, ...] = field(init=False, repr=False)
 
@@ -159,8 +158,7 @@ class MlpModel:
 
 def init_model(input_width: int, seed: int,
                hidden: tuple[int, ...] = DEFAULT_HIDDEN,
-               dropout: tuple[float, ...] = DEFAULT_DROPOUT,
-               n_classes: int = N_CLASSES) -> MlpModel:
+               dropout: tuple[float, ...] = DEFAULT_DROPOUT) -> MlpModel:
     """Uniform weight init in [-limit, limit], limit = sqrt(6/(fan_in+fan_out))."""
     if input_width < 1:
         raise ValueError("input_width must be >= 1")
@@ -168,7 +166,7 @@ def init_model(input_width: int, seed: int,
         raise ValueError("one dropout rate per hidden layer")
     if any(not 0.0 <= r < 1.0 for r in dropout):
         raise ValueError("dropout rates must lie in [0, 1)")
-    dims = (input_width, *hidden, n_classes)
+    dims = (input_width, *hidden, N_CLASSES)
     m = MlpModel(layer_dims=dims, store=np.zeros(_store_size(dims)),
                  dropout_rates=tuple(dropout))
     rng = SplitMix64.stream(seed, 0x11A9)
@@ -484,12 +482,12 @@ def adam_step(params: np.ndarray, state: AdamState, t: int,
         _join(updates)
 
 
-def one_hot(labels, classes: tuple[int, ...] = UNROLL_FACTORS) -> np.ndarray:
-    index = {c: i for i, c in enumerate(classes)}
-    out = np.zeros((len(labels), len(classes)))
+def one_hot(labels) -> np.ndarray:
+    index = {c: i for i, c in enumerate(UNROLL_FACTORS)}
+    out = np.zeros((len(labels), N_CLASSES))
     for row, label in enumerate(labels):
         if label not in index:
-            raise LabelNotInClassSet(f"label {label} not in {classes}")
+            raise LabelNotInClassSet(f"label {label} not in {UNROLL_FACTORS}")
         out[row, index[label]] = 1.0
     return out
 
@@ -529,9 +527,9 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
         raise ModelNotTrained("attach a fitted scaler before training")
 
     x_train = m.scaler.transform_matrix([r.features.to_list() for r in split.train])
-    y_train = one_hot([r.label for r in split.train], m.classes)
+    y_train = one_hot([r.label for r in split.train])
     x_valid = m.scaler.transform_matrix([r.features.to_list() for r in split.valid])
-    y_valid = one_hot([r.label for r in split.valid], m.classes)
+    y_valid = one_hot([r.label for r in split.valid])
     if x_train.shape[1] != m.input_width:
         raise DimensionMismatch(
             f"scaler emits {x_train.shape[1]} columns, model expects {m.input_width}")
@@ -604,7 +602,7 @@ def predict_class(m: MlpModel, fv: FeatureVector) -> int:
     ties).  The row stays 1-D from the scaler to the softmax, and its
     probabilities are those of `predict_probs(m, [fv.to_list()])[0]`."""
     probs, _ = _infer(m, _input(m, _scaler(m).transform(fv.to_list())))
-    return m.classes[int(probs.argmax())]
+    return UNROLL_FACTORS[int(probs.argmax())]
 
 
 # --- persistence ---------------------------------------------------------------
@@ -632,7 +630,7 @@ def save_model(m: MlpModel, path: str) -> None:
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "kind": "mlp",
-        "classes": list(m.classes),
+        "classes": list(UNROLL_FACTORS),
         "layer_dims": list(m.layer_dims),
         "dropout_rates": list(m.dropout_rates),
         "bn_momentum": BN_MOMENTUM,
@@ -657,8 +655,9 @@ def load_model(path: str) -> MlpModel:
     """Read a file written by `save_model`.  Another format version (a
     format-2 file is one JSON document, so it reads as a header) raises
     FormatVersionMismatch; a malformed header, one that contradicts itself
-    (classes or dropout rates that do not fit `layer_dims`, classes that are
-    not distinct unrolling factors, a dropout rate outside [0, 1), batchnorm
+    or the package (classes other than UNROLL_FACTORS, an output width
+    other than N_CLASSES, a `trained` that is not a JSON boolean, dropout
+    rates that do not fit `layer_dims` or lie outside [0, 1), batchnorm
     values other than BN_MOMENTUM and BN_EPS, a scaler whose statistics,
     columns or output width do not fit) or a payload of the wrong length
     raises CorruptFile.  The payload is read once, straight into the
@@ -681,13 +680,14 @@ def load_model(path: str) -> MlpModel:
                     or any(type(d) is not int or d < 1 for d in dims)):
                 raise ValueError(f"layer_dims {dims} are not two or more positive integers")
             dims = tuple(dims)
-            classes = tuple(header["classes"])
-            if len(classes) != dims[-1]:
-                raise ValueError(f"{len(classes)} classes for {dims[-1]} outputs")
-            if len(set(classes)) != len(classes) or any(
-                    type(c) is not int or c not in UNROLL_FACTORS for c in classes):
-                raise ValueError(f"classes {list(classes)} are not distinct members of "
-                                 f"{UNROLL_FACTORS}")
+            classes = header["classes"]
+            if classes != list(UNROLL_FACTORS) or any(type(c) is not int for c in classes):
+                raise ValueError(f"classes {classes!r} are not {list(UNROLL_FACTORS)}")
+            if dims[-1] != N_CLASSES:
+                raise ValueError(f"{dims[-1]} outputs for {N_CLASSES} classes")
+            trained = header["trained"]
+            if type(trained) is not bool:
+                raise ValueError(f"trained {trained!r} is not a JSON boolean")
             dropout_rates = tuple(header["dropout_rates"])
             if len(dropout_rates) != len(dims) - 2:
                 raise ValueError(f"{len(dropout_rates)} dropout rates for "
@@ -718,6 +718,5 @@ def load_model(path: str) -> MlpModel:
         store=store.astype(np.float64, copy=False),    # no copy on little-endian hosts
         dropout_rates=dropout_rates,
         scaler=scaler,
-        classes=classes,
-        trained=bool(header.get("trained")),
+        trained=trained,
     )

@@ -26,7 +26,7 @@ import re
 import sys
 from dataclasses import fields
 
-from .errors import ParseError
+from .errors import ParseError, UnrollTunerError
 from .ir import (
     Access,
     BinOp,
@@ -305,6 +305,18 @@ def parse_program_text(text: str) -> tuple[Program, list[Transform]]:
                 raise ParseError(f"line {line_no}: {exc}") from exc
             raise
     return _parse_program_lines(tuple(program_lines)).base, transforms
+
+
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at `path` (a `.prog` file, a corpus CSV
+    or a config file); bytes that are not UTF-8 raise UnrollTunerError
+    naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise UnrollTunerError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                                   f"{exc.reason})") from None
 
 
 def _format_const(c: Constant) -> str:

@@ -13,8 +13,8 @@ import pytest
 from conftest import F64, chain_body, load, make_program
 from unroll_tuner import backend as backend_mod
 from unroll_tuner.backend import (
+    PARALLEL_DIVISOR,
     CostModelBackend,
-    CostModelParams,
     ExecResult,
     NativeBackend,
     cost_model_evaluate,
@@ -76,6 +76,13 @@ def exiting_unit(status: int) -> str:
     return source.replace("    reset_output();", f"    void exit(int); exit({status});", 1)
 
 
+def byte_printing_unit(byte: int) -> str:
+    """A one-kernel unit whose kernel also writes `byte` to stdout."""
+    source = emit_kernel_source(new_schedule(ops_program(3)), runs=1)
+    return source.replace("    reset_output();",
+                          f"    int putchar(int); putchar({byte}); reset_output();", 1)
+
+
 def test_exec_result_invariants(vecadd):
     r = ExecResult(per_run_ms=(1.0, 3.0))
     assert r.runs == 2 and r.mean_ms == 2.0
@@ -88,13 +95,6 @@ def test_exec_result_invariants(vecadd):
         assert res.runs == 1 and res.mean_ms == res.per_run_ms[0]
 
 
-def test_cost_params_validated():
-    with pytest.raises(ValueError):
-        CostModelParams(c_body=0.0)
-    with pytest.raises(ValueError):
-        CostModelParams(icache_capacity=0)
-
-
 def test_cost_no_unroll_beats_nothing(vecadd):
     """u=0 costs strictly more than u=2 while the icache term stays zero."""
     sp = new_schedule(vecadd)
@@ -104,9 +104,8 @@ def test_cost_no_unroll_beats_nothing(vecadd):
 def test_cost_icache_penalty_bounds_optimum():
     p = ops_program(10)
     sp = new_schedule(p)
-    params = CostModelParams(icache_capacity=320)
-    costs = {u: cost_model_evaluate(sp, u, params).mean_ms for u in UNROLL_FACTORS}
-    # 64*10 = 640 > 320 incurs the penalty; 16*10 = 160 does not
+    costs = {u: cost_model_evaluate(sp, u).mean_ms for u in UNROLL_FACTORS}
+    # ICACHE_CAPACITY is 320: 64*10 = 640 > 320 incurs the penalty; 16*10 = 160 does not
     assert costs[64] > costs[16]
     best = min(UNROLL_FACTORS, key=lambda u: (costs[u], u))
     assert best < 64
@@ -114,11 +113,9 @@ def test_cost_icache_penalty_bounds_optimum():
 
 
 def test_distinct_ops_distinct_optimum():
-    params = CostModelParams()
-
     def argmin(p):
         sp = new_schedule(p)
-        costs = {u: cost_model_evaluate(sp, u, params).mean_ms for u in UNROLL_FACTORS}
+        costs = {u: cost_model_evaluate(sp, u).mean_ms for u in UNROLL_FACTORS}
         return min(UNROLL_FACTORS, key=lambda u: (costs[u], u))
 
     assert argmin(ops_program(5)) != argmin(ops_program(41))
@@ -133,7 +130,7 @@ def test_cost_model_bit_identical(vecadd):
 def test_cost_parallel_divisor(vecadd):
     plain = cost_model_evaluate(new_schedule(vecadd), 4).mean_ms
     par = cost_model_evaluate(schedule_program(vecadd, [Parallelize(0)]), 4).mean_ms
-    assert par == pytest.approx(plain / CostModelParams().parallel_divisor)
+    assert par == pytest.approx(plain / PARALLEL_DIVISOR)
 
 
 def test_cost_sweep_matches_evaluate(matmul4, vecadd):
@@ -141,8 +138,7 @@ def test_cost_sweep_matches_evaluate(matmul4, vecadd):
     for sp in (new_schedule(matmul4), schedule_program(vecadd, [Parallelize(0)])):
         swept = backend.sweep(sp, UNROLL_FACTORS)
         assert list(swept) == list(UNROLL_FACTORS)
-        assert all(swept[u] == cost_model_evaluate(sp, u, backend.params)
-                   for u in UNROLL_FACTORS)
+        assert all(swept[u] == cost_model_evaluate(sp, u) for u in UNROLL_FACTORS)
 
 
 def test_cost_invalid_factor(vecadd):
@@ -217,6 +213,8 @@ class TestNative:
     @pytest.mark.parametrize("source, message", [
         pytest.param(exiting_unit(3), "kernel exited with 3", id="unit exits 3"),
         pytest.param(exiting_unit(0), "unexpected kernel output", id="unit exits 0"),
+        pytest.param(byte_printing_unit(0xFE), "unexpected kernel output",
+                     id="unit prints a non-UTF-8 byte"),
         pytest.param("int main(void) { return 0; }", "kernel exited with 3: runner: no unit_layout",
                      id="no unit layout"),
         # a valid unit, but two variants for `native_measure` and not (0, 2)
@@ -306,6 +304,19 @@ class TestNativeSweep:
                     expected = output_checksum(interpret(sp).output, dtype)
                     results = NativeBackend().sweep(sp, UNROLL_FACTORS, runs=1)
                     assert {r.checksum for r in results.values()} == {expected}
+
+    def test_loop_named_like_the_block_variable(self, monkeypatch):
+        """The unrolled loop's block variable does not shadow a loop of the
+        nest that already has its name."""
+        p = make_program("clash", [("i_blk", 4), ("i", 8)],
+                         BinOp(BinOpKind.Add, load("a", "i_blk", "i"), load("a", "i", "i_blk")),
+                         ("i_blk", "i"), [("a", 2)])
+        sp = new_schedule(p)
+        expected = output_checksum(interpret(sp).output, DataType.Float64)
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            results = NativeBackend().sweep(sp, UNROLL_FACTORS, runs=1)
+            assert {r.checksum for r in results.values()} == {expected}
 
     def test_differing_variant_raises_mismatch(self, monkeypatch, matmul4):
         real_emit = backend_mod.emit_sweep_source
@@ -454,6 +465,13 @@ def test_failed_compile_retried_only_without_openmp(monkeypatch, tmp_path):
     assert sorted(argv.replace(" -fopenmp", "") for argv in first) == sorted(retry)
     assert err.value.diagnostics.count("broken") == 2
     assert "--- retry ---" in err.value.diagnostics
+
+
+def test_compiler_diagnostics_not_utf8(monkeypatch, tmp_path):
+    fake_toolchain(monkeypatch, tmp_path, "printf 'bad \\376 byte\\n' >&2\nexit 1\n")
+    with pytest.raises(CompileError) as err:
+        native_measure(emit_kernel_source(new_schedule(ops_program(3)), runs=1), runs=1)
+    assert "bad \ufffd byte" in err.value.diagnostics
 
 
 def process_gone(pid: int) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
@@ -175,6 +176,8 @@ def test_label_replays_each_schedule_once(tmp_path, monkeypatch):
     ["baselines", "--data", "c.csv", "--model", "m.json", "--out", "x"],
     ["baselines", "--data", "c.csv", "--model", "m.json", "--scaler", "normalize"],
     ["train", "--data", "c.csv", "--config", "run.cfg"],
+    ["label", "--programs", "p", "--classes", "0,x"],
+    ["train", "--data", "c.csv", "--classes", "0,2"],
 ])
 def test_unread_flag_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -182,6 +185,34 @@ def test_unread_flag_is_usage_error(argv, capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "usage" in err and "unrecognized arguments" in err
+
+
+def readme_flag_table() -> dict[str, list[str]]:
+    """README's subcommand flag table: subcommand -> its flags in order."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    lines = read(readme).splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, flags = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        table[command] = flags.split()
+    return table
+
+
+def test_readme_flag_table_matches_parser():
+    """Each row of README's flag table lists exactly the flags, and the
+    positional arguments (in angle brackets), that its subcommand registers,
+    in the order it registers them."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    registered = {
+        name: [a.option_strings[0] if a.option_strings else f"<{a.dest}>"
+               for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        for name, sub in commands.items()}
+    assert readme_flag_table() == registered
 
 
 def test_gen_deterministic(tmp_path):
@@ -414,16 +445,37 @@ def test_label_memory_does_not_grow_with_corpus(tmp_path):
     assert peaks[200] - peaks[20] < 1 << 20, peaks
 
 
+@pytest.mark.parametrize("argv, content", [
+    ("gen --count 1 --config {bad} --out {tmp}/g", b"gen.max_inputs = 2 # caf\xe9\n"),
+    ("label --programs {tmp}/in --out {tmp}/c.csv", b"program caf\xe9\n"),
+    ("predict {bad} --model {model}", b"program caf\xe9\n"),
+    ("train --data {bad} --out {tmp}/m.json", b"caf\xe9\n"),
+    ("baselines --data {bad} --model {model}", b"caf\xe9\n"),
+], ids=["gen", "label", "predict", "train", "baselines"])
+def test_file_not_utf8_is_pipeline_error(pipeline, tmp_path, capsys, argv, content):
+    _, _, _, model = pipeline
+    bad = tmp_path / "in" / "bad.prog"
+    bad.parent.mkdir()
+    bad.write_bytes(content)
+    argv = argv.format(bad=bad, tmp=tmp_path, model=model)
+    assert run_cli(*argv.split()) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {bad}: not UTF-8 text (byte {content.index(0xE9)}: "
+                   "invalid continuation byte)"], err
+
+
 @pytest.mark.parametrize("argv, config_text, named", [
     ("gen --count 1 --config {cfg} --out {tmp}/g", "seed = abc", "config key 'seed'"),
     ("gen --count 1 --config {cfg} --out {tmp}/g", "gen.extents = 16,x",
      "config key 'gen.extents'"),
     ("gen --count 1 --config {cfg} --out {tmp}/g", "gen.depth_max = 9", "gen config: depth"),
-    ("label --programs {progs} --classes 0,x --out {tmp}/c.csv", "", "--classes '0,x'"),
     ("bench --model {model} --sizes small:abc", "", "--sizes 'small:abc'"),
     ("bench --model {model} --sizes small:4", "", "--sizes 'small:4': size must be at least 8"),
     ("bench --model {model} --sizes small:8,medium:0", "", "--sizes 'medium:0'"),
     ("bench --model {model} --sizes large:-8", "", "--sizes 'large:-8'"),
+    ("bench --model {model} --sizes small:16,small:32", "",
+     "--sizes 'small:16,small:32': size class 'small' is given twice"),
+    ("bench --model {model} --sizes=", "", "--sizes is empty"),
     ("label --programs {progs} --runs 0 --out {tmp}/c.csv", "", "--runs must be >= 1"),
     ("train --data {corpus} --max-epochs 0 --out {tmp}/m.json", "",
      "--max-epochs must be >= 1"),

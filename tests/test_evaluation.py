@@ -86,7 +86,7 @@ def test_batched_mlp_accuracy_matches_per_row_predict_class():
     model, _ = train(model, split, TrainConfig(seed=31, max_epochs=2))
     per_row = [predict_class(model, r.features) for r in rows]
     batched = predict_probs(model, [r.features.to_list() for r in rows]).argmax(axis=1)
-    assert per_row == [model.classes[i] for i in batched]
+    assert per_row == [UNROLL_FACTORS[i] for i in batched]
     hits = sum(p == r.label for p, r in zip(per_row, rows))
     assert 0 < hits < len(rows)
     assert accuracy(model, rows) == hits / len(rows)

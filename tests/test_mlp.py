@@ -786,7 +786,7 @@ def test_predict_probs_bit_identical_to_reference(mode):
         probs, _ = mlp._infer(m, scaler.transform(row))
         assert probs.shape == (N_CLASSES,)
         assert probs.tobytes() == one[0].tobytes()
-        assert predict_class(m, Point(tuple(row))) == m.classes[
+        assert predict_class(m, Point(tuple(row))) == UNROLL_FACTORS[
             int(predict_probs(m, [row])[0].argmax())]
 
 
@@ -822,7 +822,7 @@ def test_prediction_reads_statistics_written_in_place():
     expected = _reference_infer(m, _reference_transform(m.scaler, [row]))[0]
     assert second.tobytes() == expected.tobytes()
     assert second.tobytes() != first.tobytes()
-    assert predict_class(m, Point(tuple(row))) == m.classes[int(expected.argmax())]
+    assert predict_class(m, Point(tuple(row))) == UNROLL_FACTORS[int(expected.argmax())]
 
 
 def test_predict_requires_training():
@@ -935,6 +935,9 @@ def _write_payload(tmp_path, mutate):
     lambda header: header.update(classes=[0, 2]),
     lambda header: header.update(classes=[0] * 7),
     lambda header: header.update(classes=[0, 2, 4, 8, 16, 32, 3]),
+    lambda header: header.update(classes=[64, 32, 16, 8, 4, 2, 0]),
+    lambda header: header.update(classes=[0.0, 2, 4, 8, 16, 32, 64]),
+    lambda header: header.update(trained="false"),
     lambda header: header.update(dropout_rates=[0.0]),
     lambda header: header.update(dropout_rates=[0.1, 1.0]),
     lambda header: header.update(dropout_rates=[-0.1, 0.0]),
@@ -957,6 +960,7 @@ def _write_payload(tmp_path, mutate):
     lambda header: header["scaler"].update(rescaled_columns=[1.0]),
     lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4),
 ], ids=["fractional-dim", "too-few-classes", "repeated-class", "foreign-class",
+        "classes-reordered", "class-float", "trained-string",
         "dropout-count", "dropout-one", "dropout-negative", "dropout-nan", "dropout-string",
         "dropout-bool", "bn-eps-negative", "bn-eps-zero", "bn-momentum-other",
         "bn-momentum-missing", "scaler-stat-b-short", "scaler-stat-string",
@@ -965,6 +969,17 @@ def _write_payload(tmp_path, mutate):
 def test_header_that_contradicts_itself_is_corrupt_file(tmp_path, mutate):
     with pytest.raises(CorruptFile):
         load_model(_write_payload(tmp_path, mutate))
+
+
+def test_output_width_other_than_the_class_count_is_corrupt_file(tmp_path):
+    """A self-consistent file, header and payload, of a six-output network."""
+    dims = (3, 2, 6)
+    m = mlp.MlpModel(layer_dims=dims, store=np.zeros(mlp._store_size(dims)),
+                     dropout_rates=(0.0,))
+    path = str(tmp_path / "m.json")
+    save_model(m, path)
+    with pytest.raises(CorruptFile, match="6 outputs for 7 classes"):
+        load_model(path)
 
 
 def test_v1_model_file_rejected(tmp_path):
