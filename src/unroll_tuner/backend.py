@@ -10,19 +10,18 @@ factor and `sweep(sp, factors, runs)` for a set of factors:
 * `NativeBackend` — emits C for the scheduled nest, compiles it with
   $UNROLL_TUNER_TOOLCHAIN (else `cc`) and the fixed DEFAULT_FLAGS, and
   parses the timing output.  A sweep emits one unit with one function per
-  distinct effective factor, and no `main`.  Every unit is compiled in
-  parts at the same time, one part per usable CPU but at most one per
-  kernel, each straight to a shared object, so a sample costs one parallel
-  build and one process.
+  distinct effective factor, and no `main`; the emitter names every C
+  identifier by position, so no name of the program reaches the C.  Every
+  unit is compiled in parts at the same time, one part per usable CPU but
+  at most one per kernel, each straight to a shared object, so a sample
+  costs one parallel build and one process.
 
 The process is the runner (`_RUNNER_SOURCE`), one fixed C program built
-once per process and compiler.  It loads the parts, fills their buffers as
-the unit's `unit_layout` describes them, prints `checksum_<u>=<hex>` on
-stdout for every variant u and one `run_ms_<u>=<float>` line per variant
-and round on stderr.  The round count is written into the unit when it is
-emitted, and `native_sweep`/`native_measure` refuse another `runs` before
-compiling.  A single kernel (`emit_kernel_source`, `native_measure`) is a
-one-variant sweep.
+once per process and compiler, which loads the parts and times them as
+`emit_sweep_source` describes.  The round count is written into the unit
+when it is emitted, and `native_sweep`/`native_measure` refuse another
+`runs` before compiling.  A single kernel (`emit_kernel_source`,
+`native_measure`) is a one-variant sweep.
 """
 
 from __future__ import annotations
@@ -76,7 +75,8 @@ _SECTION_MACRO = "WITH_"
 _PART_GUARD = f"#ifdef {_SECTION_MACRO}{{}}"
 # What a section costs to compile besides its text, in characters of text.
 # With `cc -O1` on a 2-CPU Xeon, a kernel of the 30 seed-99 `native-label`
-# samples took about 10 ms plus 4.6 ms per 1000 characters.
+# samples took about 13 ms plus 5.7-6.4 ms per 1000 characters (two fits,
+# which put the base at 2000 and 2300 characters).
 _SECTION_BASE_WEIGHT = 2000
 
 
@@ -155,35 +155,32 @@ _C_TYPES = {
 }
 
 
-def _dim_text(sp: ScheduledProgram, dim) -> str:
-    parts = []
-    const = dim.offset
-    for it_name in dim.iterators:
-        expr = sp.index_exprs[it_name]
-        for name, coef in expr.terms:
-            parts.append(name if coef == 1 else f"{coef}*{name}")
-        const += expr.const
+def _sum_text(names, terms, const: int) -> str:
+    """C text of const + sum(coef * loop) over `terms`, each loop by its C name."""
+    parts = [names[name] if coef == 1 else f"{coef}*{names[name]}" for name, coef in terms]
     if const != 0 or not parts:
         parts.append(str(const))
     return " + ".join(parts)
 
 
-def _access_text(sp: ScheduledProgram, access, strides) -> str:
-    st = strides[access.buffer]
+def _access_text(sp: ScheduledProgram, names, buffers, access) -> str:
+    c_name, strides = buffers[access.buffer]
     dims = []
-    for d, dim in enumerate(access.index_iterators):
-        idx = f"({_dim_text(sp, dim)})"
-        dims.append(idx if st[d] == 1 else f"{idx}*{st[d]}")
-    return f"buf_{access.buffer}[{' + '.join(dims)}]"
+    for dim, stride in zip(access.index_iterators, strides):
+        exprs = [sp.index_exprs[it_name] for it_name in dim.iterators]
+        idx = _sum_text(names, [term for e in exprs for term in e.terms],
+                        dim.offset + sum(e.const for e in exprs))
+        dims.append(f"({idx})" if stride == 1 else f"({idx})*{stride}")
+    return f"{c_name}[{' + '.join(dims)}]"
 
 
-def _expr_text(sp: ScheduledProgram, node, strides) -> str:
+def _expr_text(sp: ScheduledProgram, names, buffers, node) -> str:
     if isinstance(node, Constant):
         return f"((elem_t){node.value})"      # a float's str() is its round-trip repr()
     if isinstance(node, Access):
-        return _access_text(sp, node.access, strides)
-    return (f"({_expr_text(sp, node.left, strides)} {node.kind.value} "
-            f"{_expr_text(sp, node.right, strides)})")
+        return _access_text(sp, names, buffers, node.access)
+    return (f"({_expr_text(sp, names, buffers, node.left)} {node.kind.value} "
+            f"{_expr_text(sp, names, buffers, node.right)})")
 
 
 def emit_sweep_source(variants: dict[int, ScheduledProgram],
@@ -207,41 +204,52 @@ def emit_sweep_source(variants: dict[int, ScheduledProgram],
     of its sections (see `_split_plan`).  Every part keeps its own static
     buffer pointers.
 
-    Padded split iterations are masked by guards; the unrolled body is
-    literally replicated with an epilogue loop for the remainder.
+    Every C name is positional: loop k of the nest (the same in every
+    variant) is `i<k>`, the unrolled loop's block variable `blk`, and
+    buffer k in `buffer_shapes` order `buf<k>`.  Padded split iterations
+    are masked by guards; the unrolled body is literally replicated with an
+    epilogue loop for the remainder.
     """
-    for sp in variants.values():
-        if sp.depth > 7:
-            raise DepthExceedsMax(f"nest depth {sp.depth} exceeds 7")
-    p = next(iter(variants.values())).base
+    first = next(iter(variants.values()))
+    if first.depth > 7:
+        raise DepthExceedsMax(f"nest depth {first.depth} exceeds 7")
+    p = first.base
     shapes = buffer_shapes(p)
-    strides = {name: row_major_strides(shape) for name, shape in shapes.items()}
-    out = p.output.buffer
+    names = {it.name: f"i{k}" for k, it in enumerate(first.loops)}
+    buffers = {name: (f"buf{k}", row_major_strides(shape))
+               for k, (name, shape) in enumerate(shapes.items())}
+    out = list(shapes).index(p.output.buffer)
+    # the loop body, the same in every variant
+    guards = [f"({_sum_text(names, g.expr.terms, g.expr.const)} < {g.bound})"
+              for g in first.guards]
+    store = (f"{_access_text(first, names, buffers, p.output)} = "
+             f"{_expr_text(first, names, buffers, p.body)};")
+    body = f"if ({' && '.join(guards)}) {store}" if guards else store
 
     lines: list[str] = []
     emit = lines.append
-    emit(f"/* generated kernel: {p.name} */")
+    emit("/* generated kernel */")
     emit("typedef __INT64_TYPE__ int64_t;")
     emit("typedef __INT32_TYPE__ int32_t;")
     emit("")
     emit(f"typedef {_C_TYPES[p.dtype]} elem_t;")
     emit("")
-    for name in shapes:
-        emit(f"static elem_t *buf_{name};")
+    for k in range(len(shapes)):
+        emit(f"static elem_t *buf{k};")
     emit("")
     emit("/* rounds, element size, floating?; the kernels; the buffers and the output")
     emit("   buffer's index; then per buffer its fill salt, rank and extents */")
     emit("const int64_t unit_layout[] = {")
     emit(f"    {runs}, sizeof(elem_t), {int(p.dtype.is_float)},")
     emit(f"    {len(variants)}, {', '.join(map(str, variants))},")
-    emit(f"    {len(shapes)}, {list(shapes).index(out)},")
+    emit(f"    {len(shapes)}, {out},")
     for name, shape in shapes.items():
         emit(f"    {buffer_salt(name)}, {len(shape)}, {', '.join(map(str, shape))},")
     emit("};")
     emit("")
     emit("void bind_buffers(void *const *buffers) {")
-    for k, name in enumerate(shapes):
-        emit(f"    buf_{name} = buffers[{k}];")
+    for k in range(len(shapes)):
+        emit(f"    buf{k} = buffers[{k}];")
     emit("}")
     emit("")
     # A part of a unit with several kernels may hold just one of them and
@@ -250,58 +258,44 @@ def emit_sweep_source(variants: dict[int, ScheduledProgram],
     if len(variants) > 1:
         emit("__attribute__((noinline))")
     emit("static void reset_output(void) {")
-    emit(f"    for (int64_t q = 0; q < {math.prod(shapes[out])}; ++q) buf_{out}[q] = (elem_t)0;")
+    emit(f"    for (int64_t q = 0; q < {math.prod(shapes[p.output.buffer])}; ++q) "
+         f"buf{out}[q] = (elem_t)0;")
     emit("}")
     for u, sp in variants.items():
         emit("")
         emit(_PART_GUARD.format(f"kernel_{u}"))
-        _emit_kernel(sp, f"kernel_{u}", strides, emit)
+        _emit_kernel(sp, f"kernel_{u}", names, body, emit)
         emit("#endif")
     return "\n".join(lines) + "\n"
 
 
-def _emit_kernel(sp: ScheduledProgram, fn_name: str, strides, emit) -> None:
-    p = sp.base
-    guard_terms = []
-    for g in sp.guards:
-        text = " + ".join(f"{coef}*{name}" if coef != 1 else name
-                          for name, coef in g.expr.terms)
-        if g.expr.const:
-            text += f" + {g.expr.const}"
-        guard_terms.append(f"({text} < {g.bound})")
-    store = f"{_access_text(sp, p.output, strides)} = {_expr_text(sp, p.body, strides)};"
-    body_stmt = f"if ({' && '.join(guard_terms)}) {store}" if guard_terms else store
-
+def _emit_kernel(sp: ScheduledProgram, fn_name: str, names, body: str, emit) -> None:
     emit(f"void {fn_name}(void) {{")
     emit("    reset_output();")
     indent = "    "
-    inner = sp.loops[-1]
-    for pos, it in enumerate(sp.loops[:-1] if sp.unroll else sp.loops):
+    outer = sp.loops[:-1] if sp.unroll else sp.loops
+    for pos, it in enumerate(outer):
+        var = names[it.name]
         if sp.parallel_level == pos:
             emit(f"{indent}#pragma omp parallel for")
-        emit(f"{indent}for (int64_t {it.name} = 0; {it.name} < {it.extent}; ++{it.name}) {{")
+        emit(f"{indent}for (int64_t {var} = 0; {var} < {it.extent}; ++{var}) {{")
         indent += "    "
     if sp.unroll:
         u = sp.unroll
         main_end = sp.main_trips * u
-        # the block variable must not shadow a loop of the nest
-        taken = {it.name for it in sp.loops}
-        blk = f"{inner.name}_blk"
-        while blk in taken:
-            blk += "_"
+        inner = names[sp.loops[-1].name]
         if sp.parallel_level == sp.depth - 1:
             emit(f"{indent}#pragma omp parallel for")
-        emit(f"{indent}for (int64_t {blk} = 0; {blk} < {main_end}; {blk} += {u}) {{")
+        emit(f"{indent}for (int64_t blk = 0; blk < {main_end}; blk += {u}) {{")
         for k in range(u):
-            emit(f"{indent}    {{ const int64_t {inner.name} = {blk} + {k}; {body_stmt} }}")
+            emit(f"{indent}    {{ const int64_t {inner} = blk + {k}; {body} }}")
         emit(f"{indent}}}")
-        emit(f"{indent}for (int64_t {inner.name} = {main_end}; "
-             f"{inner.name} < {inner.extent}; ++{inner.name}) {{ {body_stmt} }}")
+        emit(f"{indent}for (int64_t {inner} = {main_end}; "
+             f"{inner} < {sp.innermost_extent}; ++{inner}) {{ {body} }}")
     else:
-        emit(f"{indent}{body_stmt}")
-    for pos in range(len(sp.loops[:-1] if sp.unroll else sp.loops)):
-        indent = indent[:-4]
-        emit(f"{indent}}}")
+        emit(f"{indent}{body}")
+    for depth in range(len(outer), 0, -1):
+        emit("    " * depth + "}")
     emit("}")
 
 

@@ -30,7 +30,7 @@ from .featurize import ScalerMode, extract_features, fit_scaler
 from .generator import GenConfig, gen_program, gen_schedules
 from .ir import DataType, validate_program
 from .mlp import TrainConfig, init_model, load_model, predict_class, save_model, train
-from .schedule import Unroll, schedule_program
+from .schedule import ScheduledProgram, Unroll, schedule_program
 from .schedule import validate_schedule  # noqa: F401  perfbench traces cli.validate_schedule
 from .textfmt import format_transform, parse_program_text, program_to_text, read_text
 
@@ -157,6 +157,16 @@ _BACKENDS = {"cost": CostModelBackend, "native": NativeBackend}
 _CHUNK = 32
 
 
+def _schedule_file(path: str, text: str) -> ScheduledProgram:
+    """The schedule in `text`, the `.prog` file at `path`, less any `unroll`
+    directive, which is ignored with a warning: the factor is chosen from U."""
+    program, transforms = parse_program_text(text)
+    kept = [t for t in transforms if not isinstance(t, Unroll)]
+    if len(kept) != len(transforms):
+        warnings.warn(f"{path}: ignoring the unroll directive; the factor is chosen from U")
+    return schedule_program(program, kept)
+
+
 def _label_worker(payload):
     """Read the `.prog` files at `paths`, then label each; the rows in order."""
     paths, backend, runs = payload
@@ -164,8 +174,7 @@ def _label_worker(payload):
     rows = []
     for path, text in zip(paths, texts):
         try:
-            program, transforms = parse_program_text(text)
-            rows.append(label_sample(schedule_program(program, transforms), backend, runs))
+            rows.append(label_sample(_schedule_file(path, text), backend, runs))
         except UnrollTunerError as exc:
             raise UnrollTunerError(f"{path}: {exc}") from exc
     return rows
@@ -221,11 +230,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     text = read_text(args.program_file)
     try:
-        program, transforms = parse_program_text(text)
-        kept = [t for t in transforms if not isinstance(t, Unroll)]
-        if len(kept) != len(transforms):
-            warnings.warn("ignoring unroll directive in input; predicting a fresh factor")
-        sp = schedule_program(program, kept)
+        sp = _schedule_file(args.program_file, text)
     except UnrollTunerError as exc:
         raise UnrollTunerError(f"{args.program_file}: {exc}") from exc
     model = load_model(args.model)

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import F64, chain_body, load, make_program
 from unroll_tuner import backend as backend_mod
+from unroll_tuner import cli
 from unroll_tuner.backend import (
     PARALLEL_DIVISOR,
     CostModelBackend,
@@ -41,6 +42,7 @@ from unroll_tuner.schedule import (
     new_schedule,
     schedule_program,
 )
+from unroll_tuner.textfmt import parse_program_text
 
 HAVE_CC = shutil.which("cc") is not None
 HAVE_OBJDUMP = shutil.which("objdump") is not None
@@ -158,7 +160,7 @@ def test_emit_unroll_replicates_body(matmul4):
     sp = apply_unroll(new_schedule(matmul4), 4)
     src = emit_kernel_source(sp)
     section = kernel_section(src)
-    assert section.count("const int64_t i2 = i2_blk +") == 4   # replicated bodies
+    assert section.count("const int64_t i2 = blk +") == 4   # replicated bodies
     assert re.search(r"for \(int64_t i2 = 4; i2 < 4; \+\+i2\)", section)  # remainder loop
 
 
@@ -182,12 +184,44 @@ def test_emit_operator_symbols():
                  BinOp(BinOpKind.Div, load("a", "i0"), Constant(2.0)))
     p = make_program("ops", [("i0", 8)], body, ("i0",), [("a", 1)])
     src = emit_sweep_source({0: apply_unroll(new_schedule(p), 0)}, runs=1)
-    assert "buf_out[(i0)] = ((buf_a[(i0)] + (buf_a[(i0)] * buf_a[(i0)]))" \
-        " - (buf_a[(i0)] / ((elem_t)2.0)));" in src
+    # buffer 0 is the input a, buffer 1 the output
+    assert "buf1[(i0)] = ((buf0[(i0)] + (buf0[(i0)] * buf0[(i0)]))" \
+        " - (buf0[(i0)] / ((elem_t)2.0)));" in src
     p = make_program("int", [("i0", 8)], BinOp(BinOpKind.Mul, load("a", "i0"), Constant(3)),
                      ("i0",), [("a", 1)])
     src = emit_sweep_source({0: apply_unroll(new_schedule(p), 0)}, runs=1)
-    assert "buf_out[(i0)] = (buf_a[(i0)] * ((elem_t)3));" in src
+    assert "buf1[(i0)] = (buf0[(i0)] * ((elem_t)3));" in src
+
+
+RENAMED_PROGRAM = """program {program}
+iter {0} 0 6
+iter {1} 0 5
+iter {2} 0 7
+input a 2 float64
+input b 1 float64
+body out[{0}, {1}] + a[{0}, {2}] * b[{2}+1]
+output out[{0}, {1}]
+"""
+
+
+@pytest.mark.parametrize("schedule", ["", "tile2 0 1 4 4\n", "parallelize 1\n"],
+                         ids=["untiled", "tile2 with guards", "parallel"])
+@pytest.mark.parametrize("loops", [("int", "elem_t", "buf_a"), ("for", "blk", "i1"),
+                                   ("i2", "i0", "i1")], ids="-".join)
+def test_emitted_unit_holds_no_program_name(schedule, loops):
+    """Renaming the program and every loop leaves the sweep unit
+    byte-identical: every C name is the emitter's own."""
+    def unit(program: str, names) -> str:
+        p, transforms = parse_program_text(RENAMED_PROGRAM.format(*names, program=program)
+                                           + schedule)
+        sp = schedule_program(p, transforms)
+        return emit_sweep_source({u: apply_unroll(sp, u) for u in (0, 2, 4)}, runs=1)
+
+    reference = unit("reference_program", ("loop_p", "loop_q", "loop_r"))
+    assert ("if (" in reference) == schedule.startswith("tile2")
+    assert ("#pragma omp" in reference) == schedule.startswith("parallelize")
+    assert not re.search(r"reference_program|loop_[pqr]", reference)
+    assert unit("renamed", loops) == reference
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C toolchain on PATH")
@@ -296,7 +330,7 @@ class TestNativeSweep:
         assert all(row.timing[u] == row.timing[2] for u in (4, 8, 16, 32, 64))
 
     def test_sweep_checksum_matches_interpreter(self, monkeypatch):
-        for cpus in (1, 2):       # one unit, then parts compiled apart and linked
+        for cpus in (1, 2):       # one part, then two parts loaded together
             set_cpus(monkeypatch, cpus)
             for dtype in (DataType.Int32, DataType.Float64):
                 for transforms in ([], [Tile2(0, 1, 2, 2)]):
@@ -305,18 +339,39 @@ class TestNativeSweep:
                     results = NativeBackend().sweep(sp, UNROLL_FACTORS, runs=1)
                     assert {r.checksum for r in results.values()} == {expected}
 
-    def test_loop_named_like_the_block_variable(self, monkeypatch):
-        """The unrolled loop's block variable does not shadow a loop of the
-        nest that already has its name."""
-        p = make_program("clash", [("i_blk", 4), ("i", 8)],
-                         BinOp(BinOpKind.Add, load("a", "i_blk", "i"), load("a", "i", "i_blk")),
-                         ("i_blk", "i"), [("a", 2)])
-        sp = new_schedule(p)
-        expected = output_checksum(interpret(sp).output, DataType.Float64)
+    def test_label_loops_named_like_c_identifiers(self, monkeypatch, tmp_path):
+        """Loops named like a C type, the emitter's element type and a
+        buffer pointer label natively, and every variant's checksum equals
+        the interpreter's."""
+        text = ("program names\niter int 0 4\niter elem_t 0 6\niter buf_a 0 8\n"
+                "input a 2 float64\nbody out[int, elem_t] + a[int, buf_a] * a[buf_a, elem_t]\n"
+                "output out[int, elem_t]\n")
+        (tmp_path / "progs").mkdir()
+        (tmp_path / "progs" / "names.prog").write_text(text)
+        expected = output_checksum(interpret(new_schedule(parse_program_text(text)[0])).output,
+                                   DataType.Float64)
+        swept = []
+        real_sweep = backend_mod.native_sweep
+
+        def spy(*args, **kwargs):
+            swept.append(real_sweep(*args, **kwargs))
+            return swept[-1]
+
+        monkeypatch.setattr(backend_mod, "native_sweep", spy)
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
-            results = NativeBackend().sweep(sp, UNROLL_FACTORS, runs=1)
-            assert {r.checksum for r in results.values()} == {expected}
+            assert cli.main(["label", "--programs", str(tmp_path / "progs"), "--backend",
+                             "native", "--runs", "1", "--out", str(tmp_path / "c.csv")]) == 0
+            assert {r.checksum for r in swept.pop().values()} == {expected}
+
+    @pytest.mark.parametrize("name", ["int", "elem_t", "buf_a", "int64_t", "for", "double",
+                                      "static"])
+    def test_label_first_loop_named_like_c(self, tmp_path, name):
+        (tmp_path / "t.prog").write_text(
+            f"program t\niter {name} 0 4\niter j 0 8\ninput a 2 float64\n"
+            f"body a[{name}, j] * 2.0\noutput out[{name}, j]\n")
+        assert cli.main(["label", "--programs", str(tmp_path), "--backend", "native",
+                         "--runs", "1", "--out", str(tmp_path / "c.csv")]) == 0
 
     def test_differing_variant_raises_mismatch(self, monkeypatch, matmul4):
         real_emit = backend_mod.emit_sweep_source
@@ -325,7 +380,8 @@ class TestNativeSweep:
             source = real_emit(variants, runs)
             start = source.index("\nvoid kernel_4(void) {")
             end = source.index("\n}\n", start)
-            return source[:end] + "\n    buf_out[0] += (elem_t)1;" + source[end:]
+            # buffer 0 is the output, which the body loads first as its accumulator
+            return source[:end] + "\n    buf0[0] += (elem_t)1;" + source[end:]
 
         monkeypatch.setattr(backend_mod, "emit_sweep_source", corrupt)
         for cpus in (1, 2):

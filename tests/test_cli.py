@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -149,6 +151,51 @@ def test_label_and_predict_reject_invalid_programs(tmp_path, capsys, body, messa
     # the program is parsed before the model is loaded
     assert run_cli("predict", str(path), "--model", str(tmp_path / "m.json")) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def unroll_ignored(path) -> str:
+    return f"{path}: ignoring the unroll directive; the factor is chosen from U"
+
+
+@pytest.mark.parametrize("backend", [
+    "cost",
+    pytest.param("native", marks=pytest.mark.skipif(shutil.which("cc") is None,
+                                                    reason="no C toolchain on PATH")),
+])
+def test_label_ignores_unroll_directive(tmp_path, backend):
+    """`label` times every factor of U, so a file's `unroll` directive is
+    ignored, with a warning, as `predict` ignores it."""
+    out = {}
+    for name, directive in (("plain", ""), ("unrolled", "unroll 4\n")):
+        progs = tmp_path / name
+        progs.mkdir()
+        (progs / "t.prog").write_text(PROGRAM_TEXT + directive)
+        out[name] = tmp_path / f"{name}.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("label", "--programs", str(progs), "--backend", backend,
+                           "--runs", "1", "--out", str(out[name])) == 0
+        assert [str(w.message) for w in caught] == \
+            ([unroll_ignored(progs / "t.prog")] if directive else [])
+    if backend == "cost":
+        for suffix in ("", ".timings.csv"):
+            assert read(f"{out['unrolled']}{suffix}") == read(f"{out['plain']}{suffix}")
+    else:       # native times differ from run to run; the features do not
+        assert [r.features for r in load_csv(str(out["unrolled"]))] == \
+            [r.features for r in load_csv(str(out["plain"]))]
+
+
+def test_predict_ignores_unroll_directive(pipeline, tmp_path, capsys):
+    _, progs, _, model = pipeline
+    sample = progs / sorted(os.listdir(progs))[1]
+    unrolled = tmp_path / "unrolled.prog"
+    unrolled.write_text(read(sample) + "unroll 4\n")
+    assert run_cli("predict", str(sample), "--model", str(model)) == 0
+    expected = capsys.readouterr().out
+    with pytest.warns(UserWarning) as caught:
+        assert run_cli("predict", str(unrolled), "--model", str(model)) == 0
+    assert [str(w.message) for w in caught] == [unroll_ignored(unrolled)]
+    assert capsys.readouterr().out == expected
 
 
 def test_baselines_needs_a_model(capsys):
