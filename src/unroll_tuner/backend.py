@@ -21,7 +21,8 @@ once per process and compiler, which loads the parts and times them as
 `emit_sweep_source` describes.  The round count is written into the unit
 when it is emitted, and `native_sweep`/`native_measure` refuse another
 `runs` before compiling.  A single kernel (`emit_kernel_source`,
-`native_measure`) is a one-variant sweep.
+`native_measure`) is a one-variant sweep.  A sample whose kernels fail to
+build, run or agree raises `KernelError`.
 """
 
 from __future__ import annotations
@@ -39,16 +40,7 @@ import time
 import warnings
 from dataclasses import dataclass
 
-from .errors import (
-    CompileError,
-    CompileTimeout,
-    DepthExceedsMax,
-    InvalidFactor,
-    KernelMismatch,
-    KernelRunError,
-    RunTimeout,
-    ToolchainMissing,
-)
+from .errors import KernelError, UnrollTunerError
 from .interp import (
     FILL_MODULUS,
     FILL_PRIMES,
@@ -131,7 +123,7 @@ def cost_model_evaluate(sp: ScheduledProgram, u: int,
     `terms`, when given, must be `CostTerms.of(sp)`.
     """
     if u not in UNROLL_FACTORS:
-        raise InvalidFactor(f"unroll factor {u} not in {UNROLL_FACTORS}")
+        raise UnrollTunerError(f"unroll factor {u} not in {UNROLL_FACTORS}")
     terms = terms or CostTerms.of(sp)
     trips, ops = terms.trips, terms.ops
     u_eff = max(u, 1)
@@ -212,7 +204,7 @@ def emit_sweep_source(variants: dict[int, ScheduledProgram],
     """
     first = next(iter(variants.values()))
     if first.depth > 7:
-        raise DepthExceedsMax(f"nest depth {first.depth} exceeds 7")
+        raise UnrollTunerError(f"nest depth {first.depth} exceeds 7")
     p = first.base
     shapes = buffer_shapes(p)
     names = {it.name: f"i{k}" for k, it in enumerate(first.loops)}
@@ -350,7 +342,7 @@ def _run_compilers(argvs: list[list[str]]) -> str | None:
     """Run the compiler calls `argvs` at the same time.
 
     Returns None when every call succeeds, else the diagnostics of the first
-    failed call.  Raises `CompileTimeout` when the calls outlast
+    failed call.  Raises `KernelError` when the calls outlast
     DEFAULT_TIMEOUT_S.  No compiler outlives the call: after a failure or a
     timeout the others are killed with their children, and all are reaped.
     """
@@ -371,8 +363,8 @@ def _run_compilers(argvs: list[list[str]]) -> str | None:
                 _, diagnostics = proc.communicate(
                     timeout=max(deadline - time.monotonic(), 0.0))
             except subprocess.TimeoutExpired:
-                raise CompileTimeout(f"compiler {proc.args[0]!r} exceeded "
-                                     f"{DEFAULT_TIMEOUT_S} s") from None
+                raise KernelError(f"compiler {proc.args[0]!r} exceeded "
+                                  f"{DEFAULT_TIMEOUT_S} s") from None
             if proc.returncode != 0:
                 return diagnostics
     return None
@@ -524,7 +516,7 @@ def _compile_and_run(source: str) -> subprocess.CompletedProcess:
     """
     cmd = os.environ.get(TOOLCHAIN_ENV_VAR) or DEFAULT_TOOLCHAIN
     if shutil.which(cmd) is None:
-        raise ToolchainMissing(f"toolchain {cmd!r} not found on PATH")
+        raise UnrollTunerError(f"toolchain {cmd!r} not found on PATH")
     openmp = "#pragma omp" in source
     defines = [[f"-D{_SECTION_MACRO}{section}" for section in part]
                for part in _split_plan(source)]
@@ -544,12 +536,11 @@ def _compile_and_run(source: str) -> subprocess.CompletedProcess:
             return _run_compilers(argvs + [runner_build] if runner_build else argvs)
 
         failed = build("-fopenmp") if openmp else build()
-        if failed is not None:
-            if not openmp:
-                raise CompileError(failed)
+        if failed is not None and openmp:
             retry = build()
-            if retry is not None:
-                raise CompileError(failed + "\n--- retry ---\n" + retry)
+            failed = None if retry is None else failed + "\n--- retry ---\n" + retry
+        if failed is not None:
+            raise KernelError(f"kernel compilation failed:\n{failed}")
         if runner_build:
             os.replace(runner + ".new", runner)
 
@@ -557,14 +548,14 @@ def _compile_and_run(source: str) -> subprocess.CompletedProcess:
             run = subprocess.run([runner, *objects], capture_output=True, text=True,
                                  errors="replace", timeout=DEFAULT_TIMEOUT_S)
         except subprocess.TimeoutExpired as exc:
-            raise RunTimeout(f"kernel exceeded {DEFAULT_TIMEOUT_S} s") from exc
+            raise KernelError(f"kernel exceeded {DEFAULT_TIMEOUT_S} s") from exc
     if run.returncode != 0:
-        raise KernelRunError(f"kernel exited with {run.returncode}: {run.stderr}")
+        raise KernelError(f"kernel exited with {run.returncode}: {run.stderr}")
     return run
 
 
-def _unexpected_output(run: subprocess.CompletedProcess) -> KernelRunError:
-    return KernelRunError(f"unexpected kernel output:\n{run.stdout}\n{run.stderr}")
+def _unexpected_output(run: subprocess.CompletedProcess) -> KernelError:
+    return KernelError(f"unexpected kernel output:\n{run.stdout}\n{run.stderr}")
 
 
 def _tagged_values(text: str, prefix: str) -> dict[int, list[str]]:
@@ -582,7 +573,7 @@ def _parse_sweep_output(run: subprocess.CompletedProcess,
     """One result per variant of a sweep's output.
 
     The variants' output checksums must agree bit for bit, because unrolling
-    replicates the body in order; otherwise `KernelMismatch` is raised.
+    replicates the body in order; otherwise `KernelError` is raised.
     """
     checksums = _tagged_values(run.stdout, "checksum_")
     per_run = _tagged_values(run.stderr, "run_ms_")
@@ -595,8 +586,8 @@ def _parse_sweep_output(run: subprocess.CompletedProcess,
     except ValueError as exc:
         raise _unexpected_output(run) from exc
     if len(set(sums.values())) > 1:
-        raise KernelMismatch("unrolled variants disagree on the output checksum: "
-                             + ", ".join(f"u={u}: {c:016x}" for u, c in sums.items()))
+        raise KernelError("unrolled variants disagree on the output checksum: "
+                          + ", ".join(f"u={u}: {c:016x}" for u, c in sums.items()))
     return {u: ExecResult(per_run_ms=times[u], checksum=sums[u]) for u in checksums}
 
 
@@ -660,8 +651,8 @@ class NativeBackend:
         """Time every factor from one compiled unit.
 
         Factors that clamp to the same effective factor share one kernel, so
-        they get the same result.  Raises `KernelMismatch` when the variants'
-        output checksums differ.
+        they get the same result.  Raises `KernelError` when the kernels fail
+        to build or run, or the variants' output checksums differ.
         """
         effective: dict[int, int] = {}
         variants: dict[int, ScheduledProgram] = {}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrainingSet
+from .errors import UnrollTunerError
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def knn_predict(train_x, train_y, cfg: KnnConfig, query):
     """
     x = np.asarray(train_x, dtype=np.float64)
     if x.size == 0:
-        raise EmptyTrainingSet("KNN needs a non-empty training set")
+        raise UnrollTunerError("KNN needs a non-empty training set")
     if cfg.k > x.shape[0]:
         raise ValueError(f"k={cfg.k} exceeds training size {x.shape[0]}")
     q = np.asarray(query, dtype=np.float64)
@@ -139,7 +139,7 @@ def tree_fit(train_x, train_y, cfg: TreeConfig | None = None) -> TreeNode:
     x = np.asarray(train_x, dtype=np.float64)
     y = np.asarray(train_y, dtype=np.int64)
     if x.size == 0:
-        raise EmptyTrainingSet("tree_fit needs a non-empty training set")
+        raise UnrollTunerError("tree_fit needs a non-empty training set")
 
     def build(rows: np.ndarray, depth: int) -> TreeNode:
         labels = y[rows]

@@ -24,7 +24,7 @@ from .backend import DEFAULT_RUNS, CostModelBackend, NativeBackend
 from .baselines import KnnConfig, TreeConfig, accuracy_table, knn_predict, tree_fit, tree_predict
 from .benchmarks import SIZE_CLASSES, benchmark_suite
 from .dataset import balance_classes, label_sample, load_csv, save_csv, split_dataset
-from .errors import ModelNotTrained, UnrollTunerError
+from .errors import UnrollTunerError
 from .evaluation import accuracy, hit_rate, report_csv, report_table, run_benchmarks
 from .featurize import ScalerMode, extract_features, fit_scaler
 from .generator import GenConfig, gen_program, gen_schedules
@@ -175,8 +175,8 @@ def _label_worker(payload):
     for path, text in zip(paths, texts):
         try:
             rows.append(label_sample(_schedule_file(path, text), backend, runs))
-        except UnrollTunerError as exc:
-            raise UnrollTunerError(f"{path}: {exc}") from exc
+        except UnrollTunerError as exc:     # the class is kept: a KernelError stays one
+            raise type(exc)(f"{path}: {exc}") from exc
     return rows
 
 
@@ -241,7 +241,7 @@ def cmd_predict(args) -> int:
 def cmd_baselines(args) -> int:
     model = load_model(args.model)
     if model.scaler is None:
-        raise ModelNotTrained(f"{args.model} has no fitted scaler")
+        raise UnrollTunerError(f"{args.model} has no fitted scaler")
     split, scaler = _prepare_data(args, model.scaler.mode)
     if scaler != model.scaler:
         raise UnrollTunerError(

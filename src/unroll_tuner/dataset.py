@@ -14,13 +14,7 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import (
-    AllClassesBelowMinimum,
-    HeaderMismatch,
-    MalformedRow,
-    TooFewRows,
-    UnrollTunerError,
-)
+from .errors import UnrollTunerError
 from .featurize import CSV_HEADER, FeatureVector, encode_csv_row, extract_features, parse_csv_row
 from .rng import SplitMix64
 from .schedule import UNROLL_FACTORS, ScheduledProgram
@@ -74,7 +68,7 @@ def balance_classes(rows: list[LabeledSample], min_per_class: int,
     retained = {label: idxs for label, idxs in by_label.items()
                 if len(idxs) >= min_per_class}
     if not retained:
-        raise AllClassesBelowMinimum(
+        raise UnrollTunerError(
             f"no class reaches {min_per_class} rows (counts: "
             f"{ {k: len(v) for k, v in sorted(by_label.items())} })")
     dropped = sorted(set(by_label) - set(retained))
@@ -95,7 +89,7 @@ def balance_classes(rows: list[LabeledSample], min_per_class: int,
 def split_dataset(rows: list[LabeledSample], seed: int = 0) -> SplitDataset:
     """Seeded shuffle then a 60/20/20 cut (sizes within one row of exact)."""
     if len(rows) < 10:
-        raise TooFewRows(f"need at least 10 rows to split, got {len(rows)}")
+        raise UnrollTunerError(f"need at least 10 rows to split, got {len(rows)}")
     shuffled = list(rows)
     SplitMix64.stream(seed, 0x5B17).shuffle(shuffled)
     n = len(shuffled)
@@ -150,7 +144,7 @@ def load_csv(path: str) -> list[LabeledSample]:
     """
     lines = read_text(path).splitlines()
     if not lines or lines[0] != CSV_HEADER:
-        raise HeaderMismatch(f"{path}: header does not match the corpus schema")
+        raise UnrollTunerError(f"{path}: header does not match the corpus schema")
     rows: list[LabeledSample] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -158,7 +152,7 @@ def load_csv(path: str) -> list[LabeledSample]:
         try:
             fv, label = parse_csv_row(line)
         except (ValueError, UnrollTunerError) as exc:
-            raise MalformedRow(line_no, str(exc)) from exc
+            raise UnrollTunerError(f"line {line_no}: {exc}") from exc
         rows.append(LabeledSample(fv, label))
     return rows
 

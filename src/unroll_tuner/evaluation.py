@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dataset import sweep_argmin
-from .errors import EmptyTestSet, NonPositiveTime
+from .errors import UnrollTunerError
 from .featurize import extract_features
 from .mlp import predict_class, predict_probs
 from .schedule import UNROLL_FACTORS, schedule_program
@@ -20,7 +20,7 @@ from .textfmt import format_transform
 def compute_metrics(predit: float, optimal: float, sans: float) -> tuple[float, float]:
     """(PC, SP) from the three measured times, exact ratios."""
     if min(predit, optimal, sans) <= 0.0:
-        raise NonPositiveTime(f"times must be positive, got {(predit, optimal, sans)}")
+        raise UnrollTunerError(f"times must be positive, got {(predit, optimal, sans)}")
     return optimal / predit, sans / predit
 
 
@@ -32,7 +32,7 @@ def accuracy(model, test_rows) -> float:
     """
     rows = list(test_rows)
     if not rows:
-        raise EmptyTestSet("accuracy needs a non-empty test set")
+        raise UnrollTunerError("accuracy needs a non-empty test set")
     if callable(model):
         predicted = [model(row.features) for row in rows]
     else:

@@ -16,12 +16,13 @@ the three levels.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DepthExceedsMax, DimensionMismatch, EmptyTrainingSet, LabelNotInClassSet
+from .errors import UnrollTunerError
 from .ir import BinOpKind, DataType, Program, load_iterator_sets, op_histogram
 from .schedule import UNROLL_FACTORS, ScheduledProgram, new_schedule
 
@@ -128,7 +129,7 @@ def extract_features(sp: ScheduledProgram | Program) -> FeatureVector:
     if isinstance(sp, Program):
         sp = new_schedule(sp)
     if sp.depth > MAX_DEPTH:
-        raise DepthExceedsMax(f"nest depth {sp.depth} exceeds {MAX_DEPTH} after tiling")
+        raise UnrollTunerError(f"nest depth {sp.depth} exceeds {MAX_DEPTH} after tiling")
     p = sp.base
     hist = op_histogram(p)
     tile_applied = [0] * MAX_DEPTH
@@ -173,7 +174,7 @@ class Scaler:
 
     Columns in `rescaled_columns` are divided by RESCALE_DIVISOR before any
     statistic is computed or applied; constant columns carry no information
-    and are dropped.
+    and are dropped.  Every statistic is a finite number.
     """
 
     mode: ScalerMode
@@ -188,6 +189,8 @@ class Scaler:
             raise ValueError(f"{width} stat_a values but {len(self.stat_b)} stat_b values")
         if any(type(v) not in (int, float) for v in (*self.stat_a, *self.stat_b)):
             raise ValueError("scaler statistics must be numbers")
+        if not all(math.isfinite(v) for v in (*self.stat_a, *self.stat_b)):
+            raise ValueError("scaler statistics must be finite")
         for name in ("dropped_columns", "rescaled_columns"):
             columns = getattr(self, name)
             if len(set(columns)) != len(columns) or any(
@@ -217,7 +220,7 @@ class Scaler:
         """Scale `x`, a new float64 row (1-D) or batch (2-D), in place, and
         return its kept columns."""
         if x.shape[-1] != len(self.stat_a):
-            raise DimensionMismatch(f"expected {len(self.stat_a)} columns, got {x.shape[-1]}")
+            raise UnrollTunerError(f"expected {len(self.stat_a)} columns, got {x.shape[-1]}")
         rescale, a, divisor, keep = self._arrays
         x /= rescale
         x -= a
@@ -239,19 +242,21 @@ class Scaler:
 def fit_scaler(train_rows, mode: ScalerMode = ScalerMode.Standardize) -> Scaler:
     rows = list(train_rows)
     if not rows:
-        raise EmptyTrainingSet("cannot fit a scaler on an empty training set")
+        raise UnrollTunerError("cannot fit a scaler on an empty training set")
     x = np.asarray(rows, dtype=np.float64)
     x = x.copy()
     rescale = tuple(c for c in RESCALE_COLUMNS if c < x.shape[1])
     x[:, rescale] /= RESCALE_DIVISOR
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    # A column is constant when its extremes agree: the float std of equal
+    # values need not be exactly 0, and scaling by it would amplify noise.
+    dropped = tuple(int(c) for c in np.nonzero(hi == lo)[0])
+    if len(dropped) == x.shape[1]:
+        raise UnrollTunerError("no feature column varies across the training set")
     if mode is ScalerMode.Standardize:
-        a = x.mean(axis=0)
-        b = x.std(axis=0)
-        dropped = tuple(int(c) for c in np.nonzero(b == 0.0)[0])
+        a, b = x.mean(axis=0), x.std(axis=0)
     else:
-        a = x.min(axis=0)
-        b = x.max(axis=0)
-        dropped = tuple(int(c) for c in np.nonzero(b - a == 0.0)[0])
+        a, b = lo, hi
     return Scaler(
         mode=mode,
         stat_a=tuple(float(v) for v in a),
@@ -265,7 +270,7 @@ def fit_scaler(train_rows, mode: ScalerMode = ScalerMode.Standardize) -> Scaler:
 
 def encode_csv_row(fv: FeatureVector, label: int) -> str:
     if label not in UNROLL_FACTORS:
-        raise LabelNotInClassSet(f"label {label} not in {UNROLL_FACTORS}")
+        raise UnrollTunerError(f"label {label} not in {UNROLL_FACTORS}")
     return ",".join(map(str, fv.to_list() + [label]))
 
 
@@ -276,5 +281,5 @@ def parse_csv_row(text: str) -> tuple[FeatureVector, int]:
     # every cell is an integer; int() raises ValueError on any other text
     label = int(parts[-1])
     if label not in UNROLL_FACTORS:
-        raise LabelNotInClassSet(f"label {parts[-1]} not in {UNROLL_FACTORS}")
+        raise UnrollTunerError(f"label {parts[-1]} not in {UNROLL_FACTORS}")
     return FeatureVector.from_list([int(v) for v in parts[:-1]]), label

@@ -39,14 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    CorruptFile,
-    DimensionMismatch,
-    EmptySplit,
-    FormatVersionMismatch,
-    LabelNotInClassSet,
-    ModelNotTrained,
-)
+from .errors import UnrollTunerError
 from .featurize import FeatureVector, Scaler, ScalerMode
 from .rng import SplitMix64
 from .schedule import UNROLL_FACTORS
@@ -193,7 +186,7 @@ def _input(m: MlpModel, x) -> np.ndarray:
     """`x` (one row or a batch) as float64, checked against the input width."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != m.input_width:
-        raise DimensionMismatch(f"batch width {x.shape[-1]} != input width {m.input_width}")
+        raise UnrollTunerError(f"batch width {x.shape[-1]} != input width {m.input_width}")
     return x
 
 
@@ -379,7 +372,7 @@ def loss_and_gradients(m: MlpModel, batch: np.ndarray, one_hot: np.ndarray,
         y = np.asarray(one_hot, dtype=np.float64)
         probs, cache = forward(m, batch, True, dropout_rng, helper)
         if y.shape != probs.shape:
-            raise DimensionMismatch(f"labels {y.shape} vs probs {probs.shape}")
+            raise UnrollTunerError(f"labels {y.shape} vs probs {probs.shape}")
         loss = _cross_entropy(probs, y)
 
         if grad is None:
@@ -487,7 +480,7 @@ def one_hot(labels) -> np.ndarray:
     out = np.zeros((len(labels), N_CLASSES))
     for row, label in enumerate(labels):
         if label not in index:
-            raise LabelNotInClassSet(f"label {label} not in {UNROLL_FACTORS}")
+            raise UnrollTunerError(f"label {label} not in {UNROLL_FACTORS}")
         out[row, index[label]] = 1.0
     return out
 
@@ -522,16 +515,16 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
     """
     cfg = cfg or TrainConfig()
     if not split.train or not split.valid:
-        raise EmptySplit("train and valid splits must be non-empty")
+        raise UnrollTunerError("train and valid splits must be non-empty")
     if m.scaler is None:
-        raise ModelNotTrained("attach a fitted scaler before training")
+        raise UnrollTunerError("attach a fitted scaler before training")
 
     x_train = m.scaler.transform_matrix([r.features.to_list() for r in split.train])
     y_train = one_hot([r.label for r in split.train])
     x_valid = m.scaler.transform_matrix([r.features.to_list() for r in split.valid])
     y_valid = one_hot([r.label for r in split.valid])
     if x_train.shape[1] != m.input_width:
-        raise DimensionMismatch(
+        raise UnrollTunerError(
             f"scaler emits {x_train.shape[1]} columns, model expects {m.input_width}")
 
     shuffle_rng = SplitMix64.stream(cfg.seed, 0x7A13)
@@ -583,9 +576,9 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
 
 def _scaler(m: MlpModel) -> Scaler:
     if not m.trained:
-        raise ModelNotTrained("model has not been trained")
+        raise UnrollTunerError("model has not been trained")
     if m.scaler is None:
-        raise ModelNotTrained("model has no attached scaler")
+        raise UnrollTunerError("model has no attached scaler")
     return m.scaler
 
 
@@ -653,25 +646,25 @@ def save_model(m: MlpModel, path: str) -> None:
 
 def load_model(path: str) -> MlpModel:
     """Read a file written by `save_model`.  Another format version (a
-    format-2 file is one JSON document, so it reads as a header) raises
-    FormatVersionMismatch; a malformed header, one that contradicts itself
-    or the package (classes other than UNROLL_FACTORS, an output width
-    other than N_CLASSES, a `trained` that is not a JSON boolean, dropout
-    rates that do not fit `layer_dims` or lie outside [0, 1), batchnorm
-    values other than BN_MOMENTUM and BN_EPS, a scaler whose statistics,
-    columns or output width do not fit) or a payload of the wrong length
-    raises CorruptFile.  The payload is read once, straight into the
-    model's store."""
+    format-2 file is one JSON document, so it reads as a header), a
+    malformed header, one that contradicts itself or the package (classes
+    other than UNROLL_FACTORS, an output width other than N_CLASSES, a
+    `trained` that is not a JSON boolean, dropout rates that do not fit
+    `layer_dims` or lie outside [0, 1), batchnorm values other than
+    BN_MOMENTUM and BN_EPS, a scaler whose statistics, columns or output
+    width do not fit) or a payload of the wrong length raises
+    UnrollTunerError.  The payload is read once, straight into the model's
+    store."""
     with open(path, "rb") as fh:
         head = fh.readline()
         try:
             header = json.loads(head.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CorruptFile(f"{path}: not a model file ({exc})") from exc
+            raise UnrollTunerError(f"{path}: not a model file ({exc})") from exc
         if not isinstance(header, dict):
-            raise CorruptFile(f"{path}: not a model file (header is not a JSON object)")
+            raise UnrollTunerError(f"{path}: not a model file (header is not a JSON object)")
         if header.get("format_version") != MODEL_FORMAT_VERSION:
-            raise FormatVersionMismatch(
+            raise UnrollTunerError(
                 f"{path}: format {header.get('format_version')!r}, "
                 f"expected {MODEL_FORMAT_VERSION}")
         try:
@@ -712,7 +705,7 @@ def load_model(path: str) -> MlpModel:
             if fh.readinto(store) != store.nbytes:
                 raise ValueError("the payload ended early")
         except (KeyError, ValueError, TypeError) as exc:
-            raise CorruptFile(f"{path}: {exc}") from exc
+            raise UnrollTunerError(f"{path}: {exc}") from exc
     return MlpModel(
         layer_dims=dims,
         store=store.astype(np.float64, copy=False),    # no copy on little-endian hosts

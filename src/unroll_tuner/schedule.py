@@ -17,13 +17,7 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 
-from .errors import (
-    FactorNotPowerOfTwo,
-    FactorOutOfRange,
-    InvalidFactor,
-    UnknownLevel,
-    UnrollTunerError,
-)
+from .errors import UnrollTunerError
 from .ir import Iterator, Program, ValidationReport
 
 UNROLL_FACTORS = (0, 2, 4, 8, 16, 32, 64)
@@ -183,9 +177,9 @@ def new_schedule(p: Program) -> ScheduledProgram:
 
 def _check_tile_factor(f: int) -> None:
     if f < TILE_FACTOR_MIN or f > TILE_FACTOR_MAX:
-        raise FactorOutOfRange(f"factor {f} outside [{TILE_FACTOR_MIN}, {TILE_FACTOR_MAX}]")
+        raise UnrollTunerError(f"factor {f} outside [{TILE_FACTOR_MIN}, {TILE_FACTOR_MAX}]")
     if not is_power_of_two(f):
-        raise FactorNotPowerOfTwo(f"factor {f} is not a power of two")
+        raise UnrollTunerError(f"factor {f} is not a power of two")
 
 
 class _Nest:
@@ -217,7 +211,7 @@ class _Nest:
 
     def check_level(self, level: int) -> None:
         if not 0 <= level < len(self.loops):
-            raise UnknownLevel(f"no loop level {level} in a depth-{len(self.loops)} nest")
+            raise UnrollTunerError(f"no loop level {level} in a depth-{len(self.loops)} nest")
 
     def apply(self, t: Transform) -> None:
         if self.unroll != 0 and not isinstance(t, (Unroll, Parallelize)):
@@ -226,7 +220,7 @@ class _Nest:
             self.split(t.level, t.factor)
         elif isinstance(t, Interchange):
             if t.level_a == t.level_b:
-                raise UnknownLevel("interchange needs two distinct levels")
+                raise UnrollTunerError("interchange needs two distinct levels")
             for lvl in (t.level_a, t.level_b):
                 self.check_level(lvl)
             loops = self.loops
@@ -290,7 +284,7 @@ class _Nest:
         of two that fits (a clamp below 2 drops the unroll entirely).
         """
         if u not in UNROLL_FACTORS:
-            raise InvalidFactor(f"unroll factor {u} not in {UNROLL_FACTORS}")
+            raise UnrollTunerError(f"unroll factor {u} not in {UNROLL_FACTORS}")
         if u == 0:
             return
         if self.unroll != 0:

@@ -26,7 +26,7 @@ import re
 import sys
 from dataclasses import fields
 
-from .errors import ParseError, UnrollTunerError
+from .errors import UnrollTunerError
 from .ir import (
     Access,
     BinOp,
@@ -81,7 +81,7 @@ def _tokenize(text: str) -> list[tuple[str | None, str | None]]:
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup          # the one named group that matched
         if kind == "bad":
-            raise ParseError(f"bad expression syntax near {text[m.start():]!r}")
+            raise UnrollTunerError(f"bad expression syntax near {text[m.start():]!r}")
         tokens.append((kind, m[kind]))
     tokens.append(_END)
     return tokens
@@ -102,16 +102,16 @@ class _ExprParser:
     def take(self, expect: str | None = None):
         kind, val = self.peek()
         if kind is None:
-            raise ParseError("unexpected end of expression")
+            raise UnrollTunerError("unexpected end of expression")
         if expect is not None and val != expect:
-            raise ParseError(f"expected {expect!r}, got {val!r}")
+            raise UnrollTunerError(f"expected {expect!r}, got {val!r}")
         self.pos += 1
         return kind, val
 
     def parse(self) -> Expr:
         node = self.expr()
         if self.peek()[0] is not None:
-            raise ParseError(f"trailing tokens in expression: {self.tokens[self.pos:-1]}")
+            raise UnrollTunerError(f"trailing tokens in expression: {self.tokens[self.pos:-1]}")
         return node
 
     def expr(self) -> Expr:
@@ -137,15 +137,15 @@ class _ExprParser:
         if val == "-":
             kind, val = self.take()
             if kind != "num":
-                raise ParseError("unary minus only allowed on numeric literals")
+                raise UnrollTunerError("unary minus only allowed on numeric literals")
             return self.constant("-" + val)
         if kind == "num":
             return self.constant(val)
         if kind == "ident":
             if self.peek()[1] != "[":
-                raise ParseError(f"bare identifier {val!r}; accesses need subscripts")
+                raise UnrollTunerError(f"bare identifier {val!r}; accesses need subscripts")
             return Access(BufferAccess(val, self.subscripts()))
-        raise ParseError(f"unexpected token {val!r} in expression")
+        raise UnrollTunerError(f"unexpected token {val!r} in expression")
 
     def constant(self, text: str) -> Constant:
         if self.dtype.is_float:
@@ -155,12 +155,12 @@ class _ExprParser:
         else:
             value = float(text)
             if not value.is_integer():             # also false for an overflowed inf
-                raise ParseError(f"non-integer constant {text!r} in {self.dtype.value} program")
+                raise UnrollTunerError(f"non-integer constant {text!r} in {self.dtype.value} program")
             value = int(value)
         lo, hi = _LITERAL_RANGE[self.dtype]
         if not lo <= value <= hi:
             what = "non-finite" if self.dtype.is_float else "out-of-range"
-            raise ParseError(f"{what} constant {text!r} in {self.dtype.value} program")
+            raise UnrollTunerError(f"{what} constant {text!r} in {self.dtype.value} program")
         return Constant(value)
 
     def subscripts(self) -> tuple[Subscript, ...]:
@@ -169,7 +169,7 @@ class _ExprParser:
         while True:
             kind, name = self.take()
             if kind != "ident":
-                raise ParseError(f"subscript must start with an iterator, got {name!r}")
+                raise UnrollTunerError(f"subscript must start with an iterator, got {name!r}")
             names = [name]
             offset = 0
             while self.peek()[1] in ("+", "-"):
@@ -177,18 +177,18 @@ class _ExprParser:
                 kind, tok = self.take()
                 if kind == "ident":
                     if sign == "-":
-                        raise ParseError("iterators may only be added in subscripts")
+                        raise UnrollTunerError("iterators may only be added in subscripts")
                     names.append(tok)
                 elif tok.isdigit():
                     offset += int(tok) if sign == "+" else -int(tok)
                 else:
-                    raise ParseError("subscript offsets must be integer literals")
+                    raise UnrollTunerError("subscript offsets must be integer literals")
             dims.append(Subscript(tuple(names), offset))
             _, sep = self.take()
             if sep == "]":
                 return tuple(dims)
             if sep != ",":
-                raise ParseError(f"expected ',' or ']' in subscript, got {sep!r}")
+                raise UnrollTunerError(f"expected ',' or ']' in subscript, got {sep!r}")
 
 
 _PROGRAM_DIRECTIVES = frozenset(("program", "iter", "input", "body", "output"))
@@ -197,7 +197,7 @@ _PROGRAM_DIRECTIVES = frozenset(("program", "iter", "input", "body", "output"))
 def _parse_transform(directive: str, rest: str) -> Transform:
     cls = _TRANSFORMS.get(directive)
     if cls is None:
-        raise ParseError(f"unknown directive {directive!r}")
+        raise UnrollTunerError(f"unknown directive {directive!r}")
     args = rest.split()
     arity = _ARITY[directive]
     if len(args) != arity:
@@ -218,8 +218,8 @@ def _program_fields(lines):
     set_on: dict[str, int] = {}
     for line_no, directive, rest in lines:
         if directive in set_on:
-            raise ParseError(f"line {line_no}: a second {directive!r} line; "
-                             f"the first is line {set_on[directive]}")
+            raise UnrollTunerError(f"line {line_no}: a second {directive!r} line; "
+                                   f"the first is line {set_on[directive]}")
         if directive in ("program", "body", "output"):
             set_on[directive] = line_no
         try:
@@ -237,7 +237,7 @@ def _program_fields(lines):
             else:
                 output_src = rest
         except ValueError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from exc
+            raise UnrollTunerError(f"line {line_no}: {exc}") from exc
     return name, iterators, inputs, dtypes, body_src, output_src
 
 
@@ -250,19 +250,19 @@ def _program_fields(lines):
 def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> ScheduledProgram:
     name, iterators, inputs, dtypes, body_src, output_src = _program_fields(lines)
     if name is None:
-        raise ParseError("missing 'program' line")
+        raise UnrollTunerError("missing 'program' line")
     if not iterators:
-        raise ParseError("program needs at least one 'iter' line")
+        raise UnrollTunerError("program needs at least one 'iter' line")
     if body_src is None or output_src is None:
-        raise ParseError("program needs 'body' and 'output' lines")
+        raise UnrollTunerError("program needs 'body' and 'output' lines")
 
     if len(dtypes) > 1:
-        raise ParseError("all input declarations must share one dtype")
+        raise UnrollTunerError("all input declarations must share one dtype")
     dtype = dtypes.pop() if dtypes else DataType.Float64
 
     out_node = _ExprParser(output_src, dtype).parse()
     if not isinstance(out_node, Access):
-        raise ParseError("output line must be a single buffer subscript")
+        raise UnrollTunerError("output line must be a single buffer subscript")
     body = _ExprParser(body_src, dtype).parse()
 
     program = Program(
@@ -275,7 +275,7 @@ def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> ScheduledPr
     )
     report = validate_program(program)
     if not report.ok:
-        raise ParseError("; ".join(report.violations))
+        raise UnrollTunerError("; ".join(report.violations))
     return new_schedule(program)
 
 
@@ -299,10 +299,10 @@ def parse_program_text(text: str) -> tuple[Program, list[Transform]]:
             continue
         try:
             transforms.append(_parse_transform(directive, rest))
-        except (ParseError, ValueError) as exc:
+        except (UnrollTunerError, ValueError) as exc:
             _program_fields(program_lines)     # an earlier bad program line is reported first
             if isinstance(exc, ValueError):
-                raise ParseError(f"line {line_no}: {exc}") from exc
+                raise UnrollTunerError(f"line {line_no}: {exc}") from exc
             raise
     return _parse_program_lines(tuple(program_lines)).base, transforms
 

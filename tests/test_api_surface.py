@@ -7,12 +7,15 @@ string constant in `perfbench/` (the traced benchmark wraps functions by
 name).  A definition or an import alone is no reference, so an API that only
 the tests call fails here.  A private top-level function or class (leading
 underscore) must be referenced in `src/` itself, as a name or an attribute,
-so a refactor cannot leave a helper stranded.
+so a refactor cannot leave a helper stranded.  The error policy stays in
+one place: `errors.py` defines the package's two exception classes, and no
+other module defines one.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
@@ -63,3 +66,17 @@ def test_every_private_definition_is_referenced_in_src():
     unused = [f"{module}.{name}" for module, name in _definitions(package)
               if name.startswith("_") and name not in referenced]
     assert not unused, f"private definitions that nothing in src/ uses: {unused}"
+
+
+def test_exception_classes_are_defined_only_in_errors():
+    defined = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "unroll_tuner" if path.stem == "__init__" else f"unroll_tuner.{path.stem}"
+        module = importlib.import_module(name)
+        defined[path.stem] = sorted(
+            attr for attr, value in vars(module).items()
+            if isinstance(value, type) and issubclass(value, BaseException)
+            and value.__module__ == name)
+    assert defined.pop("errors") == ["KernelError", "UnrollTunerError"]
+    stray = {module: names for module, names in defined.items() if names}
+    assert not stray, f"exception classes outside errors.py: {stray}"

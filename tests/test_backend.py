@@ -25,13 +25,7 @@ from unroll_tuner.backend import (
     native_sweep,
 )
 from unroll_tuner.dataset import label_sample
-from unroll_tuner.errors import (
-    CompileError,
-    CompileTimeout,
-    InvalidFactor,
-    KernelMismatch,
-    KernelRunError,
-)
+from unroll_tuner.errors import KernelError, UnrollTunerError
 from unroll_tuner.interp import interpret, output_checksum
 from unroll_tuner.ir import BinOp, BinOpKind, Constant, DataType
 from unroll_tuner.schedule import (
@@ -144,7 +138,7 @@ def test_cost_sweep_matches_evaluate(matmul4, vecadd):
 
 
 def test_cost_invalid_factor(vecadd):
-    with pytest.raises(InvalidFactor):
+    with pytest.raises(UnrollTunerError, match=r"^unroll factor 3 not in \(0, 2, 4"):
         cost_model_evaluate(new_schedule(vecadd), 3)
 
 
@@ -240,9 +234,9 @@ class TestNative:
         assert res.per_run_ms[0] == res.mean_ms
 
     def test_broken_source_compile_error(self):
-        with pytest.raises(CompileError) as err:
+        with pytest.raises(KernelError, match="^kernel compilation failed:\n") as err:
             native_measure("int main(void { return 0; }", runs=1)
-        assert err.value.diagnostics
+        assert str(err.value).partition("\n")[2].strip()      # the compiler's diagnostics
 
     @pytest.mark.parametrize("source, message", [
         pytest.param(exiting_unit(3), "kernel exited with 3", id="unit exits 3"),
@@ -259,7 +253,7 @@ class TestNative:
     def test_run_fault_is_not_compile_error(self, source, message):
         for run in (lambda: native_measure(source, runs=1),
                     lambda: native_sweep(source, (0, 2), runs=1)):
-            with pytest.raises(KernelRunError, match=message):
+            with pytest.raises(KernelError, match=message):
                 run()
 
     def test_emitted_kernel_matches_interpreter_checksum(self, matmul4):
@@ -386,7 +380,8 @@ class TestNativeSweep:
         monkeypatch.setattr(backend_mod, "emit_sweep_source", corrupt)
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
-            with pytest.raises(KernelMismatch, match="u=4"):
+            with pytest.raises(KernelError, match="^unrolled variants disagree on the "
+                                                  "output checksum: .*u=4"):
                 NativeBackend().sweep(new_schedule(matmul4), UNROLL_FACTORS, runs=1)
 
     def test_split_build_compiler_calls(self, monkeypatch, tmp_path):
@@ -502,32 +497,32 @@ def test_failed_compile_retried_only_without_openmp(monkeypatch, tmp_path):
     parallel = "#pragma omp parallel\n" + serial
     for source, compiles in ((serial, 1), (parallel, 2)):
         log.write_text("")
-        with pytest.raises(CompileError) as err:
+        with pytest.raises(KernelError, match="^kernel compilation failed:\n") as err:
             native_measure(source, runs=1)
         argvs = log.read_text().splitlines()
         assert len(argvs) == compiles
-        assert err.value.diagnostics.count("broken") == compiles
+        assert str(err.value).count("broken") == compiles
         assert "-fopenmp" not in argvs[-1].split()
     assert "-fopenmp" in argvs[0].split()
 
     # a split build: one part fails, so every part is compiled again without -fopenmp
     log.write_text("")
-    with pytest.raises(CompileError) as err:
+    with pytest.raises(KernelError, match="^kernel compilation failed:\n") as err:
         native_sweep(split_source, (0, 2, 4), runs=1)
     argvs = log.read_text().splitlines()
     assert len(argvs) == 4
     first, retry = argvs[:2], argvs[2:]
     assert all("-fopenmp" in argv.split() and "-shared" in argv.split() for argv in first)
     assert sorted(argv.replace(" -fopenmp", "") for argv in first) == sorted(retry)
-    assert err.value.diagnostics.count("broken") == 2
-    assert "--- retry ---" in err.value.diagnostics
+    assert str(err.value).count("broken") == 2
+    assert "--- retry ---" in str(err.value)
 
 
 def test_compiler_diagnostics_not_utf8(monkeypatch, tmp_path):
     fake_toolchain(monkeypatch, tmp_path, "printf 'bad \\376 byte\\n' >&2\nexit 1\n")
-    with pytest.raises(CompileError) as err:
+    with pytest.raises(KernelError, match="^kernel compilation failed:\n") as err:
         native_measure(emit_kernel_source(new_schedule(ops_program(3)), runs=1), runs=1)
-    assert "bad \ufffd byte" in err.value.diagnostics
+    assert "bad \ufffd byte" in str(err.value)
 
 
 def process_gone(pid: int) -> bool:
@@ -551,7 +546,7 @@ def test_compile_timeout_kills_every_compiler(monkeypatch, tmp_path):
     for cpus in (1, 2):
         set_cpus(monkeypatch, cpus)
         pids.write_text("")
-        with pytest.raises(CompileTimeout, match="exceeded 1.0 s"):
+        with pytest.raises(KernelError, match="^compiler '.*' exceeded 1.0 s$"):
             native_sweep(source, (0, 2, 4), runs=1)
         started = [int(pid) for pid in pids.read_text().split()]
         assert len(started) == 2 * cpus
@@ -628,11 +623,67 @@ def test_runner_directory_removed_at_exit(tmp_path):
 
 def test_toolchain_env_var_overrides(monkeypatch, vecadd):
     from unroll_tuner.backend import TOOLCHAIN_ENV_VAR
-    from unroll_tuner.errors import ToolchainMissing
 
     monkeypatch.setenv(TOOLCHAIN_ENV_VAR, "definitely-not-a-compiler")
-    with pytest.raises(ToolchainMissing, match="definitely-not-a-compiler"):
+    with pytest.raises(UnrollTunerError,
+                       match="^toolchain 'definitely-not-a-compiler' not found on PATH$"):
         native_measure(emit_kernel_source(new_schedule(vecadd), runs=1), runs=1)
+
+
+# --- the KernelError contract ------------------------------------------------------
+
+def fake_runner_toolchain(monkeypatch, tmp_path, parts: str, runner: str) -> None:
+    """A fake compiler: a part's call runs `parts`, and the runner's build
+    writes `runner` as the runner, a shell script."""
+    body = tmp_path / "runner-body"
+    body.write_text("#!/bin/sh\n" + runner)
+    fake_toolchain(monkeypatch, tmp_path,
+                   'case "$*" in *runner.c*)\n'
+                   '  for a; do [ "$prev" = -o ] && out=$a; prev=$a; done\n'
+                   f'  cp "{body}" "$out" && chmod +x "$out"; exit 0;;\nesac\n' + parts)
+
+
+# the checksums of u=0 and u=2 differ, each with one round
+MISMATCHED = ("echo checksum_0=1; echo checksum_2=2; "
+              "echo run_ms_0=1.0 >&2; echo run_ms_2=1.0 >&2\n")
+
+
+@pytest.mark.parametrize("parts, runner, message", [
+    pytest.param("echo broken >&2; exit 1\n", "", "^kernel compilation failed:\nbroken",
+                 id="compile error"),
+    pytest.param("exec sleep 30\n", "", "^compiler '.*' exceeded 1.0 s$", id="compile timeout"),
+    pytest.param("exit 0\n", "exit 3\n", "^kernel exited with 3: $", id="run exits non-zero"),
+    pytest.param("exit 0\n", "echo hello\n", "^unexpected kernel output:\nhello",
+                 id="unparseable output"),
+    pytest.param("exit 0\n", MISMATCHED,
+                 "^unrolled variants disagree on the output checksum: u=0: 0+1, u=2: 0+2$",
+                 id="checksum mismatch"),
+    pytest.param("exit 0\n", "exec sleep 30\n", "^kernel exceeded 1.0 s$", id="run timeout"),
+])
+def test_kernel_failures_raise_kernel_error(monkeypatch, tmp_path, parts, runner, message):
+    """Every way one sample's kernels can fail is a KernelError, which
+    `label` may tell apart from the pipeline's other errors."""
+    fake_runner_toolchain(monkeypatch, tmp_path, parts, runner)
+    monkeypatch.setattr(backend_mod, "DEFAULT_TIMEOUT_S", 1.0)
+    source = emit_sweep_source({u: apply_unroll(new_schedule(ops_program(3)), u)
+                                for u in (0, 2)}, runs=1)
+    with pytest.raises(KernelError, match=message):
+        native_sweep(source, (0, 2), runs=1)
+
+
+def test_setup_failures_are_not_kernel_errors(monkeypatch, vecadd):
+    """A missing toolchain or a nest the emitter cannot take is no fault of
+    one sample's kernels."""
+    deep = make_program("deep", [(f"i{k}", 2) for k in range(4)], Constant(1.0),
+                        tuple(f"i{k}" for k in range(4)), [])
+    sp = schedule_program(deep, [Tile2(0, 1, 2, 2), Tile2(2, 3, 2, 2)])
+    with pytest.raises(UnrollTunerError, match="^nest depth 8 exceeds 7$") as err:
+        NativeBackend().sweep(sp, (0, 2), runs=1)
+    assert not isinstance(err.value, KernelError)
+    monkeypatch.setenv(backend_mod.TOOLCHAIN_ENV_VAR, "definitely-not-a-compiler")
+    with pytest.raises(UnrollTunerError, match="not found on PATH") as err:
+        NativeBackend().sweep(new_schedule(vecadd), (0, 2), runs=1)
+    assert not isinstance(err.value, KernelError)
 
 
 def test_round_count_mismatch_fails_before_compiling(monkeypatch, tmp_path, vecadd):

@@ -16,7 +16,7 @@ from unroll_tuner.baselines import (
     tree_fit,
     tree_predict,
 )
-from unroll_tuner.errors import EmptyTrainingSet
+from unroll_tuner.errors import UnrollTunerError
 
 
 def test_knn_query_on_training_point():
@@ -103,7 +103,7 @@ def test_knn_block_breaks_two_two_one_vote_split_to_smallest_factor():
 
 
 def test_knn_empty_training_set():
-    with pytest.raises(EmptyTrainingSet):
+    with pytest.raises(UnrollTunerError, match="^KNN needs a non-empty training set$"):
         knn_predict([], [], KnnConfig(k=1), [0.0])
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,10 @@ import pytest
 
 from unroll_tuner import cli, textfmt
 from unroll_tuner.cli import load_config, main
-from unroll_tuner.dataset import load_csv
+from unroll_tuner.benchmarks import mmxm
+from unroll_tuner.dataset import LabeledSample, load_csv, save_csv
+from unroll_tuner.errors import KernelError
+from unroll_tuner.featurize import extract_features
 from unroll_tuner.generator import GenConfig, gen_program, gen_schedules
 from unroll_tuner.textfmt import program_to_text
 
@@ -135,6 +139,28 @@ def test_native_compile_timeout_is_error_line(tmp_path, monkeypatch, capsys):
     assert err == f"error: {progs / 't.prog'}: compiler {str(fake)!r} exceeded 0.5 s\n"
 
 
+class FailingBackend:
+    """A backend on which every sample's kernels fail to run."""
+
+    def sweep(self, sp, factors, runs):
+        raise KernelError("kernel exited with 3: ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_label_keeps_the_kernel_error_class(tmp_path, monkeypatch, jobs):
+    """`label` prefixes a sample's failure with its path and keeps its class,
+    in a worker process too, so `cmd_label` can tell a KernelError apart."""
+    monkeypatch.setitem(cli._BACKENDS, "cost", FailingBackend)
+    progs = tmp_path / "p"
+    progs.mkdir()
+    (progs / "t.prog").write_text(PROGRAM_TEXT)
+    args = cli.build_parser().parse_args(["label", "--programs", str(progs), "--jobs", jobs,
+                                          "--out", str(tmp_path / "c.csv")])
+    with pytest.raises(KernelError, match=f"^{re.escape(str(progs / 't.prog'))}: "
+                                          "kernel exited with 3: $"):
+        args.func(args)
+
+
 @pytest.mark.parametrize("body, message", [
     ("a[i0, k] + 1.0", "dangling iterator 'k' in body access to a"),
     ("b[i0, i1] + 1.0", "undeclared buffer 'b'"),
@@ -196,6 +222,17 @@ def test_predict_ignores_unroll_directive(pipeline, tmp_path, capsys):
         assert run_cli("predict", str(unrolled), "--model", str(model)) == 0
     assert [str(w.message) for w in caught] == [unroll_ignored(unrolled)]
     assert capsys.readouterr().out == expected
+
+
+def test_train_on_copies_of_one_sample_is_error_line(tmp_path, capsys):
+    """No column of the training split varies, though the float std of a
+    rescaled load column is not exactly 0."""
+    corpus = tmp_path / "c.csv"
+    save_csv([LabeledSample(extract_features(mmxm(64)), 8)] * 12, str(corpus))
+    assert run_cli("train", "--data", str(corpus), "--out", str(tmp_path / "m.json"),
+                   "--min-per-class", "2") == 2
+    assert capsys.readouterr().err == "error: no feature column varies across the training set\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_baselines_needs_a_model(capsys):

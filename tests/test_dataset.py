@@ -14,7 +14,7 @@ from unroll_tuner.dataset import (
     save_csv,
     split_dataset,
 )
-from unroll_tuner.errors import AllClassesBelowMinimum, HeaderMismatch, MalformedRow, TooFewRows
+from unroll_tuner.errors import UnrollTunerError
 from unroll_tuner.featurize import CSV_HEADER, extract_features
 from unroll_tuner.generator import GenConfig, gen_program, gen_schedules
 from unroll_tuner.schedule import UNROLL_FACTORS, new_schedule
@@ -101,7 +101,7 @@ def test_balance_idempotent():
 
 
 def test_balance_all_below_minimum():
-    with pytest.raises(AllClassesBelowMinimum):
+    with pytest.raises(UnrollTunerError, match="^no class reaches 10 rows"):
         balance_classes([sample(0), sample(2)], 10)
 
 
@@ -129,7 +129,7 @@ def test_split_deterministic_and_partition():
 
 
 def test_split_too_few_rows():
-    with pytest.raises(TooFewRows):
+    with pytest.raises(UnrollTunerError, match="^need at least 10 rows to split, got 9$"):
         split_dataset([sample(0)] * 9, seed=1)
 
 
@@ -194,7 +194,7 @@ def test_csv_bad_label_rejected(tmp_path):
     parts[-1] = "5"
     with open(path, "w") as fh:
         fh.write(lines[0] + "\n" + ",".join(parts) + "\n")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(UnrollTunerError, match=r"^line 2: label 5 not in \(0, 2"):
         load_csv(path)
 
 
@@ -204,7 +204,7 @@ def test_csv_header_mismatch(tmp_path):
     cols[0], cols[1] = cols[1], cols[0]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-    with pytest.raises(HeaderMismatch):
+    with pytest.raises(UnrollTunerError, match="hdr.csv: header does not match the corpus schema$"):
         load_csv(path)
 
 
@@ -217,5 +217,5 @@ def test_csv_non_integer_cell_rejected(tmp_path, column, cell):
     parts[column] = cell
     with open(path, "w") as fh:
         fh.write(lines[0] + "\n" + ",".join(parts) + "\n")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(UnrollTunerError, match="^line 2: invalid literal for int"):
         load_csv(path)

@@ -6,7 +6,7 @@ import pytest
 
 from unroll_tuner.backend import CostModelBackend
 from unroll_tuner.benchmarks import SIZE_CLASSES, benchmark_suite, blur, mmxm, rgb_gray, smm
-from unroll_tuner.errors import EmptyTestSet, NonPositiveTime
+from unroll_tuner.errors import UnrollTunerError
 from unroll_tuner.evaluation import (
     REPORT_HEADER,
     accuracy,
@@ -43,7 +43,7 @@ def test_metric_equal_times():
 
 
 def test_metric_nonpositive_rejected():
-    with pytest.raises(NonPositiveTime):
+    with pytest.raises(UnrollTunerError, match=r"^times must be positive, got \(0\.0, "):
         compute_metrics(0.0, 1.0, 1.0)
 
 
@@ -93,7 +93,7 @@ def test_batched_mlp_accuracy_matches_per_row_predict_class():
 
 
 def test_accuracy_empty_test_set():
-    with pytest.raises(EmptyTestSet):
+    with pytest.raises(UnrollTunerError, match="^accuracy needs a non-empty test set$"):
         accuracy(lambda f: 0, [])
 
 

@@ -8,12 +8,7 @@ import pytest
 
 from conftest import make_program
 from unroll_tuner.benchmarks import blur, mmxm, rgb_gray, smm
-from unroll_tuner.errors import (
-    DepthExceedsMax,
-    DimensionMismatch,
-    EmptyTrainingSet,
-    LabelNotInClassSet,
-)
+from unroll_tuner.errors import UnrollTunerError
 from unroll_tuner.featurize import (
     CSV_HEADER,
     FEATURE_COLUMNS,
@@ -179,7 +174,7 @@ def test_depth_exceeds_max_rejected():
     p = make_program("deep", [(f"i{k}", 2) for k in range(4)], Constant(1.0),
                      tuple(f"i{k}" for k in range(4)), [])
     sp = schedule_program(p, [Tile2(0, 1, 2, 2), Tile2(2, 3, 2, 2)])
-    with pytest.raises(DepthExceedsMax):
+    with pytest.raises(UnrollTunerError, match="^nest depth 8 exceeds 7 after tiling$"):
         extract_features(sp)
 
 
@@ -265,15 +260,34 @@ def test_transform_row_bits_match_transform_matrix(mode):
         got = scaler.transform(row)
         assert got.shape == (scaler.output_width,)
         assert got.tobytes() == scaler.transform_matrix([row])[0].tobytes()
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(UnrollTunerError, match="^expected 45 columns, got 44$"):
         scaler.transform(rows[0, :-1].tolist())
     with pytest.raises(ValueError):
         scaler.transform(rows[:2].tolist())
 
 
 def test_empty_training_set():
-    with pytest.raises(EmptyTrainingSet):
+    with pytest.raises(UnrollTunerError, match="^cannot fit a scaler on an empty training set$"):
         fit_scaler([])
+
+
+@pytest.mark.parametrize("mode", list(ScalerMode))
+def test_column_whose_values_all_agree_is_dropped(mode):
+    """Copies of one sample: a rescaled load column's float std is not
+    exactly 0, but its extremes agree, so it is dropped in both modes."""
+    row = extract_features(mmxm(64)).to_list()
+    rows = [row[:-1] + [k % 2] for k in range(12)]      # only the last column varies
+    assert np.std(np.array(rows, dtype=np.float64)[:, 8] / RESCALE_DIVISOR) != 0.0
+    scaler = fit_scaler(rows, mode)
+    assert scaler.output_width == 1
+    assert scaler.dropped_columns == tuple(range(len(FEATURE_COLUMNS) - 1))
+
+
+def test_no_varying_column_is_an_error():
+    row = extract_features(mmxm(64)).to_list()
+    for mode in ScalerMode:
+        with pytest.raises(UnrollTunerError, match="^no feature column varies"):
+            fit_scaler([row] * 12, mode)
 
 
 # --- CSV rows ------------------------------------------------------------------------
@@ -310,5 +324,5 @@ def test_encode_parse_roundtrip(matmul4):
 
 
 def test_label_not_in_class_set(matmul4):
-    with pytest.raises(LabelNotInClassSet):
+    with pytest.raises(UnrollTunerError, match=r"^label 5 not in \(0, 2, 4"):
         encode_csv_row(extract_features(matmul4), 5)

@@ -14,13 +14,7 @@ import pytest
 
 from unroll_tuner import mlp
 from unroll_tuner.dataset import LabeledSample, SplitDataset
-from unroll_tuner.errors import (
-    CorruptFile,
-    DimensionMismatch,
-    EmptySplit,
-    FormatVersionMismatch,
-    ModelNotTrained,
-)
+from unroll_tuner.errors import UnrollTunerError
 from unroll_tuner.featurize import (
     FEATURE_COLUMNS,
     RESCALE_DIVISOR,
@@ -153,7 +147,7 @@ def test_infer_mode_repeatable():
 
 def test_forward_dimension_mismatch():
     m = toy_model(4)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(UnrollTunerError, match="^batch width 5 != input width 4$"):
         forward(m, np.zeros((2, 5)))
 
 
@@ -530,7 +524,7 @@ def test_empty_split_rejected():
     split = SplitDataset(train=[], valid=[], test=[])
     m = toy_model(2)
     m.scaler = fit_scaler([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(EmptySplit):
+    with pytest.raises(UnrollTunerError, match="^train and valid splits must be non-empty$"):
         train(m, split)
 
 
@@ -803,10 +797,12 @@ def _trained_toy(width=4, hidden=(6, 5), seed=8):
 
 def test_predict_class_width_checks():
     m, _ = _trained_toy()
-    with pytest.raises(DimensionMismatch):             # the scaler's column count
+    # the scaler's column count
+    with pytest.raises(UnrollTunerError, match="^expected 4 columns, got 5$"):
         predict_class(m, Point((0.0,) * 5))
     m.scaler = fit_scaler([[1.0, 2.0, 3.0], [2.0, 0.0, 1.0]])
-    with pytest.raises(DimensionMismatch):             # the scaler's output, the model's input
+    # the scaler's output, the model's input
+    with pytest.raises(UnrollTunerError, match="^batch width 3 != input width 4$"):
         predict_class(m, Point((0.5, 0.5, 0.5)))
 
 
@@ -828,7 +824,7 @@ def test_prediction_reads_statistics_written_in_place():
 def test_predict_requires_training():
     m = toy_model(2)
     m.scaler = identity_scaler(2)
-    with pytest.raises(ModelNotTrained):
+    with pytest.raises(UnrollTunerError, match="^model has not been trained$"):
         predict_class(m, Point((0.0, 0.0)))
 
 
@@ -884,17 +880,17 @@ def test_tampered_model_rejected(tmp_path):
     header, payload = _read_model_file(path)
     header["layer_dims"][1] = 99
     _write_model_file(path, header, payload)
-    with pytest.raises(CorruptFile):
+    with pytest.raises(UnrollTunerError, match=r"m.json: a payload of \d+ bytes, layer_dims"):
         load_model(path)
 
     header["format_version"] = MODEL_FORMAT_VERSION + 1
     _write_model_file(path, header, payload)
-    with pytest.raises(FormatVersionMismatch):
+    with pytest.raises(UnrollTunerError, match="m.json: format 4, expected 3$"):
         load_model(path)
 
     with open(path, "w") as fh:
         fh.write("not json at all {")
-    with pytest.raises(CorruptFile):
+    with pytest.raises(UnrollTunerError, match=r"m.json: not a model file \("):
         load_model(path)
 
 
@@ -930,44 +926,67 @@ def _write_payload(tmp_path, mutate):
     return path
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda header: header.update(layer_dims=[3, 2.5, 2, 7]),
-    lambda header: header.update(classes=[0, 2]),
-    lambda header: header.update(classes=[0] * 7),
-    lambda header: header.update(classes=[0, 2, 4, 8, 16, 32, 3]),
-    lambda header: header.update(classes=[64, 32, 16, 8, 4, 2, 0]),
-    lambda header: header.update(classes=[0.0, 2, 4, 8, 16, 32, 64]),
-    lambda header: header.update(trained="false"),
-    lambda header: header.update(dropout_rates=[0.0]),
-    lambda header: header.update(dropout_rates=[0.1, 1.0]),
-    lambda header: header.update(dropout_rates=[-0.1, 0.0]),
-    lambda header: header.update(dropout_rates=[float("nan"), 0.0]),
-    lambda header: header.update(dropout_rates=["0.1", 0.0]),
-    lambda header: header.update(dropout_rates=[True, 0.0]),
-    lambda header: header.update(bn_eps=-1),
-    lambda header: header.update(bn_eps=0.0),
-    lambda header: header.update(bn_momentum=0.5),
-    lambda header: header.pop("bn_momentum"),
-    lambda header: header["scaler"].update(stat_b=[1.0, 1.0]),
-    lambda header: header["scaler"].update(stat_a=["0.0", 0.0, 0.0]),
-    lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4,
-                                           dropped_columns=[4]),
-    lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4,
-                                           dropped_columns=[-1]),
-    lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4,
-                                           dropped_columns=[1, 1]),
-    lambda header: header["scaler"].update(rescaled_columns=[3]),
-    lambda header: header["scaler"].update(rescaled_columns=[1.0]),
-    lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4),
-], ids=["fractional-dim", "too-few-classes", "repeated-class", "foreign-class",
-        "classes-reordered", "class-float", "trained-string",
-        "dropout-count", "dropout-one", "dropout-negative", "dropout-nan", "dropout-string",
-        "dropout-bool", "bn-eps-negative", "bn-eps-zero", "bn-momentum-other",
-        "bn-momentum-missing", "scaler-stat-b-short", "scaler-stat-string",
-        "scaler-dropped-out-of-range", "scaler-dropped-negative", "scaler-dropped-twice",
-        "scaler-rescaled-out-of-range", "scaler-rescaled-float", "scaler-width-not-input"])
-def test_header_that_contradicts_itself_is_corrupt_file(tmp_path, mutate):
-    with pytest.raises(CorruptFile):
+@pytest.mark.parametrize("mutate, message", [
+    pytest.param(lambda header: header.update(layer_dims=[3, 2.5, 2, 7]),
+                 r"layer_dims \[3, 2.5, 2, 7\] are not", id="fractional-dim"),
+    pytest.param(lambda header: header.update(classes=[0, 2]),
+                 r"classes \[0, 2\] are not", id="too-few-classes"),
+    pytest.param(lambda header: header.update(classes=[0] * 7),
+                 r"classes \[0, 0, 0, 0, 0, 0, 0\] are not", id="repeated-class"),
+    pytest.param(lambda header: header.update(classes=[0, 2, 4, 8, 16, 32, 3]),
+                 r"classes \[0, 2, 4, 8, 16, 32, 3\] are not", id="foreign-class"),
+    pytest.param(lambda header: header.update(classes=[64, 32, 16, 8, 4, 2, 0]),
+                 r"classes \[64, 32, 16, 8, 4, 2, 0\] are not", id="classes-reordered"),
+    pytest.param(lambda header: header.update(classes=[0.0, 2, 4, 8, 16, 32, 64]),
+                 r"classes \[0.0, 2, 4, 8, 16, 32, 64\] are not", id="class-float"),
+    pytest.param(lambda header: header.update(trained="false"),
+                 "trained 'false' is not a JSON boolean", id="trained-string"),
+    pytest.param(lambda header: header.update(dropout_rates=[0.0]),
+                 "1 dropout rates for 2 hidden layers", id="dropout-count"),
+    pytest.param(lambda header: header.update(dropout_rates=[0.1, 1.0]),
+                 r"dropout rates \[0.1, 1.0\] do not all lie", id="dropout-one"),
+    pytest.param(lambda header: header.update(dropout_rates=[-0.1, 0.0]),
+                 r"dropout rates \[-0.1, 0.0\] do not all lie", id="dropout-negative"),
+    pytest.param(lambda header: header.update(dropout_rates=[float("nan"), 0.0]),
+                 r"dropout rates \[nan, 0.0\] do not all lie", id="dropout-nan"),
+    pytest.param(lambda header: header.update(dropout_rates=["0.1", 0.0]),
+                 r"dropout rates \['0.1', 0.0\] do not all lie", id="dropout-string"),
+    pytest.param(lambda header: header.update(dropout_rates=[True, 0.0]),
+                 r"dropout rates \[True, 0.0\] do not all lie", id="dropout-bool"),
+    pytest.param(lambda header: header.update(bn_eps=-1),
+                 "bn_eps -1 is not 1e-05", id="bn-eps-negative"),
+    pytest.param(lambda header: header.update(bn_eps=0.0),
+                 "bn_eps 0.0 is not 1e-05", id="bn-eps-zero"),
+    pytest.param(lambda header: header.update(bn_momentum=0.5),
+                 "bn_momentum 0.5 is not 0.9", id="bn-momentum-other"),
+    pytest.param(lambda header: header.pop("bn_momentum"),
+                 "'bn_momentum'$", id="bn-momentum-missing"),
+    pytest.param(lambda header: header["scaler"].update(stat_b=[1.0, 1.0]),
+                 "3 stat_a values but 2 stat_b values", id="scaler-stat-b-short"),
+    pytest.param(lambda header: header["scaler"].update(stat_a=["0.0", 0.0, 0.0]),
+                 "scaler statistics must be numbers", id="scaler-stat-string"),
+    pytest.param(lambda header: header["scaler"].update(stat_a=[float("nan"), 0.0, 0.0]),
+                 "scaler statistics must be finite", id="scaler-stat-nan"),
+    pytest.param(lambda header: header["scaler"].update(stat_b=[1.0, float("inf"), 1.0]),
+                 "scaler statistics must be finite", id="scaler-stat-infinite"),
+    pytest.param(lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4,
+                                                        dropped_columns=[4]),
+                 r"dropped_columns \[4\] are not distinct", id="scaler-dropped-out-of-range"),
+    pytest.param(lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4,
+                                                        dropped_columns=[-1]),
+                 r"dropped_columns \[-1\] are not distinct", id="scaler-dropped-negative"),
+    pytest.param(lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4,
+                                                        dropped_columns=[1, 1]),
+                 r"dropped_columns \[1, 1\] are not distinct", id="scaler-dropped-twice"),
+    pytest.param(lambda header: header["scaler"].update(rescaled_columns=[3]),
+                 r"rescaled_columns \[3\] are not distinct", id="scaler-rescaled-out-of-range"),
+    pytest.param(lambda header: header["scaler"].update(rescaled_columns=[1.0]),
+                 r"rescaled_columns \[1.0\] are not distinct", id="scaler-rescaled-float"),
+    pytest.param(lambda header: header["scaler"].update(stat_a=[0.0] * 4, stat_b=[1.0] * 4),
+                 "a scaler of 4 columns for 3 inputs", id="scaler-width-not-input"),
+])
+def test_header_that_contradicts_itself_is_corrupt_file(tmp_path, mutate, message):
+    with pytest.raises(UnrollTunerError, match=f"m.json: {message}"):
         load_model(_write_payload(tmp_path, mutate))
 
 
@@ -978,7 +997,7 @@ def test_output_width_other_than_the_class_count_is_corrupt_file(tmp_path):
                      dropout_rates=(0.0,))
     path = str(tmp_path / "m.json")
     save_model(m, path)
-    with pytest.raises(CorruptFile, match="6 outputs for 7 classes"):
+    with pytest.raises(UnrollTunerError, match="m.json: 6 outputs for 7 classes$"):
         load_model(path)
 
 
@@ -986,7 +1005,7 @@ def test_v1_model_file_rejected(tmp_path):
     def to_v1(payload):
         payload["format_version"] = 1
         payload["layers"] = [{"w": [[0.0] * 2] * 3, "b": [0.0] * 2}]
-    with pytest.raises(FormatVersionMismatch):
+    with pytest.raises(UnrollTunerError, match="m.json: format 1, expected 3$"):
         load_model(_write_payload(tmp_path, to_v1))
 
 
@@ -1002,7 +1021,7 @@ def test_v2_model_file_rejected(tmp_path):
     header["layers"] = [{name: "AAAAAAAAAAA=" for name in ("w", "b")}]
     with open(path, "w") as fh:
         json.dump(header, fh)
-    with pytest.raises(FormatVersionMismatch, match=r"format 2\b.*expected 3\b"):
+    with pytest.raises(UnrollTunerError, match="m.json: format 2, expected 3$"):
         load_model(path)
 
 
@@ -1024,7 +1043,7 @@ def test_bad_weight_string_is_corrupt_file(tmp_path, bad):
         head, _, body = fh.read().partition(b"\n")
     with open(path, "wb") as fh:
         fh.write(bad(head, body))
-    with pytest.raises(CorruptFile):
+    with pytest.raises(UnrollTunerError, match="m.json: (a payload of|not a model file)"):
         load_model(path)
 
 
@@ -1086,5 +1105,5 @@ def test_scaler_missing_key_is_corrupt_file(tmp_path, key):
     def mutate(payload):
         assert list(payload["scaler"]) == SCALER_KEYS       # saved in field order
         del payload["scaler"][key]
-    with pytest.raises(CorruptFile):
+    with pytest.raises(UnrollTunerError, match=f"m.json: '{key}'$"):
         load_model(_write_payload(tmp_path, mutate))
