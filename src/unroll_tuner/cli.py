@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import multiprocessing
 import os
 import sys
@@ -208,9 +209,9 @@ def cmd_label(args) -> int:
 def _prepare_data(args, mode: ScalerMode):
     """Corpus CSV -> class-balanced rows -> split, plus a scaler fitted on
     the training rows (shared by `train` and `baselines`)."""
-    rows = balance_classes(load_csv(args.data), args.min_per_class, seed=args.seed)
-    split = split_dataset(rows, seed=args.seed)
-    return split, fit_scaler([r.features.to_list() for r in split.train], mode)
+    corpus = balance_classes(load_csv(args.data), args.min_per_class, seed=args.seed)
+    split = split_dataset(corpus, seed=args.seed)
+    return split, fit_scaler(split.train.x, mode)
 
 
 def cmd_train(args) -> int:
@@ -249,12 +250,12 @@ def cmd_baselines(args) -> int:
             f"--seed and --min-per-class that `train` was given")
     neural = accuracy(model, split.test)
     del model       # the weights need not stay resident while the baselines fit
-    x_train = scaler.transform_matrix([r.features.to_list() for r in split.train])
-    y_train = [r.label for r in split.train]
+    x_train = scaler.transform_matrix(split.train.x)
+    y_train = split.train.y
     knn_cfg = KnnConfig(k=min(args.k, len(y_train)))
     tree = tree_fit(x_train, y_train, TreeConfig(max_depth=args.max_depth))
 
-    x_test = scaler.transform_matrix([r.features.to_list() for r in split.test])
+    x_test = scaler.transform_matrix(split.test.x)
     # blocks of test rows whose (rows, train rows, features) difference
     # tensor holds about 2**20 values
     block = max(1, (1 << 20) // x_train.size)
@@ -264,8 +265,8 @@ def cmd_baselines(args) -> int:
 
     entries = [
         ("neural network", neural),
-        ("knn", hit_rate(by_knn, split.test)),
-        ("decision tree", hit_rate([tree_predict(tree, q) for q in x_test], split.test)),
+        ("knn", hit_rate(by_knn, split.test.y)),
+        ("decision tree", hit_rate([tree_predict(tree, q) for q in x_test], split.test.y)),
     ]
     print(accuracy_table(entries))
     return 0
@@ -327,7 +328,11 @@ def _add_shared(sub: argparse.ArgumentParser, *flags: str) -> None:
         sub.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call and then reused:
+    building it takes a millisecond or two, some forty parses' worth, and
+    parsing leaves it unchanged."""
     parser = _Parser(prog="unroll-tuner",
                      description="loop-unrolling factor autotuner")
     commands = parser.add_subparsers(dest="command", required=True)

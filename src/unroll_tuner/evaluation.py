@@ -24,27 +24,27 @@ def compute_metrics(predit: float, optimal: float, sans: float) -> tuple[float, 
     return optimal / predit, sans / predit
 
 
-def accuracy(model, test_rows) -> float:
-    """Fraction of rows whose predicted factor equals the label.
+def accuracy(model, test) -> float:
+    """Fraction of the rows of `test`, a `dataset.Corpus`, whose predicted
+    factor equals the label.
 
     `model` is either a trained MlpModel, which scores every row in one
-    batched pass, or any callable FeatureVector -> factor.
+    batched pass, or any callable raw feature row -> factor.
     """
-    rows = list(test_rows)
-    if not rows:
+    if not len(test):
         raise UnrollTunerError("accuracy needs a non-empty test set")
     if callable(model):
-        predicted = [model(row.features) for row in rows]
+        predicted = [model(row) for row in test.x]
     else:
-        probs = predict_probs(model, [row.features.to_list() for row in rows])
+        probs = predict_probs(model, test.x)
         predicted = [UNROLL_FACTORS[i] for i in probs.argmax(axis=1)]
-    return hit_rate(predicted, rows)
+    return hit_rate(predicted, test.y)
 
 
-def hit_rate(predicted, rows) -> float:
-    """Fraction of `rows` whose label equals the factor predicted for it,
+def hit_rate(predicted, labels) -> float:
+    """Fraction of `labels` equal to the factor predicted for that row,
     `predicted` being in row order."""
-    return sum(1 for p, row in zip(predicted, rows, strict=True) if p == row.label) / len(rows)
+    return sum(1 for p, label in zip(predicted, labels, strict=True) if p == label) / len(labels)
 
 
 @dataclass(frozen=True)

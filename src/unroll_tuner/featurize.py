@@ -72,13 +72,6 @@ class FeatureVector:
                 values.extend(getattr(self, name))
         return values
 
-    @classmethod
-    def from_list(cls, values) -> "FeatureVector":
-        if len(values) != len(FEATURE_COLUMNS):
-            raise ValueError(f"expected {len(FEATURE_COLUMNS)} values, got {len(values)}")
-        return cls(**{name: values[start] if width == 1 else tuple(values[start:start + width])
-                      for name, start, width in _LAYOUT})
-
 
 def _layout() -> tuple[tuple[tuple[str, int, int], ...], tuple[str, ...]]:
     """(field name, first column, width) per field, and the column names."""
@@ -239,12 +232,11 @@ class Scaler:
         return self._scale(x)
 
 
-def fit_scaler(train_rows, mode: ScalerMode = ScalerMode.Standardize) -> Scaler:
-    rows = list(train_rows)
-    if not rows:
+def fit_scaler(train_x, mode: ScalerMode = ScalerMode.Standardize) -> Scaler:
+    """Fit on `train_x`, the training rows' raw features (rows x columns)."""
+    x = np.array(train_x, dtype=np.float64)
+    if not len(x):
         raise UnrollTunerError("cannot fit a scaler on an empty training set")
-    x = np.asarray(rows, dtype=np.float64)
-    x = x.copy()
     rescale = tuple(c for c in RESCALE_COLUMNS if c < x.shape[1])
     x[:, rescale] /= RESCALE_DIVISOR
     lo, hi = x.min(axis=0), x.max(axis=0)
@@ -272,14 +264,3 @@ def encode_csv_row(fv: FeatureVector, label: int) -> str:
     if label not in UNROLL_FACTORS:
         raise UnrollTunerError(f"label {label} not in {UNROLL_FACTORS}")
     return ",".join(map(str, fv.to_list() + [label]))
-
-
-def parse_csv_row(text: str) -> tuple[FeatureVector, int]:
-    parts = text.strip().split(",")
-    if len(parts) != len(FEATURE_COLUMNS) + 1:
-        raise ValueError(f"expected {len(FEATURE_COLUMNS) + 1} fields, got {len(parts)}")
-    # every cell is an integer; int() raises ValueError on any other text
-    label = int(parts[-1])
-    if label not in UNROLL_FACTORS:
-        raise UnrollTunerError(f"label {parts[-1]} not in {UNROLL_FACTORS}")
-    return FeatureVector.from_list([int(v) for v in parts[:-1]]), label

@@ -307,7 +307,7 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
             masks.append(helper.submit(_dropout_mask, dropout_rng,
                                        np.empty((x.shape[0], width)), rate)
                          if rate > 0.0 else None)
-        cache = {"inputs": [], "xhat": [], "std": [], "relu": [], "mask": []}
+        cache = {"inputs": [], "xhat": [], "std": [], "mask": []}
         a = x
         for k, layer in enumerate(m.layers[:-1]):
             z = a @ layer.w
@@ -326,13 +326,12 @@ def forward(m: MlpModel, batch: np.ndarray, train: bool = False,
             xhat /= std
             h = np.multiply(xhat, layer.gamma, out=z)
             h += layer.beta
-            a = np.maximum(h, 0.0)
+            a = np.maximum(h, 0.0, out=h)
             mask = masks[k].result() if masks[k] else None
             if mask is not None:
                 a *= mask
             cache["xhat"].append(xhat)
             cache["std"].append(std)
-            cache["relu"].append(h)
             cache["mask"].append(mask)
         cache["inputs"].append(a)
         logits = a @ m.layers[-1].w
@@ -387,7 +386,9 @@ def loss_and_gradients(m: MlpModel, batch: np.ndarray, one_hot: np.ndarray,
                 dh = dz @ m.layers[k + 1].w.T          # d loss / d a, then / d h
                 if cache["mask"][k] is not None:
                     dh *= cache["mask"][k]
-                dh *= cache["relu"][k] > 0.0
+                # the layer's output is positive where h is and the mask is
+                # not 0, and where the mask is 0, dh already is
+                dh *= cache["inputs"][k + 1] > 0.0
                 xhat, std = cache["xhat"][k], cache["std"][k]
                 t = dh * xhat
                 np.sum(t, axis=0, out=grads[k]["gamma"])
@@ -452,19 +453,22 @@ def adam_step(params: np.ndarray, state: AdamState, t: int,
     `train`) from the gradient in `state.grad`, which it uses up as scratch.
     A zero gradient leaves an element's bits as they are.
 
-    The flat buffers are updated in slices of ADAM_CHUNK elements, so the
-    scratch arrays stay small and each slice's arrays stay in cache.  Every
-    other slice goes to `helper` (inline when None), with its own scratch;
-    all of them are done when this returns.
+    The flat buffers are updated in an even number of equal slices (within
+    one element) of at most ADAM_CHUNK elements, so the scratch arrays stay
+    small and each slice's arrays stay in cache.  Every other slice goes to
+    `helper` (inline when None), with its own scratch, so each thread gets
+    half the work; all of them are done when this returns.
     """
     if t < 1:
         raise ValueError("ADAM step counter starts at 1")
     helper = helper or _INLINE
+    n = 2 * -(-params.size // (2 * ADAM_CHUNK))
+    bounds = [params.size * k // n for k in range(n + 1)]
     chunks = []
-    for start in range(0, params.size, ADAM_CHUNK):
-        part = slice(start, start + ADAM_CHUNK)
+    for k, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        part = slice(start, stop)
         chunks.append((params[part], state.grad[part], state.m[part], state.v[part], t,
-                       state.scratch[len(chunks) % 2, :params[part].size]))
+                       state.scratch[k % 2, :stop - start]))
     updates = []
     try:
         for args in chunks[1::2]:       # submitted first, so both threads start at once
@@ -493,7 +497,8 @@ def _evaluate(m: MlpModel, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 
 def train(m: MlpModel, split, cfg: TrainConfig | None = None):
-    """Fit on split.train with early stopping on split.valid.
+    """Fit on split.train with early stopping on split.valid, each a
+    `dataset.Corpus` of raw feature rows.
 
     Returns (model, history); the model carries the parameters of the epoch
     with the lowest validation loss, not the last one.  The scaler must
@@ -514,15 +519,15 @@ def train(m: MlpModel, split, cfg: TrainConfig | None = None):
     (the validation split scored after the epoch).
     """
     cfg = cfg or TrainConfig()
-    if not split.train or not split.valid:
+    if not len(split.train) or not len(split.valid):
         raise UnrollTunerError("train and valid splits must be non-empty")
     if m.scaler is None:
         raise UnrollTunerError("attach a fitted scaler before training")
 
-    x_train = m.scaler.transform_matrix([r.features.to_list() for r in split.train])
-    y_train = one_hot([r.label for r in split.train])
-    x_valid = m.scaler.transform_matrix([r.features.to_list() for r in split.valid])
-    y_valid = one_hot([r.label for r in split.valid])
+    x_train = m.scaler.transform_matrix(split.train.x)
+    y_train = one_hot(split.train.y)
+    x_valid = m.scaler.transform_matrix(split.valid.x)
+    y_valid = one_hot(split.valid.y)
     if x_train.shape[1] != m.input_width:
         raise UnrollTunerError(
             f"scaler emits {x_train.shape[1]} columns, model expects {m.input_width}")

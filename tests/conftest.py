@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from unroll_tuner.dataset import Corpus
 from unroll_tuner.ir import (
     Access,
     BinOp,
@@ -77,3 +79,10 @@ def chain_body(n_loads: int, buffer: str = "a"):
     for _ in range(n_loads - 1):
         expr = BinOp(BinOpKind.Add, expr, load(buffer, "i0"))
     return expr
+
+
+def corpus_of(samples) -> Corpus:
+    """The in-memory Corpus of `samples`, each with `features` (anything with
+    `to_list`, a FeatureVector or a test's own point) and `label`, in order."""
+    return Corpus(x=np.array([s.features.to_list() for s in samples]),
+                  y=np.array([s.label for s in samples]))

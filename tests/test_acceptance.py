@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from conftest import corpus_of
 from unroll_tuner.backend import CostModelBackend
 from unroll_tuner.baselines import KnnConfig, accuracy_table, knn_predict, tree_fit, tree_predict
 from unroll_tuner.cli import main as cli_main
@@ -188,8 +189,8 @@ def test_criterion_06_learning_sanity_synthetic():
             Point((10 * math.cos(angle) + rng.uniform(-0.5, 0.5),
                    10 * math.sin(angle) + rng.uniform(-0.5, 0.5))),
             UNROLL_FACTORS[cls]))
-    split = split_dataset(rows, seed=6)
-    scaler = fit_scaler([r.features.to_list() for r in split.train])
+    split = split_dataset(corpus_of(rows), seed=6)
+    scaler = fit_scaler(split.train.x)
     model = init_model(scaler.output_width, seed=6)
     model.scaler = scaler
     model, history = train(model, split, TrainConfig(seed=6, max_epochs=40))
@@ -214,9 +215,9 @@ def test_criterion_07_above_chance_on_realistic_task():
         for sp in schedules:
             rows.append(label_sample(sp, backend))
     assert len(rows) >= 2000
-    rows = balance_classes(rows, 5, seed=77)
+    rows = balance_classes(corpus_of(rows), 5, seed=77)
     split = split_dataset(rows, seed=77)
-    scaler = fit_scaler([r.features.to_list() for r in split.train])
+    scaler = fit_scaler(split.train.x)
     model = init_model(scaler.output_width, seed=77)
     model.scaler = scaler
     model, _ = train(model, split, TrainConfig(seed=77, max_epochs=30))
@@ -277,19 +278,19 @@ def test_criterion_10_baseline_parity():
     for p, schedules in generate(GenConfig(seed=55), 120):
         for sp in schedules:
             rows.append(label_sample(sp, backend))
-    rows = balance_classes(rows, 5, seed=55)
+    rows = balance_classes(corpus_of(rows), 5, seed=55)
     split = split_dataset(rows, seed=55)
-    scaler = fit_scaler([r.features.to_list() for r in split.train])
-    x_train = scaler.transform_matrix([r.features.to_list() for r in split.train])
-    y_train = [r.label for r in split.train]
+    scaler = fit_scaler(split.train.x)
+    x_train = scaler.transform_matrix(split.train.x)
+    y_train = split.train.y
 
     knn_cfg = KnnConfig(k=5)
     tree = tree_fit(x_train, y_train)
     knn_acc = accuracy(
-        lambda fv: knn_predict(x_train, y_train, knn_cfg, scaler.transform(fv.to_list())),
+        lambda row: knn_predict(x_train, y_train, knn_cfg, scaler.transform(row)),
         split.test)
     tree_acc = accuracy(
-        lambda fv: tree_predict(tree, scaler.transform(fv.to_list())), split.test)
+        lambda row: tree_predict(tree, scaler.transform(row)), split.test)
 
     model = init_model(scaler.output_width, seed=55)
     model.scaler = scaler

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from conftest import corpus_of
 from unroll_tuner.backend import CostModelBackend
 from unroll_tuner.benchmarks import SIZE_CLASSES, benchmark_suite, blur, mmxm, rgb_gray, smm
 from unroll_tuner.errors import UnrollTunerError
@@ -17,7 +19,7 @@ from unroll_tuner.evaluation import (
     run_benchmarks,
 )
 from unroll_tuner.featurize import extract_features
-from unroll_tuner.dataset import LabeledSample, label_sample, split_dataset
+from unroll_tuner.dataset import Corpus, label_sample, split_dataset
 from unroll_tuner.featurize import fit_scaler
 from unroll_tuner.generator import GenConfig, generate
 from unroll_tuner.mlp import TrainConfig, init_model, predict_class, predict_probs, train
@@ -47,54 +49,58 @@ def test_metric_nonpositive_rejected():
         compute_metrics(0.0, 1.0, 1.0)
 
 
+def labeled(labels) -> Corpus:
+    """A Corpus of the given labels whose feature rows are their indices."""
+    return Corpus(x=np.arange(len(labels)).reshape(-1, 1), y=np.array(labels))
+
+
 def test_accuracy_all_correct(matmul4):
-    fv = extract_features(matmul4)
-    rows = [LabeledSample(fv, 8)] * 5
+    row = extract_features(matmul4).to_list()
+    rows = Corpus(x=np.array([row] * 5), y=np.full(5, 8))
     assert accuracy(lambda f: 8, rows) == 1.0
 
 
 def test_accuracy_constant_predictor_balanced():
-    fv = object()
-    rows = [LabeledSample(fv, u) for u in UNROLL_FACTORS for _ in range(3)]
+    rows = labeled([u for u in UNROLL_FACTORS for _ in range(3)])
     assert accuracy(lambda f: 4, rows) == pytest.approx(1 / 7)
 
 
 def test_accuracy_matches_hand_count():
-    rows = [LabeledSample(None, u) for u in
-            [0, 2, 2, 4, 8, 8, 8, 16, 32, 64, 0, 2, 4, 8, 16, 32, 64, 0, 2, 4]]
-    preds = iter([0, 2, 4, 4, 8, 2, 8, 16, 32, 0, 0, 0, 4, 8, 16, 64, 64, 2, 2, 8])
-    predict = lambda fv: next(preds)
+    rows = labeled([0, 2, 2, 4, 8, 8, 8, 16, 32, 64, 0, 2, 4, 8, 16, 32, 64, 0, 2, 4])
+    preds = [0, 2, 4, 4, 8, 2, 8, 16, 32, 0, 0, 0, 4, 8, 16, 64, 64, 2, 2, 8]
+    predict = lambda row: preds[row[0]]      # each row is called with its own features
     # hand count: positions 0,1,3,4,6,7,8,10,12,13,14,16,18 correct = 13
     assert accuracy(predict, rows) == pytest.approx(13 / 20)
 
 
 def test_hit_rate_pairs_predictions_with_rows_in_order():
-    rows = [LabeledSample(None, u) for u in (0, 2, 4, 8)]
-    assert hit_rate([0, 4, 4, 2], rows) == 0.5
+    labels = [0, 2, 4, 8]
+    assert hit_rate([0, 4, 4, 2], labels) == 0.5
+    assert hit_rate(np.array([0, 4, 4, 2]), np.array(labels)) == 0.5
     with pytest.raises(ValueError):
-        hit_rate([0, 2, 4], rows)
+        hit_rate([0, 2, 4], labels)
 
 
 def test_batched_mlp_accuracy_matches_per_row_predict_class():
     backend = CostModelBackend()
     rows = [label_sample(sp, backend)
             for _, schedules in generate(GenConfig(seed=31), 60) for sp in schedules]
-    split = split_dataset(rows, seed=31)
-    scaler = fit_scaler([r.features.to_list() for r in split.train])
+    split = split_dataset(corpus_of(rows), seed=31)
+    scaler = fit_scaler(split.train.x)
     model = init_model(scaler.output_width, seed=31)
     model.scaler = scaler
     model, _ = train(model, split, TrainConfig(seed=31, max_epochs=2))
     per_row = [predict_class(model, r.features) for r in rows]
-    batched = predict_probs(model, [r.features.to_list() for r in rows]).argmax(axis=1)
+    batched = predict_probs(model, corpus_of(rows).x).argmax(axis=1)
     assert per_row == [UNROLL_FACTORS[i] for i in batched]
     hits = sum(p == r.label for p, r in zip(per_row, rows))
     assert 0 < hits < len(rows)
-    assert accuracy(model, rows) == hits / len(rows)
+    assert accuracy(model, corpus_of(rows)) == hits / len(rows)
 
 
 def test_accuracy_empty_test_set():
     with pytest.raises(UnrollTunerError, match="^accuracy needs a non-empty test set$"):
-        accuracy(lambda f: 0, [])
+        accuracy(lambda f: 0, labeled([]))
 
 
 def test_suite_has_15_instances():

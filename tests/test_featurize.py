@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_program
+from unroll_tuner.dataset import LabeledSample, load_csv, save_csv
 from unroll_tuner.benchmarks import blur, mmxm, rgb_gray, smm
 from unroll_tuner.errors import UnrollTunerError
 from unroll_tuner.featurize import (
@@ -20,7 +21,6 @@ from unroll_tuner.featurize import (
     encode_csv_row,
     extract_features,
     fit_scaler,
-    parse_csv_row,
 )
 from unroll_tuner.generator import GenConfig, gen_program, gen_schedules
 from unroll_tuner.ir import BinOp, Constant, load_accesses, load_iterator_sets, walk_expr
@@ -316,11 +316,13 @@ def test_encode_final_field_is_label(matmul4):
     assert row.split(",")[-1] == "16"
 
 
-def test_encode_parse_roundtrip(matmul4):
+def test_encode_parse_roundtrip(matmul4, tmp_path):
     fv = extract_features(schedule_program(matmul4, [Tile2(0, 1, 2, 2)]))
-    parsed, label = parse_csv_row(encode_csv_row(fv, 8))
-    assert parsed == fv
-    assert label == 8
+    path = str(tmp_path / "corpus.csv")
+    save_csv([LabeledSample(fv, 8)], path)
+    loaded = load_csv(path)
+    assert loaded.x.tolist() == [fv.to_list()]
+    assert loaded.y.tolist() == [8]
 
 
 def test_label_not_in_class_set(matmul4):

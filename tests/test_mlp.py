@@ -12,8 +12,9 @@ from dataclasses import FrozenInstanceError, dataclass
 import numpy as np
 import pytest
 
+from conftest import corpus_of
 from unroll_tuner import mlp
-from unroll_tuner.dataset import LabeledSample, SplitDataset
+from unroll_tuner.dataset import Corpus, LabeledSample, SplitDataset
 from unroll_tuner.errors import UnrollTunerError
 from unroll_tuner.featurize import (
     FEATURE_COLUMNS,
@@ -81,9 +82,10 @@ def cluster_split(n_rows=200, seed=0, spread=0.4) -> tuple[SplitDataset, Scaler]
     SplitMix64(seed ^ 0xF00).shuffle(rows)
     n_train = round(0.6 * n_rows)
     n_valid = round(0.2 * n_rows)
-    split = SplitDataset(train=rows[:n_train], valid=rows[n_train:n_train + n_valid],
-                         test=rows[n_train + n_valid:])
-    scaler = fit_scaler([r.features.to_list() for r in split.train])
+    split = SplitDataset(train=corpus_of(rows[:n_train]),
+                         valid=corpus_of(rows[n_train:n_train + n_valid]),
+                         test=corpus_of(rows[n_train + n_valid:]))
+    scaler = fit_scaler(split.train.x)
     return split, scaler
 
 
@@ -383,7 +385,7 @@ def _reference_loss_and_gradients(m, batch, one_hot, dropout_rng=None):
         layer = m.layers[k]
         if cache["mask"][k] is not None:
             da = da * cache["mask"][k]
-        dh = da * (cache["relu"][k] > 0.0)
+        dh = da * (cache["xhat"][k] * layer.gamma + layer.beta > 0.0)
         xhat, std = cache["xhat"][k], cache["std"][k]
         grads[k]["gamma"] = (dh * xhat).sum(axis=0)
         grads[k]["beta"] = dh.sum(axis=0)
@@ -500,8 +502,8 @@ def test_early_stopping_returns_best_snapshot():
     m = init_model(scaler.output_width, seed=2, hidden=(16,), dropout=(0.2,))
     m.scaler = scaler
     m, history = train(m, split, TrainConfig(seed=2, max_epochs=60, patience=5))
-    x_valid = scaler.transform_matrix([r.features.to_list() for r in split.valid])
-    y_valid = one_hot([r.label for r in split.valid])
+    x_valid = scaler.transform_matrix(split.valid.x)
+    y_valid = one_hot(split.valid.y)
     from unroll_tuner.mlp import _evaluate
     final_loss, _ = _evaluate(m, x_valid, y_valid)
     assert final_loss == pytest.approx(min(h["valid_loss"] for h in history), abs=1e-12)
@@ -521,7 +523,8 @@ def test_training_deterministic():
 
 
 def test_empty_split_rejected():
-    split = SplitDataset(train=[], valid=[], test=[])
+    empty = Corpus(x=np.empty((0, 2)), y=np.empty(0, dtype=np.int64))
+    split = SplitDataset(train=empty, valid=empty, test=empty)
     m = toy_model(2)
     m.scaler = fit_scaler([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(UnrollTunerError, match="^train and valid splits must be non-empty$"):
@@ -641,7 +644,23 @@ def test_no_helper_work_in_flight_after_a_step(monkeypatch):
         state = AdamState.for_params(m.store)
         done.clear()
         adam_step(m.store, state, 1, helper)
-        assert len(done) == -(-m.store.size // 16)
+        assert len(done) == 2 * -(-m.store.size // 32)      # an even number of slices
+
+
+@pytest.mark.parametrize("chunk", [ADAM_CHUNK, 16, 1])
+def test_adam_slices_split_the_store_evenly(monkeypatch, chunk):
+    """`adam_step` cuts the store into an even number of slices of at most
+    ADAM_CHUNK elements, whose sizes differ by at most one, so the caller
+    and the helper each update half of it."""
+    monkeypatch.setattr(mlp, "ADAM_CHUNK", chunk)
+    m = init_model(38, seed=99) if chunk == ADAM_CHUNK else toy_model(3)
+    sizes = []
+    monkeypatch.setattr(mlp, "adam_update", lambda *args: sizes.append(args[0].size))
+    adam_step(m.store, AdamState.for_params(m.store), 1)
+    assert len(sizes) % 2 == 0 and sum(sizes) == m.store.size
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) <= chunk
+    assert len(sizes) == 2 * -(-m.store.size // (2 * chunk))
+    assert abs(sum(sizes[::2]) - sum(sizes[1::2])) <= len(sizes) // 2
 
 
 def test_helper_task_error_surfaces_in_caller(monkeypatch):
