@@ -87,7 +87,8 @@ class ExecResult:
 
     @property
     def mean_ms(self) -> float:
-        return statistics.fmean(self.per_run_ms)
+        runs = self.per_run_ms
+        return runs[0] if len(runs) == 1 else statistics.fmean(runs)   # fmean((t,)) == t
 
 
 # The cost model's parameters: per-op body cost, per-iteration loop-control
@@ -109,7 +110,7 @@ class CostTerms:
 
     @classmethod
     def of(cls, sp: ScheduledProgram) -> CostTerms:
-        return cls(math.prod(it.extent for it in sp.loops), op_histogram(sp.base).total(),
+        return cls(math.prod([it.extent for it in sp.loops]), op_histogram(sp.base).total(),
                    sp.parallel_level is not None)
 
 
@@ -122,19 +123,27 @@ def cost_model_evaluate(sp: ScheduledProgram, u: int,
     (padded) nest; divided by PARALLEL_DIVISOR when a level is parallelized.
     `terms`, when given, must be `CostTerms.of(sp)`.
     """
-    if u not in UNROLL_FACTORS:
-        raise UnrollTunerError(f"unroll factor {u} not in {UNROLL_FACTORS}")
-    terms = terms or CostTerms.of(sp)
+    return ExecResult(per_run_ms=(_costs(terms or CostTerms.of(sp), (u,))[0],))
+
+
+def _costs(terms: CostTerms, factors) -> list[float]:
+    """The cost of each factor of `factors`, as `cost_model_evaluate` defines it."""
     trips, ops = terms.trips, terms.ops
-    u_eff = max(u, 1)
-    cost = (
-        trips * ops * C_BODY
-        + (trips / u_eff) * C_LOOP
-        + trips * C_ICACHE * max(0, u_eff * ops - ICACHE_CAPACITY)
-    )
-    if terms.parallel:
-        cost /= PARALLEL_DIVISOR
-    return ExecResult(per_run_ms=(cost,))
+    body = trips * ops * C_BODY            # the first term, the same for every u
+    out = []
+    for u in factors:
+        if u not in UNROLL_FACTORS:
+            raise UnrollTunerError(f"unroll factor {u} not in {UNROLL_FACTORS}")
+        u_eff = max(u, 1)
+        cost = (
+            body
+            + (trips / u_eff) * C_LOOP
+            + trips * C_ICACHE * max(0, u_eff * ops - ICACHE_CAPACITY)
+        )
+        if terms.parallel:
+            cost /= PARALLEL_DIVISOR
+        out.append(cost)
+    return out
 
 
 # --- kernel emission ----------------------------------------------------------
@@ -636,8 +645,8 @@ class CostModelBackend:
 
     def sweep(self, sp: ScheduledProgram, factors: tuple[int, ...],
               runs: int = 1) -> dict[int, ExecResult]:
-        terms = CostTerms.of(sp)
-        return {u: self.measure(sp, u, runs, terms) for u in factors}
+        costs = _costs(CostTerms.of(sp), factors)
+        return {u: ExecResult(per_run_ms=(cost,)) for u, cost in zip(factors, costs)}
 
 
 class NativeBackend:

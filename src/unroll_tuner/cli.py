@@ -231,11 +231,11 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     text = read_text(args.program_file)
     try:
-        sp = _schedule_file(args.program_file, text)
+        features = extract_features(_schedule_file(args.program_file, text))
     except UnrollTunerError as exc:
         raise UnrollTunerError(f"{args.program_file}: {exc}") from exc
     model = load_model(args.model)
-    print(f"unroll_factor={predict_class(model, extract_features(sp))}")
+    print(f"unroll_factor={predict_class(model, features)}")
     return 0
 
 

@@ -63,7 +63,8 @@ def sweep_argmin(sp: ScheduledProgram, backend, runs: int = 1) -> tuple[dict[int
     """
     results = backend.sweep(sp, UNROLL_FACTORS, runs)
     timing = {u: results[u].mean_ms for u in UNROLL_FACTORS}
-    return timing, min(UNROLL_FACTORS, key=lambda u: (timing[u], u))
+    # U ascends and `min` keeps the first of equal keys
+    return timing, min(UNROLL_FACTORS, key=timing.__getitem__)
 
 
 def label_sample(sp: ScheduledProgram, backend, runs: int = 1) -> LabeledSample:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,47 +39,65 @@ DTYPE_CODES = {
 RESCALE_DIVISOR = 1000.0
 
 
-def _csv(stem: str, width: int = 1):
-    """A field of `width` CSV columns: `stem` itself, or `<stem>0`.. if wider."""
-    return field(metadata={"stem": stem, "width": width})
+class FeatureVector(NamedTuple):
+    """One corpus row; the fields in order make the CSV columns, all integers.
 
+    A named tuple: one is built per sample, in one step, where a frozen
+    dataclass would set its fields one call at a time."""
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """One corpus row; the fields in order make the CSV columns, all integers."""
-
-    depth: int = _csv("depth")
-    span: tuple[int, ...] = _csv("span", MAX_DEPTH)
-    data_loaded: tuple[int, ...] = _csv("load", MAX_DEPTH)
-    load_count: int = _csv("loads")
-    store_count: int = _csv("stores")
-    leaf_count: int = _csv("leaves")
-    add_count: int = _csv("add")
-    sub_count: int = _csv("sub")
-    mul_count: int = _csv("mul")
-    div_count: int = _csv("div")
-    dtype_flag: int = _csv("dtype")
-    tile_applied: tuple[int, ...] = _csv("tile", MAX_DEPTH)
-    tile_factor: tuple[int, ...] = _csv("tilef", MAX_DEPTH)
-    interchange_applied: int = _csv("interch")
-    parallel_flag: tuple[int, ...] = _csv("par", MAX_DEPTH)
+    depth: int
+    span: tuple[int, ...]               # the tuples hold one value per loop level
+    data_loaded: tuple[int, ...]
+    load_count: int
+    store_count: int
+    leaf_count: int
+    add_count: int
+    sub_count: int
+    mul_count: int
+    div_count: int
+    dtype_flag: int
+    tile_applied: tuple[int, ...]
+    tile_factor: tuple[int, ...]
+    interchange_applied: int
+    parallel_flag: tuple[int, ...]
 
     def to_list(self) -> list[int]:
         values = []
-        for name, _, width in _LAYOUT:
-            if width == 1:
-                values.append(getattr(self, name))
+        for value in self:
+            if type(value) is tuple:
+                values += value
             else:
-                values.extend(getattr(self, name))
+                values.append(value)
         return values
+
+
+# The CSV name of each field's columns: the stem itself, or `<stem>0`.. for
+# a field of one value per loop level.
+_CSV_STEMS = {
+    "depth": ("depth", 1),
+    "span": ("span", MAX_DEPTH),
+    "data_loaded": ("load", MAX_DEPTH),
+    "load_count": ("loads", 1),
+    "store_count": ("stores", 1),
+    "leaf_count": ("leaves", 1),
+    "add_count": ("add", 1),
+    "sub_count": ("sub", 1),
+    "mul_count": ("mul", 1),
+    "div_count": ("div", 1),
+    "dtype_flag": ("dtype", 1),
+    "tile_applied": ("tile", MAX_DEPTH),
+    "tile_factor": ("tilef", MAX_DEPTH),
+    "interchange_applied": ("interch", 1),
+    "parallel_flag": ("par", MAX_DEPTH),
+}
 
 
 def _layout() -> tuple[tuple[tuple[str, int, int], ...], tuple[str, ...]]:
     """(field name, first column, width) per field, and the column names."""
     layout, columns = [], []
-    for f in fields(FeatureVector):
-        stem, width = f.metadata["stem"], f.metadata["width"]
-        layout.append((f.name, len(columns), width))
+    for name in FeatureVector._fields:
+        stem, width = _CSV_STEMS[name]
+        layout.append((name, len(columns), width))
         columns += [stem] if width == 1 else [f"{stem}{k}" for k in range(width)]
     return tuple(layout), tuple(columns)
 
@@ -92,65 +111,73 @@ RESCALE_COLUMNS = next(tuple(range(start, start + width))
                        for name, start, width in _LAYOUT if name == "data_loaded")
 
 
-def _pad(values, fill=0) -> tuple:
-    vals = tuple(values)
-    return vals + (fill,) * (MAX_DEPTH - len(vals))
-
-
 def data_loaded_per_level(sp: ScheduledProgram | Program) -> list[int]:
     """Words loaded per loop level of the current (post-transform) nest."""
     if isinstance(sp, Program):
         sp = new_schedule(sp)
-    level_by_name = {it.name: pos for pos, it in enumerate(sp.loops)}
+    loops, exprs = sp.loops, sp.index_exprs
+    bit = {it.name: 1 << level for level, it in enumerate(loops)}
     out = [0] * MAX_DEPTH
     for names, accesses in load_iterator_sets(sp.base):
-        levels = sorted({level_by_name[var] for it_name in names
-                         for var, _ in sp.index_exprs[it_name].terms})
-        # Deepest used level first: `words` becomes the product of the used
-        # extents at or below `level`, and it is what the loads move at
-        # every level from just below the next shallower used one to `level`.
+        used = 0                    # one bit per loop level the loads use
+        for it_name in names:
+            for var, _ in exprs[it_name].terms:
+                used |= bit[var]
+        # Deepest used level first: at each level, `words` is the product of
+        # the used extents at or below it, what the loads move there.
         words = accesses
-        for j in range(len(levels) - 1, -1, -1):
-            level = levels[j]
-            words *= sp.loops[level].extent
-            for lvl in range(levels[j - 1] + 1 if j else 0, level + 1):
-                out[lvl] += words
+        for level in range(used.bit_length() - 1, -1, -1):
+            if used >> level & 1:
+                words *= loops[level].extent
+            out[level] += words
     return out
+
+
+def _program_columns(p: Program) -> tuple[int, ...]:
+    """The columns from `load_count` to `dtype_flag`, which depend on the
+    program alone; computed once per `Program` instance and kept in its
+    `__dict__`, as `op_histogram` is (no field, so == and hash ignore it)."""
+    columns = p.__dict__.get("_feature_columns")
+    if columns is None:
+        hist = op_histogram(p)
+        ops = [hist.ops[kind] for kind in (BinOpKind.Add, BinOpKind.Sub,
+                                           BinOpKind.Mul, BinOpKind.Div)]
+        # every BinOp has two children, so a tree has one more leaf than ops
+        columns = (hist.loads, 1, sum(ops) + 1, *ops, DTYPE_CODES[p.dtype])
+        p.__dict__["_feature_columns"] = columns
+    return columns
+
+
+# `parallel_flag` by the schedule's parallel level
+_PARALLEL_FLAGS = {None: (0,) * MAX_DEPTH, **{
+    level: tuple(int(k == level) for k in range(MAX_DEPTH)) for level in range(MAX_DEPTH)}}
 
 
 def extract_features(sp: ScheduledProgram | Program) -> FeatureVector:
     if isinstance(sp, Program):
         sp = new_schedule(sp)
-    if sp.depth > MAX_DEPTH:
-        raise UnrollTunerError(f"nest depth {sp.depth} exceeds {MAX_DEPTH} after tiling")
-    p = sp.base
-    hist = op_histogram(p)
-    tile_applied = [0] * MAX_DEPTH
-    tile_factor = [0] * MAX_DEPTH
-    for pos, it in enumerate(sp.loops):
-        if it.name in sp.tile_factors:
-            tile_applied[pos] = 1
-            tile_factor[pos] = sp.tile_factors[it.name]
-    parallel = [0] * MAX_DEPTH
-    if sp.parallel_level is not None:
-        parallel[sp.parallel_level] = 1
+    loops = sp.loops
+    depth = len(loops)
+    if depth > MAX_DEPTH:
+        raise UnrollTunerError(f"nest depth {depth} exceeds {MAX_DEPTH} after tiling")
+    pad = (0,) * (MAX_DEPTH - depth)
+    tile_factors = sp.tile_factors
+    if tile_factors:
+        names = [it.name for it in loops]
+        tile_applied = tuple([int(name in tile_factors) for name in names]) + pad
+        tile_factor = tuple([tile_factors.get(name, 0) for name in names]) + pad
+    else:
+        tile_applied = tile_factor = (0,) * MAX_DEPTH
+    # positional, in field order
     return FeatureVector(
-        depth=sp.depth,
-        span=_pad(it.extent for it in sp.loops),
-        data_loaded=tuple(data_loaded_per_level(sp)),
-        load_count=hist.loads,
-        store_count=1,
-        # every BinOp has two children, so a tree has one more leaf than ops
-        leaf_count=sum(hist.ops.values()) + 1,
-        add_count=hist.ops[BinOpKind.Add],
-        sub_count=hist.ops[BinOpKind.Sub],
-        mul_count=hist.ops[BinOpKind.Mul],
-        div_count=hist.ops[BinOpKind.Div],
-        dtype_flag=DTYPE_CODES[p.dtype],
-        tile_applied=tuple(tile_applied),
-        tile_factor=tuple(tile_factor),
-        interchange_applied=int(sp.interchange_applied),
-        parallel_flag=tuple(parallel),
+        depth,
+        tuple([it.extent for it in loops]) + pad,
+        tuple(data_loaded_per_level(sp)),
+        *_program_columns(sp.base),
+        tile_applied,
+        tile_factor,
+        int(sp.interchange_applied),
+        _PARALLEL_FLAGS[sp.parallel_level],
     )
 
 

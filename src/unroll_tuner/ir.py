@@ -17,7 +17,6 @@ which every buffer and constant shares.  An access's role is its position:
 
 from __future__ import annotations
 
-import collections
 import enum
 import functools
 from dataclasses import dataclass, field
@@ -132,8 +131,10 @@ class Program:
 
     @functools.cached_property
     def _load_iterator_sets(self) -> tuple[tuple[frozenset[str], int], ...]:
-        counts = collections.Counter(frozenset(acc.iterator_names)
-                                     for acc in load_accesses(self))
+        counts: dict[frozenset[str], int] = {}
+        for acc in load_accesses(self):
+            names = frozenset(acc.iterator_names)
+            counts[names] = counts.get(names, 0) + 1
         return tuple(counts.items())
 
 
@@ -169,24 +170,26 @@ def validate_program(p: Program) -> ValidationReport:
     """Structural checks; returns a report instead of raising."""
     report = ValidationReport()
     names = [it.name for it in p.iterators]
-    if len(set(names)) != len(names):
+    known = set(names)
+    if len(known) != len(names):
         report.add("duplicate iterator names")
     for it in p.iterators:
         if it.extent < 1:
             report.add(f"non-positive extent: iterator {it.name} [{it.lower}, {it.upper})")
 
+    output = p.output
     ranks = {decl.name: decl.rank for decl in p.inputs}
-    if p.output.buffer in ranks:
-        report.add(f"output buffer {p.output.buffer!r} shadows an input declaration")
+    if output.buffer in ranks:
+        report.add(f"output buffer {output.buffer!r} shadows an input declaration")
     # The output buffer is addressable from the body only as an accumulator.
-    ranks[p.output.buffer] = len(p.output.index_iterators)
+    ranks[output.buffer] = len(output.index_iterators)
 
     def check_access(acc: BufferAccess, where: str) -> None:
         for dim in acc.index_iterators:
             if not dim.iterators:
                 report.add(f"empty subscript in {where} access to {acc.buffer}")
             for it_name in dim.iterators:
-                if it_name not in names:
+                if it_name not in known:
                     report.add(
                         f"dangling iterator {it_name!r} in {where} access to {acc.buffer}")
         if acc.buffer in ranks and len(acc.index_iterators) != ranks[acc.buffer]:
@@ -195,18 +198,18 @@ def validate_program(p: Program) -> ValidationReport:
                 f"indexed with {len(acc.index_iterators)} subscripts"
             )
 
-    check_access(p.output, "output")
+    check_access(output, "output")
     for node in walk_expr(p.body):
         if isinstance(node, Access):
             acc = node.access
             check_access(acc, "body")
-            if acc.buffer == p.output.buffer:
-                if acc.index_iterators != p.output.index_iterators:
+            if acc.buffer == output.buffer:
+                if acc.index_iterators != output.index_iterators:
                     report.add(
                         f"output-buffer load {acc.buffer} must use the output subscript "
                         "(accumulator idiom)"
                     )
-            elif acc.buffer not in {decl.name for decl in p.inputs}:
+            elif acc.buffer not in ranks:      # the inputs, past the output buffer
                 report.add(f"undeclared buffer {acc.buffer!r}")
         elif isinstance(node, BinOp):
             if node.kind is BinOpKind.Div and isinstance(node.right, Constant) \
@@ -242,12 +245,17 @@ def load_iterator_sets(p: Program) -> tuple[tuple[frozenset[str], int], ...]:
     return p._load_iterator_sets
 
 
+_BINOP_KINDS = tuple(BinOpKind)
+
+
 def _count_ops(p: Program) -> OpHistogram:
-    ops = dict.fromkeys(BinOpKind, 0)
+    kinds = []
     loads = 0
     for node in walk_expr(p.body):
         if isinstance(node, BinOp):
-            ops[node.kind] += 1
+            kinds.append(node.kind)
         elif isinstance(node, Access):
             loads += 1
-    return OpHistogram(ops, loads)
+    # `list.count` matches members by identity; counting into a dict would
+    # hash an enum member, in Python, twice per operator
+    return OpHistogram({kind: kinds.count(kind) for kind in _BINOP_KINDS}, loads)

@@ -83,28 +83,27 @@ class AffineExpr:
     terms: tuple[tuple[str, int], ...]
     const: int = 0
 
-    @classmethod
-    def var(cls, name: str, const: int = 0) -> "AffineExpr":
-        return cls(terms=((name, 1),), const=const)
-
-    def coefficients(self) -> dict[str, int]:
-        return dict(self.terms)
-
     def evaluate(self, env: dict[str, int]) -> int:
         return self.const + sum(coef * env[name] for name, coef in self.terms)
 
-    def substitute(self, var: str, outer: str, inner: str, factor: int) -> "AffineExpr":
-        """Replace `var` with factor*outer + inner."""
+    def substitute(self, splits: dict[str, tuple[str, str, int]]) -> "AffineExpr":
+        """Replace each variable v of `splits` with factor*outer + inner,
+        where splits[v] = (outer, inner, factor); no outer or inner name is
+        among the terms' variables.  Returns `self` when no term changes."""
         for name, _ in self.terms:
-            if name == var:
+            if name in splits:
                 break
         else:
             return self
-        coefs = self.coefficients()
-        k = coefs.pop(var)
-        coefs[outer] = coefs.get(outer, 0) + k * factor
-        coefs[inner] = coefs.get(inner, 0) + k
-        return AffineExpr(terms=tuple(sorted(coefs.items())), const=self.const)
+        terms = []
+        for name, coef in self.terms:
+            if name in splits:
+                outer, inner, factor = splits[name]
+                terms += ((outer, coef * factor), (inner, coef))
+            else:
+                terms.append((name, coef))
+        terms.sort()
+        return AffineExpr(tuple(terms), self.const)
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ class ScheduledProgram:
 
     @property
     def interchange_applied(self) -> bool:
-        return any(isinstance(t, Interchange) for t in self.applied)
+        return Interchange in map(type, self.applied)
 
 
 def new_schedule(p: Program) -> ScheduledProgram:
@@ -168,11 +167,18 @@ def new_schedule(p: Program) -> ScheduledProgram:
     ref = p.__dict__.get("_empty_schedule")
     sp = ref() if ref is not None else None
     if sp is None:
-        loops = tuple(Iterator(it.name, 0, it.extent) for it in p.iterators)
-        exprs = {it.name: AffineExpr.var(it.name, const=it.lower) for it in p.iterators}
+        # an iterator that starts at 0 is its own loop
+        loops = tuple(it if it.lower == 0 else Iterator(it.name, 0, it.extent)
+                      for it in p.iterators)
+        exprs = {it.name: AffineExpr(((it.name, 1),), it.lower) for it in p.iterators}
         sp = ScheduledProgram(base=p, loops=loops, index_exprs=exprs)
         p.__dict__["_empty_schedule"] = weakref.ref(sp)
     return sp
+
+
+def _check_level(level: int, depth: int) -> None:
+    if not 0 <= level < depth:
+        raise UnrollTunerError(f"no loop level {level} in a depth-{depth} nest")
 
 
 def _check_tile_factor(f: int) -> None:
@@ -204,25 +210,20 @@ class _Nest:
         self.tile_factors = sp.tile_factors
 
     def freeze(self) -> ScheduledProgram:
-        return ScheduledProgram(
-            base=self.base, applied=tuple(self.applied), loops=tuple(self.loops),
-            index_exprs=self.index_exprs, guards=tuple(self.guards), unroll=self.unroll,
-            parallel_level=self.parallel_level, tile_factors=self.tile_factors)
-
-    def check_level(self, level: int) -> None:
-        if not 0 <= level < len(self.loops):
-            raise UnrollTunerError(f"no loop level {level} in a depth-{len(self.loops)} nest")
+        return ScheduledProgram(       # positional, in field order
+            self.base, tuple(self.applied), tuple(self.loops), self.index_exprs,
+            tuple(self.guards), self.unroll, self.parallel_level, self.tile_factors)
 
     def apply(self, t: Transform) -> None:
         if self.unroll != 0 and not isinstance(t, (Unroll, Parallelize)):
             raise UnrollTunerError("nest transforms cannot follow unroll")
         if isinstance(t, Split):
-            self.split(t.level, t.factor)
+            self.tile((t.level,), (t.factor,))
         elif isinstance(t, Interchange):
             if t.level_a == t.level_b:
                 raise UnrollTunerError("interchange needs two distinct levels")
             for lvl in (t.level_a, t.level_b):
-                self.check_level(lvl)
+                _check_level(lvl, len(self.loops))
             loops = self.loops
             loops[t.level_a], loops[t.level_b] = loops[t.level_b], loops[t.level_a]
         elif isinstance(t, Tile2):
@@ -230,7 +231,7 @@ class _Nest:
         elif isinstance(t, Tile3):
             self.tile((t.level_a, t.level_b, t.level_c), (t.fa, t.fb, t.fc))
         elif isinstance(t, Parallelize):
-            self.check_level(t.level)
+            _check_level(t.level, len(self.loops))
             if self.parallel_level is not None:
                 raise UnrollTunerError("at most one Parallelize per schedule")
             self.parallel_level = t.level
@@ -241,41 +242,50 @@ class _Nest:
             raise UnrollTunerError(f"unknown transform {t!r}")
         self.applied.append(t)
 
-    def split(self, level: int, factor: int) -> None:
-        self.check_level(level)
-        _check_tile_factor(factor)
-        target = self.loops[level]
-        taken = {it.name for it in self.loops}
-        o_name, i_name = f"{target.name}_o", f"{target.name}_i"
-        while o_name in taken:
-            o_name += "_"
-        taken.add(o_name)
-        while i_name in taken:
-            i_name += "_"
-        n = target.extent
-        self.index_exprs = {
-            orig: e.substitute(target.name, o_name, i_name, factor)
-            for orig, e in self.index_exprs.items()
-        }
-        self.guards = [Guard(g.expr.substitute(target.name, o_name, i_name, factor), g.bound)
-                       for g in self.guards]
-        if n % factor != 0:
-            self.guards.append(Guard(AffineExpr(terms=((i_name, 1), (o_name, factor))), n))
-        self.loops[level: level + 1] = [Iterator(o_name, 0, -(-n // factor)),
-                                        Iterator(i_name, 0, factor)]
-        self.tile_factors = {**self.tile_factors, o_name: factor, i_name: factor}
-
     def tile(self, levels: tuple[int, ...], factors: tuple[int, ...]) -> None:
+        """Strip-mine the adjacent `levels`, the j-th from the top by
+        `factors[j]`, into outer (block) and inner loops, and put all the
+        outer loops first: [o0, o1, ..., i0, i1, ...].  A one-level tile is
+        a split.
+
+        One pass gives the names, errors and result of one split per level
+        in turn, each of which shifts the loops below it by one: a split
+        loop is an original loop of the nest, so no split renames another's
+        loops, and each takes the names free at its turn.
+        """
         k = len(levels)
-        if sorted(levels) != list(range(min(levels), min(levels) + k)):
-            raise UnrollTunerError(f"tile levels must be adjacent, got {levels}")
         base = min(levels)
-        # Strip-mine each level (each split shifts the ones below it by one), then
-        # permute the 2k produced loops so all outer (block) loops come first.
-        for j, f in enumerate(factors):
-            self.split(base + 2 * j, f)
-        produced = self.loops[base: base + 2 * k]          # [o0, i0, o1, i1, ...]
-        self.loops[base: base + 2 * k] = produced[0::2] + produced[1::2]
+        if sorted(levels) != list(range(base, base + k)):
+            raise UnrollTunerError(f"tile levels must be adjacent, got {levels}")
+        loops = self.loops
+        depth = len(loops)
+        taken = {it.name for it in loops}
+        splits: dict[str, tuple[str, str, int]] = {}
+        outer_loops, inner_loops, new_guards = [], [], []
+        tile_factors = dict(self.tile_factors)
+        for j, factor in enumerate(factors):
+            _check_level(base + 2 * j, depth + j)
+            _check_tile_factor(factor)
+            var, n = loops[base + j].name, loops[base + j].extent
+            o_name, i_name = var + "_o", var + "_i"
+            while o_name in taken:
+                o_name += "_"
+            taken.add(o_name)
+            while i_name in taken:
+                i_name += "_"
+            taken.add(i_name)
+            taken.remove(var)
+            splits[var] = (o_name, i_name, factor)
+            outer_loops.append(Iterator(o_name, 0, -(-n // factor)))
+            inner_loops.append(Iterator(i_name, 0, factor))
+            if n % factor != 0:
+                new_guards.append(Guard(AffineExpr(((i_name, 1), (o_name, factor))), n))
+            tile_factors[o_name] = tile_factors[i_name] = factor
+        self.index_exprs = {orig: e.substitute(splits) for orig, e in self.index_exprs.items()}
+        self.guards = [g if (expr := g.expr.substitute(splits)) is g.expr else Guard(expr, g.bound)
+                       for g in self.guards] + new_guards
+        loops[base: base + k] = outer_loops + inner_loops
+        self.tile_factors = tile_factors
 
     def unroll_by(self, u: int) -> None:
         """Unroll the innermost loop by u; u=0 leaves the nest unchanged.
@@ -319,7 +329,10 @@ def apply_unroll(sp: ScheduledProgram, u: int) -> ScheduledProgram:
 
 def schedule_program(p: Program, transforms=()) -> ScheduledProgram:
     """Build a ScheduledProgram by folding `transforms` over the base nest,
-    in place on one `_Nest`, frozen once at the end."""
+    in place on one `_Nest`, frozen once at the end; no transforms give
+    `new_schedule(p)` itself."""
+    if not transforms:
+        return new_schedule(p)
     nest = _Nest(new_schedule(p))
     for t in transforms:
         nest.apply(t)

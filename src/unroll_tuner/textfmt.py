@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import re
+import string
 import sys
 from dataclasses import fields
 
@@ -53,14 +54,23 @@ from .schedule import (
     new_schedule,
 )
 
+# A token is an operator, an identifier, a number or, where none of these
+# starts, one character of any other kind: a bad token.  The three forms
+# start with distinct characters, so their order only sets which the
+# regex tries first: the most frequent.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_]\w*)"
-    r"|(?P<op>[+\-*/()\[\],])"
-    r"|(?P<bad>\S))"
+    r"\s*([+\-*/()\[\],]"
+    r"|[A-Za-z_]\w*"
+    r"|\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+|\d+(?:[eE][+-]?\d+)?"
+    r"|\S)"
 )
-_END = (None, None)         # the token after the last one
+_END = ""                   # the token after the last one
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_OPERATORS = frozenset("+-*/()[],")
+# One-character tokens that are not bad; a bad token is one character.
+_GOOD_CHARS = _IDENT_START | _OPERATORS | frozenset(string.digits)
 _BINOPS = {kind.value: kind for kind in BinOpKind}
+_DTYPES = {dtype.value: dtype for dtype in DataType}
 
 # The values each element type holds; a literal outside them is rejected.
 _LITERAL_RANGE = {
@@ -75,80 +85,107 @@ _TRANSFORMS = {cls.__name__.lower(): cls
 _ARITY = {name: len(fields(cls)) for name, cls in _TRANSFORMS.items()}
 
 
-def _tokenize(text: str) -> list[tuple[str | None, str | None]]:
+def _tokenize(text: str) -> list[str]:
     """The tokens of `text`, then `_END`."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup          # the one named group that matched
-        if kind == "bad":
-            raise UnrollTunerError(f"bad expression syntax near {text[m.start():]!r}")
-        tokens.append((kind, m[kind]))
+    tokens = _TOKEN_RE.findall(text)
+    # past the good characters, a one-character token is bad unless a digit
+    if any(len(t) == 1 and not t.isdecimal() for t in set(tokens) - _GOOD_CHARS):
+        m = next(m for m in _TOKEN_RE.finditer(text) if _is_bad(m[1]))
+        raise UnrollTunerError(f"bad expression syntax near {text[m.start():]!r}")
     tokens.append(_END)
     return tokens
 
 
+def _is_bad(token: str) -> bool:
+    """Whether `token` matched none of the number, identifier and operator
+    forms: a one-character token that starts none of them (a lone '.' too)."""
+    return len(token) == 1 and not (token in _GOOD_CHARS or token.isdecimal())
+
+
+def _is_num(token: str) -> bool:
+    return token[0].isdecimal() or token[0] == "."    # `\d` is a decimal character
+
+
+def _kind(token: str) -> str:
+    return "ident" if token[0] in _IDENT_START else "num" if _is_num(token) else "op"
+
+
+def _unexpected_end() -> UnrollTunerError:
+    return UnrollTunerError("unexpected end of expression")
+
+
 class _ExprParser:
     """Recursive-descent parser from expression text to IR nodes; each
-    literal must be a value of the program's element type `dtype`."""
+    literal must be a value of the program's element type `dtype`.
+
+    `tokens[pos]` is the next token.  The factor and subscript loops, which
+    see most tokens, step through them directly rather than through `take`.
+    """
 
     def __init__(self, text: str, dtype: DataType):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.dtype = dtype
+        self.is_float = dtype.is_float
+        self.lo, self.hi = _LITERAL_RANGE[dtype]
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, expect: str | None = None):
-        kind, val = self.peek()
-        if kind is None:
-            raise UnrollTunerError("unexpected end of expression")
-        if expect is not None and val != expect:
-            raise UnrollTunerError(f"expected {expect!r}, got {val!r}")
+    def take(self, expect: str | None = None) -> str:
+        token = self.tokens[self.pos]
+        if token == _END:
+            raise _unexpected_end()
+        if expect is not None and token != expect:
+            raise UnrollTunerError(f"expected {expect!r}, got {token!r}")
         self.pos += 1
-        return kind, val
+        return token
 
     def parse(self) -> Expr:
         node = self.expr()
-        if self.peek()[0] is not None:
-            raise UnrollTunerError(f"trailing tokens in expression: {self.tokens[self.pos:-1]}")
+        if self.tokens[self.pos] != _END:
+            trailing = [(_kind(t), t) for t in self.tokens[self.pos:-1]]
+            raise UnrollTunerError(f"trailing tokens in expression: {trailing}")
         return node
 
     def expr(self) -> Expr:
         node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            _, op = self.take()
+        tokens = self.tokens
+        while (op := tokens[self.pos]) == "+" or op == "-":
+            self.pos += 1
             node = BinOp(_BINOPS[op], node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while self.peek()[1] in ("*", "/"):
-            _, op = self.take()
+        tokens = self.tokens
+        while (op := tokens[self.pos]) == "*" or op == "/":
+            self.pos += 1
             node = BinOp(_BINOPS[op], node, self.factor())
         return node
 
     def factor(self) -> Expr:
-        kind, val = self.take()
-        if val == "(":
+        tokens = self.tokens
+        token = tokens[self.pos]
+        if token == _END:
+            raise _unexpected_end()
+        self.pos += 1
+        if token[0] in _IDENT_START:
+            if tokens[self.pos] != "[":
+                raise UnrollTunerError(f"bare identifier {token!r}; accesses need subscripts")
+            return Access(BufferAccess(token, self.subscripts()))
+        if _is_num(token):
+            return self.constant(token)
+        if token == "(":
             node = self.expr()
             self.take(")")
             return node
-        if val == "-":
-            kind, val = self.take()
-            if kind != "num":
+        if token == "-":
+            token = self.take()
+            if not _is_num(token):
                 raise UnrollTunerError("unary minus only allowed on numeric literals")
-            return self.constant("-" + val)
-        if kind == "num":
-            return self.constant(val)
-        if kind == "ident":
-            if self.peek()[1] != "[":
-                raise UnrollTunerError(f"bare identifier {val!r}; accesses need subscripts")
-            return Access(BufferAccess(val, self.subscripts()))
-        raise UnrollTunerError(f"unexpected token {val!r} in expression")
+            return self.constant("-" + token)
+        raise UnrollTunerError(f"unexpected token {token!r} in expression")
 
     def constant(self, text: str) -> Constant:
-        if self.dtype.is_float:
+        if self.is_float:
             value = float(text)
         elif text.lstrip("-").isdigit():
             value = int(text)                      # exact, however many digits
@@ -157,38 +194,56 @@ class _ExprParser:
             if not value.is_integer():             # also false for an overflowed inf
                 raise UnrollTunerError(f"non-integer constant {text!r} in {self.dtype.value} program")
             value = int(value)
-        lo, hi = _LITERAL_RANGE[self.dtype]
-        if not lo <= value <= hi:
-            what = "non-finite" if self.dtype.is_float else "out-of-range"
+        if not self.lo <= value <= self.hi:
+            what = "non-finite" if self.is_float else "out-of-range"
             raise UnrollTunerError(f"{what} constant {text!r} in {self.dtype.value} program")
         return Constant(value)
 
     def subscripts(self) -> tuple[Subscript, ...]:
-        self.take("[")
+        """An access's dimensions, from its '[' through its ']'."""
+        tokens = self.tokens
+        pos = self.pos + 1                         # past the '['
         dims = []
         while True:
-            kind, name = self.take()
-            if kind != "ident":
+            name = tokens[pos]
+            if name == _END:
+                raise _unexpected_end()
+            if name[0] not in _IDENT_START:
                 raise UnrollTunerError(f"subscript must start with an iterator, got {name!r}")
-            names = [name]
-            offset = 0
-            while self.peek()[1] in ("+", "-"):
-                _, sign = self.take()
-                kind, tok = self.take()
-                if kind == "ident":
-                    if sign == "-":
-                        raise UnrollTunerError("iterators may only be added in subscripts")
-                    names.append(tok)
-                elif tok.isdigit():
-                    offset += int(tok) if sign == "+" else -int(tok)
-                else:
-                    raise UnrollTunerError("subscript offsets must be integer literals")
-            dims.append(Subscript(tuple(names), offset))
-            _, sep = self.take()
+            pos += 1
+            if tokens[pos] == "+" or tokens[pos] == "-":
+                self.pos = pos
+                dims.append(self.subscript_sum(name))
+                pos = self.pos
+            else:
+                dims.append(Subscript((name,)))
+            sep = tokens[pos]
+            if sep == _END:
+                raise _unexpected_end()
+            pos += 1
             if sep == "]":
+                self.pos = pos
                 return tuple(dims)
             if sep != ",":
                 raise UnrollTunerError(f"expected ',' or ']' in subscript, got {sep!r}")
+
+    def subscript_sum(self, name: str) -> Subscript:
+        """One dimension that adds iterators or offsets to its first iterator `name`."""
+        tokens = self.tokens
+        names = [name]
+        offset = 0
+        while (sign := tokens[self.pos]) == "+" or sign == "-":
+            self.pos += 1
+            token = self.take()
+            if token[0] in _IDENT_START:
+                if sign == "-":
+                    raise UnrollTunerError("iterators may only be added in subscripts")
+                names.append(token)
+            elif token.isdigit():
+                offset += int(token) if sign == "+" else -int(token)
+            else:
+                raise UnrollTunerError("subscript offsets must be integer literals")
+        return Subscript(tuple(names), offset)
 
 
 _PROGRAM_DIRECTIVES = frozenset(("program", "iter", "input", "body", "output"))
@@ -206,17 +261,23 @@ def _parse_transform(directive: str, rest: str) -> Transform:
     return cls(*map(int, args))
 
 
-def _program_fields(lines):
-    """Line-level parse of (line number, directive, rest) program lines;
-    a `program`, `body` or `output` line may appear once."""
+def _program_fields(lines: str):
+    """Line-level parse of `lines`, a file's program lines on their line
+    numbers, its other lines empty; a `program`, `body` or `output` line
+    may appear once."""
     name = None
     iterators: list[Iterator] = []
     inputs: list[BufferDecl] = []
-    dtypes: set[DataType] = set()
+    dtypes: dict[str, DataType] = {}       # by name: a member would hash in Python
     body_src = None
     output_src = None
     set_on: dict[str, int] = {}
-    for line_no, directive, rest in lines:
+    for line_no, line in enumerate(lines.split("\n"), start=1):
+        if not line:
+            continue
+        words = line.split(None, 1)
+        directive = words[0]
+        rest = words[1].rstrip() if len(words) == 2 else ""
         if directive in set_on:
             raise UnrollTunerError(f"line {line_no}: a second {directive!r} line; "
                                    f"the first is line {set_on[directive]}")
@@ -231,7 +292,7 @@ def _program_fields(lines):
             elif directive == "input":
                 buf, rank, dtype = rest.split()
                 inputs.append(BufferDecl(buf, int(rank)))
-                dtypes.add(DataType(dtype))
+                dtypes[dtype] = _DTYPES.get(dtype) or DataType(dtype)   # or raise its error
             elif directive == "body":
                 body_src = rest
             else:
@@ -244,10 +305,12 @@ def _program_fields(lines):
 # Sibling files of one program repeat its lines and differ only in their
 # schedule lines; `label` reads them in sorted order, so consecutive siblings
 # hit the cache.  The bound is small on purpose: a corpus cycles through it.
-# An entry is the program's empty schedule, which `new_schedule` holds only
-# weakly: the cache keeps it alive, so the siblings' replays share it.
+# The key is one string (see `_program_fields`), hashed and compared in one
+# step.  An entry is the program's empty schedule, which `new_schedule`
+# holds only weakly: the cache keeps it alive, so the siblings' replays
+# share it.
 @functools.lru_cache(maxsize=16)
-def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> ScheduledProgram:
+def _parse_program_lines(lines: str) -> ScheduledProgram:
     name, iterators, inputs, dtypes, body_src, output_src = _program_fields(lines)
     if name is None:
         raise UnrollTunerError("missing 'program' line")
@@ -258,7 +321,7 @@ def _parse_program_lines(lines: tuple[tuple[int, str, str], ...]) -> ScheduledPr
 
     if len(dtypes) > 1:
         raise UnrollTunerError("all input declarations must share one dtype")
-    dtype = dtypes.pop() if dtypes else DataType.Float64
+    dtype = next(iter(dtypes.values())) if dtypes else DataType.Float64
 
     out_node = _ExprParser(output_src, dtype).parse()
     if not isinstance(out_node, Access):
@@ -286,25 +349,25 @@ def parse_program_text(text: str) -> tuple[Program, list[Transform]]:
     share one frozen `Program` while they stay in a small parse cache; the
     schedule lines are parsed per file.
     """
-    program_lines = []
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
     transforms: list[Transform] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for i, line in enumerate(lines):
+        words = line.split(None, 1)         # the directive ends at any whitespace
+        if words and words[0] in _PROGRAM_DIRECTIVES:
             continue
-        directive, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if directive in _PROGRAM_DIRECTIVES:
-            program_lines.append((line_no, directive, rest))
+        lines[i] = ""
+        if not words:
             continue
         try:
-            transforms.append(_parse_transform(directive, rest))
+            transforms.append(_parse_transform(words[0], words[1] if len(words) == 2 else ""))
         except (UnrollTunerError, ValueError) as exc:
-            _program_fields(program_lines)     # an earlier bad program line is reported first
+            _program_fields("\n".join(lines[:i]))     # an earlier bad program line is reported first
             if isinstance(exc, ValueError):
-                raise UnrollTunerError(f"line {line_no}: {exc}") from exc
+                raise UnrollTunerError(f"line {i + 1}: {exc}") from exc
             raise
-    return _parse_program_lines(tuple(program_lines)).base, transforms
+    return _parse_program_lines("\n".join(lines).rstrip("\n")).base, transforms
 
 
 def read_text(path: str) -> str:

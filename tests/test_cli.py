@@ -179,6 +179,35 @@ def test_label_and_predict_reject_invalid_programs(tmp_path, capsys, body, messa
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+DEEP_TEXT = """\
+program deep
+iter i0 0 4
+iter i1 0 4
+iter i2 0 8
+iter i3 0 8
+iter i4 0 8
+input a 5 float64
+body a[i0, i1, i2, i3, i4] * 2.0
+output o[i0, i1, i2, i3, i4]
+tile3 2 3 4 2 2 2
+"""
+
+
+def test_label_and_predict_name_the_file_of_a_nest_too_deep(pipeline, tmp_path, capsys):
+    """A schedule that tiles past MAX_DEPTH fails in featurization; both
+    commands name the file, as they do for parse and schedule errors."""
+    _, _, _, model = pipeline
+    progs = tmp_path / "deepdir"
+    progs.mkdir()
+    path = progs / "deep.prog"
+    path.write_text(DEEP_TEXT)
+    message = f"error: {path}: nest depth 8 exceeds 7 after tiling\n"
+    assert run_cli("label", "--programs", str(progs), "--out", str(tmp_path / "c.csv")) == 2
+    assert capsys.readouterr().err == message
+    assert run_cli("predict", str(path), "--model", str(model)) == 2
+    assert capsys.readouterr().err == message
+
+
 def unroll_ignored(path) -> str:
     return f"{path}: ignoring the unroll directive; the factor is chosen from U"
 

@@ -219,6 +219,52 @@ def _replay_cases():
     return cases
 
 
+# Interchanges that take a k-level tile's strip-mined loops from split
+# order [o0, i0, o1, i1, ...] to tile order [o0, o1, ..., i0, i1, ...], as
+# positions below the tile's top level.
+_TILE_ORDER_SWAPS = {2: [(1, 2)], 3: [(1, 2), (2, 4), (3, 4)]}
+
+
+def _nest_or_error(p, transforms):
+    try:
+        sp = schedule_program(p, transforms)
+    except UnrollTunerError as exc:
+        return str(exc)
+    return sp.loops, sp.index_exprs, sp.guards, sp.tile_factors
+
+
+def test_tile_equals_one_split_per_level():
+    """A tile strip-mines all its levels in one pass.  Its loops, index
+    expressions, guards, tile factors and errors are those of one split per
+    level in turn, each shifting the loops below it by one, followed by the
+    interchanges that put the outer loops first; names that collide with
+    the nest's loops take the same suffixes."""
+    collide = make_program("collide", [("a_o", 12), ("a", 16), ("a_i", 6), ("a_o_", 8)],
+                           BinOp(BinOpKind.Add, load("in0", "a_o", ("a", "a_i")),
+                                 load("in0", "a_i", "a_o_")),
+                           ("a", "a_o", "a_i", "a_o_"), [("in0", 2)])
+    programs = [p for p, _ in _replay_cases()[::40]] + [collide]
+    factor_sets = {2: [(2, 4), (4, 128), (128, 2), (3, 4)],
+                   3: [(2, 4, 8), (4, 2, 128), (2, 256, 2)]}
+    checked = 0
+    for p in programs:
+        for prefix in ([], [Split(0, 4)], [Split(1, 2), Interchange(0, 1)]):
+            depth = len(p.iterators) + sum(isinstance(t, Split) for t in prefix)
+            for k, factor_list in factor_sets.items():
+                for base in range(depth + 1):
+                    for factors in factor_list:
+                        levels = tuple(range(base, base + k))
+                        tile = (Tile2 if k == 2 else Tile3)(*levels, *factors)
+                        splits = [Split(base + 2 * j, f) for j, f in enumerate(factors)]
+                        swaps = [Interchange(base + a, base + b) for a, b in _TILE_ORDER_SWAPS[k]]
+                        tiled = _nest_or_error(p, [*prefix, tile])
+                        assert tiled == _nest_or_error(p, [*prefix, *splits, *swaps])
+                        if not isinstance(tiled, str):      # terms stay in name order
+                            assert all(list(e.terms) == sorted(e.terms) for e in tiled[1].values())
+                        checked += 1
+    assert checked > 500
+
+
 def test_schedule_program_equals_folding_apply_transform():
     """`schedule_program` replays on one mutable nest; folding the frozen
     single steps gives an equal schedule, and no step changes its input,

@@ -87,6 +87,13 @@ output o[y, k]
     assert validate_program(program).ok
 
 
+def test_tabs_separate_like_spaces():
+    """Any whitespace ends a directive and separates its arguments."""
+    tabbed = MATMUL_TEXT.replace(" ", "\t").replace("tile2\t0", "tile2 \t 0")
+    assert "program\tmatmul\n" in tabbed
+    assert parse_program_text(tabbed) == parse_program_text(MATMUL_TEXT)
+
+
 def test_unknown_directive_rejected():
     with pytest.raises(UnrollTunerError, match="^unknown directive 'vectorize'$"):
         parse_program_text("program x\niter i 0 4\nvectorize 4\nbody a[i]\noutput o[i]\n")
@@ -244,6 +251,8 @@ def test_format_transform_rejects_non_transforms():
 
 @pytest.mark.parametrize("body, message", [
     ("a[i] $ 2.0", "bad expression syntax near ' $ 2.0'"),
+    ("a[i] + . 2", "bad expression syntax near ' . 2'"),       # a lone '.'
+    ("a[i] * é", "bad expression syntax near ' é'"),           # a letter past ASCII
     ("(a[i] + 1.0", "unexpected end of expression"),
     ("a[i] +", "unexpected end of expression"),
     ("a[i] * (", "unexpected end of expression"),
