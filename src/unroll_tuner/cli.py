@@ -134,16 +134,25 @@ def _gen_worker(payload):
 
 def cmd_gen(args) -> int:
     cfg = _gen_config(args.seed, args.config)
+    # another corpus's files would be mixed into this one, and `label` would label both
+    if os.path.isdir(args.out):
+        held = sum(name.endswith(".prog") for name in os.listdir(args.out))
+        if held:
+            raise UnrollTunerError(f"{args.out} already holds {held} .prog file(s); "
+                                   f"gen writes only into a directory that holds none")
     os.makedirs(args.out, exist_ok=True)
-    payloads = [(cfg, index) for index in range(args.count)]
+    payloads = ((cfg, index) for index in range(args.count))
     # four chunks per worker, as `Pool.map` makes them
-    batches = list(_map(_gen_worker, payloads, args.jobs, -(-args.count // (4 * args.jobs))))
+    chunk = -(-args.count // (4 * args.jobs))
     n_files = 0
-    for files in batches:
-        for filename, content in files:
-            with open(os.path.join(args.out, filename), "w") as fh:
-                fh.write(content)
-            n_files += 1
+    # each program's files are written as they come back, so only the
+    # programs in flight are held
+    with contextlib.closing(_map(_gen_worker, payloads, args.jobs, chunk)) as batches:
+        for files in batches:
+            for filename, content in files:
+                with open(os.path.join(args.out, filename), "w") as fh:
+                    fh.write(content)
+                n_files += 1
     print(f"wrote {n_files} scheduled programs to {args.out}")
     return 0
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import builtins
+import multiprocessing
 import os
 import re
 import shutil
@@ -337,6 +339,94 @@ def test_gen_deterministic(tmp_path):
     assert len(files_a) == 100     # 10 programs x 10 schedules
     for name in files_a:
         assert read(a / name) == read(b / name)
+
+
+def test_gen_parallel_jobs_byte_identical(tmp_path, monkeypatch):
+    """Programs streamed back from two workers are written as one worker
+    writes them: the same file names and bytes, in the same order."""
+    written = []
+
+    def recording_open(path, *args, **kwargs):
+        written.append(os.path.basename(path))
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    a, b = tmp_path / "a", tmp_path / "b"
+    # 10 programs in chunks of 2 for two workers
+    assert run_cli("gen", "--count", "10", "--seed", "7", "--out", str(a), "--jobs", "1") == 0
+    assert run_cli("gen", "--count", "10", "--seed", "7", "--out", str(b), "--jobs", "2") == 0
+    names = sorted(os.listdir(a))
+    assert len(names) == 100 and written == names + names
+    assert sorted(os.listdir(b)) == names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_gen_refuses_directory_holding_prog_files(tmp_path, capsys):
+    """A second corpus is not mixed into the first: gen names the directory
+    and what it holds, and writes nothing."""
+    out = tmp_path / "c"
+    assert run_cli("gen", "--count", "3", "--seed", "1", "--out", str(out)) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    capsys.readouterr()
+    assert run_cli("gen", "--count", "1", "--seed", "2", "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {out} already holds 30 .prog file(s); "
+        "gen writes only into a directory that holds none"]
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+    # other files do not count
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "gen.cfg").write_text("gen.max_inputs = 2\n")
+    assert run_cli("gen", "--count", "1", "--seed", "2", "--out", str(other)) == 0
+    assert len(os.listdir(other)) == 11
+
+
+def test_gen_write_failure_stops_workers(tmp_path, monkeypatch):
+    """A write that fails mid-stream is one error line, and the worker pool
+    is shut down before that line is written."""
+    writes = []
+
+    def failing_open(path, *args, **kwargs):
+        writes.append(path)
+        if len(writes) == 25:
+            raise OSError(f"{path}: no space left on device")
+        return builtins.open(path, *args, **kwargs)
+
+    lines = []
+
+    class Stderr:
+        """Records each line written, with the worker processes alive then."""
+
+        def write(self, text):
+            lines.append((text, multiprocessing.active_children()))
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    out = tmp_path / "c"
+    assert run_cli("gen", "--count", "20", "--seed", "4", "--out", str(out), "--jobs", "2") == 2
+    assert lines == [(f"error: {writes[-1]}: no space left on device\n", [])]
+    assert multiprocessing.active_children() == []
+    assert len(os.listdir(out)) == 24
+
+
+def test_gen_memory_does_not_grow_with_count(tmp_path):
+    """Each program's files are written as it is generated: generating ten
+    times the programs peaks within 1 MiB of the smaller run."""
+    # imports and caches are warm before anything is measured
+    assert run_cli("gen", "--count", "50", "--seed", "9", "--out", str(tmp_path / "w")) == 0
+    peaks = {}
+    for count in (50, 500):
+        tracemalloc.start()
+        try:
+            assert run_cli("gen", "--count", str(count), "--seed", "9",
+                           "--out", str(tmp_path / f"p{count}")) == 0
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[500] - peaks[50] < 1 << 20, peaks
 
 
 def test_gen_files_match_program_to_text():
